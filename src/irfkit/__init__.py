@@ -27,6 +27,8 @@ from .evaluation import (
     ndcg_at_20,
 )
 from .feedback import (
+    MODELS,
+    Estimate,
     FeedbackPools,
     ModelParams,
     estimate_distillation,

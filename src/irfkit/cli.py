@@ -9,53 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import corpus_io, evaluation, feedback, session
 from .index import build_index, load_index, save_index
-from .ranking import write_run
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
-
-
-@dataclass
-class RunConfig:
-    index_dir: str
-    topics_path: str
-    qrels_path: str | None
-    model_kind: str
-    docs_per_iter: int
-    iterations: int
-    final_depth: int
-    params_path: str | None
-    output_path: str
-    seed: int
-    threads: int
-    interactive: bool
-    topics_format: str
-    run_tag: str
-
-    def resolved(self, params: feedback.ModelParams) -> dict:
-        echo = {
-            "index": self.index_dir,
-            "topics": self.topics_path,
-            "topics_format": self.topics_format,
-            "qrels": self.qrels_path or "",
-            "model": self.model_kind,
-            "docs_per_iter": self.docs_per_iter,
-            "iterations": self.iterations,
-            "final_depth": self.final_depth,
-            "output": self.output_path,
-            "seed": self.seed,
-            "threads": self.threads,
-            "interactive": self.interactive,
-            "run_tag": self.run_tag,
-        }
-        echo.update(params.to_dict())
-        return echo
 
 
 def _write_echo(path: Path, resolved: dict) -> None:
@@ -126,52 +86,42 @@ def _resolve_params(args) -> feedback.ModelParams:
 
 
 def cmd_run(args) -> int:
-    config = RunConfig(
-        index_dir=args.index,
-        topics_path=args.topics,
-        qrels_path=args.qrels,
-        model_kind=args.model,
-        docs_per_iter=args.docs_per_iter,
-        iterations=args.iterations,
-        final_depth=args.final_depth,
-        params_path=args.params,
-        output_path=args.output,
-        seed=args.seed,
-        threads=1 if args.interactive else args.threads,
-        interactive=args.interactive,
-        topics_format=args.topics_format,
-        run_tag=args.run_tag,
-    )
-    if not config.interactive and config.qrels_path is None:
+    if not args.interactive and args.qrels is None:
         print("error: --qrels is required unless --interactive", file=sys.stderr)
         return USAGE_ERROR
     params = _resolve_params(args)
-    index = load_index(config.index_dir)
+    index = load_index(args.index)
     topics = _load_analyzed_topics(args, index.analysis)
-    budget = session.BudgetConfig(config.docs_per_iter, config.iterations, config.final_depth)
+    budget = session.BudgetConfig(args.docs_per_iter, args.iterations, args.final_depth)
 
-    if config.interactive:
+    if args.interactive:
         judge = session.interactive_judge(
             sys.stdin, sys.stdout, lambda doc_id: session.term_snippet(index, doc_id)
         )
     else:
-        judge = session.make_qrels_judge(corpus_io.parse_qrels(config.qrels_path))
+        judge = session.make_qrels_judge(corpus_io.parse_qrels(args.qrels))
+    runs = [session.run_irf(index, topic, args.model, params, budget, judge) for topic in topics]
 
-    def run_topic(topic: corpus_io.Topic) -> session.FreezingRunList:
-        return session.run_irf(index, topic, config.model_kind, params, budget, judge)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            runs = list(pool.map(run_topic, topics))
-    else:
-        runs = [run_topic(topic) for topic in topics]
-
-    output = Path(config.output_path)
+    output = Path(args.output)
     if output.parent != Path(""):
         output.parent.mkdir(parents=True, exist_ok=True)
-    session.write_freezing_run(runs, output, config.run_tag)
+    session.write_freezing_run(runs, output, args.run_tag)
     session.write_session_log(runs, output.with_name(output.name + ".sessions.jsonl"))
-    _write_echo(output.with_name(output.name + ".config"), config.resolved(params))
+    echo = {
+        "index": args.index,
+        "topics": args.topics,
+        "topics_format": args.topics_format,
+        "qrels": args.qrels or "",
+        "model": args.model,
+        "docs_per_iter": args.docs_per_iter,
+        "iterations": args.iterations,
+        "final_depth": args.final_depth,
+        "output": args.output,
+        "interactive": args.interactive,
+        "run_tag": args.run_tag,
+        **params.to_dict(),
+    }
+    _write_echo(output.with_name(output.name + ".config"), echo)
     judged = sum(len(r.judgments) for run in runs for r in run.records)
     print(f"wrote {output} ({len(runs)} topics, {judged} judgments)")
     return 0
@@ -230,19 +180,15 @@ def _load_grid(path: str | None) -> evaluation.GridSpec:
     if path is None:
         return evaluation.GridSpec()
     values: dict[str, tuple] = {}
-    casts = {"num_expansion_terms": int}
-    for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise corpus_io.CorpusFormatError(f"{path}:{lineno}: expected key=v1,v2,...")
-        key, raw = line.split("=", 1)
-        key = key.strip()
+    for where, key, raw in feedback.read_key_values(path):
         if key not in evaluation.GridSpec.__dataclass_fields__:
-            raise corpus_io.CorpusFormatError(f"{path}:{lineno}: unknown grid key {key!r}")
-        cast = casts.get(key, float)
-        values[key] = tuple(cast(v) for v in raw.split(",") if v.strip())
+            raise corpus_io.CorpusFormatError(f"{where}: unknown grid key {key!r}")
+        try:
+            values[key] = tuple(
+                feedback.parse_param(key, v.strip()) for v in raw.split(",") if v.strip()
+            )
+        except feedback.FeedbackError as exc:
+            raise corpus_io.CorpusFormatError(f"{where}: {exc}") from None
     return evaluation.GridSpec(**values)
 
 
@@ -322,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one parameter")
     p_run.add_argument("--output", required=True)
     p_run.add_argument("--interactive", action="store_true")
-    p_run.add_argument("--threads", type=int, default=1)
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--run-tag", default="irfkit")
     p_run.set_defaults(func=cmd_run)
 

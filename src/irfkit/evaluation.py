@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus_io import QrelSet
-from .feedback import ModelParams
+from .feedback import ModelParams, model_spec
 
 
 @dataclass(frozen=True)
@@ -143,16 +143,6 @@ _DEFAULT_GRID = {
     "gamma": (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
 }
 
-# Axes that actually matter per feedback model; everything else stays at the
-# ModelParams default.
-_MODEL_AXES = {
-    "rm3": ("mu", "interp_lambda", "num_expansion_terms"),
-    "distill": ("mu", "lambda1", "lambda2", "interp_lambda", "num_expansion_terms"),
-    "rocchio": ("k1", "b", "beta", "gamma", "num_expansion_terms"),
-    "prob": ("k1", "b", "interp_lambda", "num_expansion_terms"),
-}
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Per-parameter candidate values for grid search."""
@@ -175,10 +165,8 @@ class GridSpec:
     def expand(self, model_kind: str) -> list[ModelParams]:
         """All parameter combinations over the axes the model uses, in
         deterministic order; combinations violating lambda1 + lambda2 < 1
-        are skipped."""
-        if model_kind not in _MODEL_AXES:
-            raise ValueError(f"unknown model {model_kind!r}")
-        axes = _MODEL_AXES[model_kind]
+        are skipped.  Every other field stays at the ModelParams default."""
+        axes = model_spec(model_kind).axes
         points = []
         for values in itertools.product(*(getattr(self, axis) for axis in axes)):
             override = dict(zip(axes, values))

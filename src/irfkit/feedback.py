@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .index import CollectionIndex
-from .ranking import QueryModel, RankingParams
+from .ranking import QueryModel, RankingParams, query_count_vector, query_language_model
 
 
 class FeedbackError(ValueError):
@@ -102,38 +102,29 @@ class ModelParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_PARAM_PARSERS = {
-    "mu": float,
-    "k1": float,
-    "b": float,
-    "interp_lambda": float,
-    "num_expansion_terms": int,
-    "lambda1": float,
-    "lambda2": float,
-    "beta": float,
-    "gamma": float,
-    "subtract_nonrelevant": lambda v: {"true": True, "false": False, "1": True, "0": False}[v.lower()],
-    "em_max_iters": int,
-    "em_tol": float,
-}
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(ModelParams)}
+_BOOLS = {"true": True, "false": False, "1": True, "0": False}
+
+
+def parse_param(key: str, value: str):
+    """Coerce one string value to the type of the ModelParams field ``key``."""
+    if key not in _FIELD_TYPES:
+        raise FeedbackError(f"unknown parameter {key!r}")
+    field_type = _FIELD_TYPES[key]
+    try:
+        return _BOOLS[value.lower()] if field_type is bool else field_type(value)
+    except (ValueError, KeyError):
+        raise FeedbackError(f"bad value {value!r} for parameter {key!r}") from None
 
 
 def parse_param_items(items: dict[str, str]) -> dict:
     """Coerce string key=value pairs to typed fields; unknown keys rejected."""
-    parsed = {}
-    for key, value in items.items():
-        if key not in _PARAM_PARSERS:
-            raise FeedbackError(f"unknown parameter {key!r}")
-        try:
-            parsed[key] = _PARAM_PARSERS[key](value)
-        except (ValueError, KeyError):
-            raise FeedbackError(f"bad value {value!r} for parameter {key!r}") from None
-    return parsed
+    return {key: parse_param(key, value) for key, value in items.items()}
 
 
-def load_params(path: str | Path, overrides: dict[str, str] | None = None) -> ModelParams:
-    """Read a flat key=value parameter file, then apply overrides."""
-    items: dict[str, str] = {}
+def read_key_values(path: str | Path) -> Iterator[tuple[str, str, str]]:
+    """Yield (path:line, key, value) for each key=value line of a file;
+    blank lines and # comments are skipped."""
     for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -141,10 +132,19 @@ def load_params(path: str | Path, overrides: dict[str, str] | None = None) -> Mo
         if "=" not in line:
             raise FeedbackError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
-        items[key.strip()] = value.strip()
-    if overrides:
-        items.update(overrides)
-    return ModelParams(**parse_param_items(items))
+        yield f"{path}:{lineno}", key.strip(), value.strip()
+
+
+def load_params(path: str | Path, overrides: dict[str, str] | None = None) -> ModelParams:
+    """Read a flat key=value parameter file, then apply overrides."""
+    values = {}
+    for where, key, value in read_key_values(path):
+        try:
+            values[key] = parse_param(key, value)
+        except FeedbackError as exc:
+            raise FeedbackError(f"{where}: {exc}") from None
+    values.update(parse_param_items(overrides or {}))
+    return ModelParams(**values)
 
 
 def write_params(params: ModelParams, path: str | Path) -> None:
@@ -192,13 +192,23 @@ def mle(index: CollectionIndex, doc_set: Sequence[str], mode: str = "concatenate
     raise FeedbackError(f"unknown mle mode {mode!r}")
 
 
+def _top_terms(
+    weights: dict[str, float], m: int, key: Callable[[float], float] = float
+) -> dict[str, float]:
+    """The m terms with the largest key(weight), ties to the smaller term, in
+    that order; ``weights`` itself when it holds no more than m terms."""
+    if len(weights) <= m:
+        return weights
+    return dict(sorted(weights.items(), key=lambda kv: (-key(kv[1]), kv[0]))[:m])
+
+
 def _truncate_distribution(dist: dict[str, float], m: int) -> dict[str, float]:
     """Keep the top-m terms by weight; renormalize only if terms dropped."""
     if len(dist) <= m:
         return dist
-    top = sorted(dist.items(), key=lambda kv: (-kv[1], kv[0]))[:m]
-    total = sum(w for _, w in top)
-    return {t: w / total for t, w in top}
+    top = _top_terms(dist, m)
+    total = sum(top.values())
+    return {t: w / total for t, w in top.items()}
 
 
 def _interpolate(
@@ -212,32 +222,38 @@ def _interpolate(
     return out
 
 
+class Estimate(NamedTuple):
+    """What every estimator returns.
+
+    ``fallback`` is set when the pools held nothing to estimate from and
+    ``model`` is the initial ranker's query model; ``diagnostics`` holds
+    estimator-specific figures (``excluded`` terms for ``prob``).
+    """
+
+    model: QueryModel
+    fallback: bool
+    diagnostics: dict
+
+
 def estimate_rm3(
     index: CollectionIndex,
     query_terms: Sequence[str],
     pools: FeedbackPools,
     params: ModelParams,
-) -> tuple[QueryModel, bool]:
+) -> Estimate:
     """Relevance-model update: average the MLE models of the relevant pool,
     truncate, and interpolate with the original query model.
 
-    Returns (model, fell_back); with an empty relevant pool the original
-    query model comes back with fell_back=True.
+    With an empty relevant pool the original query model comes back as a
+    fallback.
     """
-    original = mle_of_terms(query_terms)
+    original = query_language_model(query_terms)
     if not pools.relevant:
-        return QueryModel.lm(original), True
+        return Estimate(original, True, {})
     relevance = mle(index, pools.relevant, mode="averaged")
     relevance = _truncate_distribution(relevance, params.num_expansion_terms)
-    return QueryModel.lm(_interpolate(original, relevance, params.interp_lambda)), False
-
-
-def mle_of_terms(terms: Sequence[str]) -> dict[str, float]:
-    counts: dict[str, int] = {}
-    for term in terms:
-        counts[term] = counts.get(term, 0) + 1
-    n = len(terms)
-    return {t: c / n for t, c in sorted(counts.items())}
+    model = QueryModel.lm(_interpolate(original.weights, relevance, params.interp_lambda))
+    return Estimate(model, False, {})
 
 
 def distill_relevance_model(
@@ -290,16 +306,17 @@ def estimate_distillation(
     query_terms: Sequence[str],
     pools: FeedbackPools,
     params: ModelParams,
-) -> tuple[QueryModel, bool]:
+) -> Estimate:
     """Mixture-model update: distill the relevance topic out of the relevant
     pool via EM, truncate, and interpolate with the original query model.
 
     With an empty non-relevant pool, that mixture component is dropped and
-    the remaining weights renormalized.
+    the remaining weights renormalized.  With an empty relevant pool the
+    original query model comes back as a fallback.
     """
-    original = mle_of_terms(query_terms)
+    original = query_language_model(query_terms)
     if not pools.relevant:
-        return QueryModel.lm(original), True
+        return Estimate(original, True, {})
     lambda1, lambda2 = params.lambda1, params.lambda2
     if pools.nonrelevant:
         p_nonrel = mle(index, pools.nonrelevant, mode="concatenated")
@@ -315,7 +332,8 @@ def estimate_distillation(
     )
     relevance = {t: p for t, p in relevance.items() if p > 0.0}
     relevance = _truncate_distribution(relevance, params.num_expansion_terms)
-    return QueryModel.lm(_interpolate(original, relevance, params.interp_lambda)), False
+    model = QueryModel.lm(_interpolate(original.weights, relevance, params.interp_lambda))
+    return Estimate(model, False, {})
 
 
 def _bm25_centroid(
@@ -337,11 +355,12 @@ def estimate_rocchio(
     query_terms: Sequence[str],
     pools: FeedbackPools,
     params: ModelParams,
-) -> QueryModel:
+) -> Estimate:
     """Vector-space update: original query counts plus beta times the BM25
     centroid of the relevant pool and gamma times the non-relevant centroid
     (subtracted by default; the sign is configurable).  Empty pools simply
-    drop their term.
+    drop their term; with both empty the query counts come back as a
+    fallback.
 
     Expansion terms outside the original query are truncated to the top
     num_expansion_terms by absolute weight; query terms are always kept.
@@ -359,11 +378,10 @@ def estimate_rocchio(
         for term, weight in _bm25_centroid(index, pools.nonrelevant, rank_params).items():
             vector[term] = vector.get(term, 0.0) + sign * params.gamma * weight
     expansion = {t: w for t, w in vector.items() if t not in query_term_set}
-    if len(expansion) > params.num_expansion_terms:
-        kept = sorted(expansion.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
-        keep = query_term_set | {t for t, _ in kept[: params.num_expansion_terms]}
-        vector = {t: w for t, w in vector.items() if t in keep}
-    return QueryModel.vector(vector)
+    kept = _top_terms(expansion, params.num_expansion_terms, abs)
+    vector = {t: w for t, w in vector.items() if t in query_term_set or t in kept}
+    fallback = not pools.relevant and not pools.nonrelevant
+    return Estimate(QueryModel.vector(vector), fallback, {})
 
 
 def estimate_prob(
@@ -371,20 +389,21 @@ def estimate_prob(
     query_terms: Sequence[str],
     pools: FeedbackPools,
     params: ModelParams,
-) -> tuple[QueryModel, int]:
+) -> Estimate:
     """Probabilistic update: feedback terms from the relevant pool weighted
     by log-odds of occurrence in relevant versus non-relevant documents,
     combined with idf-like original-query weights.
 
-    Returns (model, excluded) where excluded counts terms dropped because
-    their document frequency makes the log-odds undefined (absent from the
+    The diagnostics count as ``excluded`` the terms dropped because their
+    document frequency makes the log-odds undefined (absent from the
     collection, in every document, or so frequent the non-relevant occurrence
-    estimate reaches 1).
+    estimate reaches 1).  With an empty relevant pool the query counts come
+    back as a fallback, for BM25 scoring.
     """
     num_docs = index.num_docs
     num_rel = len(pools.relevant)
     if num_rel == 0:
-        raise FeedbackError("probabilistic feedback requires a non-empty relevant pool")
+        return Estimate(query_count_vector(query_terms), True, {})
     if num_docs <= num_rel:
         raise FeedbackError("relevant pool covers the whole collection")
     excluded = 0
@@ -407,9 +426,7 @@ def estimate_prob(
             continue
         feedback[term] = math.log(p_rel * (1.0 - p_nonrel) / (p_nonrel * (1.0 - p_rel)))
 
-    if len(feedback) > params.num_expansion_terms:
-        kept = sorted(feedback.items(), key=lambda kv: (-kv[1], kv[0]))
-        feedback = dict(kept[: params.num_expansion_terms])
+    feedback = _top_terms(feedback, params.num_expansion_terms)
 
     original: dict[str, float] = {}
     for term in sorted(set(query_terms)):
@@ -419,10 +436,43 @@ def estimate_prob(
             continue
         original[term] = math.log((num_docs - df_all) / df_all)
 
-    lam = params.interp_lambda
-    combined: dict[str, float] = {}
-    for term in sorted(set(original) | set(feedback)):
-        weight = lam * original.get(term, 0.0) + (1.0 - lam) * feedback.get(term, 0.0)
-        if weight != 0.0:
-            combined[term] = weight
-    return QueryModel.vector(combined), excluded
+    combined = _interpolate(original, feedback, params.interp_lambda)
+    return Estimate(QueryModel.vector(combined), False, {"excluded": excluded})
+
+
+class ModelSpec(NamedTuple):
+    """How a feedback model estimates, scores and is tuned.
+
+    ``estimator`` names its ``estimate_*`` function in this module.
+    ``vectorizer`` is the ``retrieve_dot`` document weighting of a vector
+    model, or None for KL scoring of an lm model; a fallback estimate is
+    scored with BM25.  ``axes`` are the ModelParams fields cross-validation
+    tunes, in grid order.
+    """
+
+    estimator: str
+    vectorizer: str | None
+    axes: tuple[str, ...]
+
+
+MODELS = {
+    "rm3": ModelSpec("estimate_rm3", None, ("mu", "interp_lambda", "num_expansion_terms")),
+    "distill": ModelSpec(
+        "estimate_distillation",
+        None,
+        ("mu", "lambda1", "lambda2", "interp_lambda", "num_expansion_terms"),
+    ),
+    "rocchio": ModelSpec(
+        "estimate_rocchio", "bm25", ("k1", "b", "beta", "gamma", "num_expansion_terms")
+    ),
+    "prob": ModelSpec("estimate_prob", "mle", ("k1", "b", "interp_lambda", "num_expansion_terms")),
+}
+
+
+def model_spec(model_kind: str) -> ModelSpec:
+    try:
+        return MODELS[model_kind]
+    except KeyError:
+        raise FeedbackError(
+            f"unknown model {model_kind!r}; expected one of {tuple(MODELS)}"
+        ) from None

@@ -15,25 +15,20 @@ from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
 from .corpus_io import QrelSet, Topic
-from .feedback import (
+from .feedback import (  # the estimators are looked up by name in _retrieve
+    MODELS,
     FeedbackPools,
     ModelParams,
     estimate_distillation,
     estimate_prob,
     estimate_rm3,
     estimate_rocchio,
+    model_spec,
 )
 from .index import CollectionIndex
-from .ranking import (
-    QueryModel,
-    ScoredList,
-    query_count_vector,
-    query_language_model,
-    retrieve_dot,
-    retrieve_kl,
-)
+from .ranking import ScoredList, retrieve_dot, retrieve_kl
 
-MODEL_KINDS = ("rm3", "distill", "rocchio", "prob")
+MODEL_KINDS = tuple(MODELS)
 
 JudgmentProvider = Callable[[str, str], bool]
 
@@ -107,29 +102,17 @@ def _retrieve(
     With empty pools every model degenerates to its initial ranker: QL for
     the language-model estimators, BM25 for the vector ones.
     """
+    spec = model_spec(model_kind)
+    # resolved at call time, not bound in MODELS, so perfbench's tracer can wrap it
+    estimate = globals()[spec.estimator](index, topic.terms, pools, params)
+    model = estimate.model
     rank_params = params.ranking_params(depth)
-    if model_kind == "rm3":
-        model, fell_back = estimate_rm3(index, topic.terms, pools, params)
+    if spec.vectorizer is None:
         scored = retrieve_kl(index, model, rank_params, exclude, topic.query_id)
-    elif model_kind == "distill":
-        model, fell_back = estimate_distillation(index, topic.terms, pools, params)
-        scored = retrieve_kl(index, model, rank_params, exclude, topic.query_id)
-    elif model_kind == "rocchio":
-        model = estimate_rocchio(index, topic.terms, pools, params)
-        fell_back = not pools.relevant and not pools.nonrelevant
-        scored = retrieve_dot(index, model, "bm25", rank_params, exclude, topic.query_id)
-    elif model_kind == "prob":
-        if pools.relevant:
-            model, _ = estimate_prob(index, topic.terms, pools, params)
-            fell_back = False
-            scored = retrieve_dot(index, model, "mle", rank_params, exclude, topic.query_id)
-        else:
-            model = query_count_vector(topic.terms)
-            fell_back = True
-            scored = retrieve_dot(index, model, "bm25", rank_params, exclude, topic.query_id)
     else:
-        raise ValueError(f"unknown model {model_kind!r}; expected one of {MODEL_KINDS}")
-    summary = {"model": model_kind, "fallback": fell_back, "terms": len(model.weights)}
+        vectorizer = "bm25" if estimate.fallback else spec.vectorizer
+        scored = retrieve_dot(index, model, vectorizer, rank_params, exclude, topic.query_id)
+    summary = {"model": model_kind, "fallback": estimate.fallback, "terms": len(model.weights)}
     return scored, summary
 
 
@@ -156,8 +139,6 @@ def run_irf(
     retrieval time from every later ranking.  If the provider aborts, the
     partial result is still assembled.
     """
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model {model_kind!r}; expected one of {MODEL_KINDS}")
     pools = FeedbackPools()
     shown: list[str] = []
     shown_set: set[str] = set()

@@ -69,17 +69,17 @@ def one_shot_topk_reference(index, topic, model_kind, params, k, final_depth, qr
 
     rank_tail = params.ranking_params(final_depth - len(shown))
     if model_kind == "rm3":
-        model, _ = estimate_rm3(index, topic.terms, pools, params)
+        model = estimate_rm3(index, topic.terms, pools, params).model
         tail = retrieve_kl(index, model, rank_tail, shown, topic.query_id)
     elif model_kind == "distill":
-        model, _ = estimate_distillation(index, topic.terms, pools, params)
+        model = estimate_distillation(index, topic.terms, pools, params).model
         tail = retrieve_kl(index, model, rank_tail, shown, topic.query_id)
     elif model_kind == "rocchio":
-        model = estimate_rocchio(index, topic.terms, pools, params)
+        model = estimate_rocchio(index, topic.terms, pools, params).model
         tail = retrieve_dot(index, model, "bm25", rank_tail, shown, topic.query_id)
     else:
         if relevant:
-            model, _ = estimate_prob(index, topic.terms, pools, params)
+            model = estimate_prob(index, topic.terms, pools, params).model
             tail = retrieve_dot(index, model, "mle", rank_tail, shown, topic.query_id)
         else:
             model = query_count_vector(topic.terms)

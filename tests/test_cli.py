@@ -3,6 +3,7 @@ import io
 import pytest
 
 from irfkit import cli
+from irfkit.feedback import ModelParams
 
 
 @pytest.fixture
@@ -110,11 +111,13 @@ class TestRunCommand:
         assert (tmp_path / "run.txt").read_bytes() == first
         assert (tmp_path / "run.txt.config").read_bytes() == first_echo
 
-    def test_threads_flag_gives_same_output(self, indexed, toy_paths, tmp_path):
+    def test_config_echo_keys(self, indexed, toy_paths, tmp_path):
         cli.main(run_args(indexed, toy_paths, tmp_path))
-        single = (tmp_path / "run.txt").read_bytes()
-        cli.main(run_args(indexed, toy_paths, tmp_path, extra=("--threads", "4")))
-        assert (tmp_path / "run.txt").read_bytes() == single
+        lines = (tmp_path / "run.txt.config").read_text().splitlines()
+        keys = [line.split("=", 1)[0] for line in lines]
+        run_keys = ["index", "topics", "topics_format", "qrels", "model", "docs_per_iter",
+                    "iterations", "final_depth", "output", "interactive", "run_tag"]
+        assert keys == sorted(run_keys + list(ModelParams().to_dict()))
 
     def test_unknown_param_in_file_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
         params = tmp_path / "params.txt"

@@ -20,7 +20,7 @@ from irfkit.feedback import (
     write_params,
 )
 from irfkit.index import build_index
-from irfkit.ranking import RankingParams, bm25_weight
+from irfkit.ranking import RankingParams, bm25_weight, query_count_vector
 
 
 def make_index(layout):
@@ -98,29 +98,29 @@ class TestMLE:
 class TestRM3:
     def test_interp_one_returns_original_regardless_of_pool(self, ab_index):
         params = ModelParams(interp_lambda=1.0, num_expansion_terms=5)
-        model, fell_back = estimate_rm3(ab_index, ["b"], FeedbackPools(["D1"]), params)
+        model, fell_back, _ = estimate_rm3(ab_index, ["b"], FeedbackPools(["D1"]), params)
         assert not fell_back
         assert model.weights == {"b": 1.0}
 
     def test_hand_arithmetic(self, ab_index):
         params = ModelParams(interp_lambda=0.5, num_expansion_terms=5)
-        model, _ = estimate_rm3(ab_index, ["b"], FeedbackPools(["D1"]), params)
+        model, _, _ = estimate_rm3(ab_index, ["b"], FeedbackPools(["D1"]), params)
         assert model.weights == pytest.approx({"a": 1 / 3, "b": 2 / 3})
 
     def test_interp_zero_reduces_to_averaged_mle(self, ab_index):
         params = ModelParams(interp_lambda=0.0, num_expansion_terms=5)
-        model, _ = estimate_rm3(ab_index, ["b"], FeedbackPools(["D1", "D2"]), params)
+        model, _, _ = estimate_rm3(ab_index, ["b"], FeedbackPools(["D1", "D2"]), params)
         assert model.weights == pytest.approx(mle(ab_index, ["D1", "D2"], "averaged"))
 
     def test_empty_pool_falls_back_to_query_model(self, ab_index):
-        model, fell_back = estimate_rm3(ab_index, ["b", "b", "a"], FeedbackPools(), ModelParams())
-        assert fell_back
-        assert model.weights == pytest.approx({"a": 1 / 3, "b": 2 / 3})
+        estimate = estimate_rm3(ab_index, ["b", "b", "a"], FeedbackPools(), ModelParams())
+        assert estimate.fallback
+        assert estimate.model.weights == pytest.approx({"a": 1 / 3, "b": 2 / 3})
 
     def test_single_doc_pool_equals_exact_interpolation(self, ab_index):
         lam = 0.3
         params = ModelParams(interp_lambda=lam, num_expansion_terms=50)
-        model, _ = estimate_rm3(ab_index, ["b"], FeedbackPools(["D1"]), params)
+        model, _, _ = estimate_rm3(ab_index, ["b"], FeedbackPools(["D1"]), params)
         doc_mle = {"a": 2 / 3, "b": 1 / 3}
         expected = {
             t: lam * {"b": 1.0}.get(t, 0.0) + (1 - lam) * doc_mle.get(t, 0.0)
@@ -131,7 +131,7 @@ class TestRM3:
     def test_truncation_keeps_top_terms_and_renormalizes(self):
         idx = make_index([("D1", "aaabbc")])
         params = ModelParams(interp_lambda=0.0, num_expansion_terms=2)
-        model, _ = estimate_rm3(idx, ["a"], FeedbackPools(["D1"]), params)
+        model, _, _ = estimate_rm3(idx, ["a"], FeedbackPools(["D1"]), params)
         # top 2 of {a: 1/2, b: 1/3, c: 1/6} renormalized
         assert model.weights == pytest.approx({"a": 0.6, "b": 0.4})
         assert sum(model.weights.values()) == pytest.approx(1.0)
@@ -174,8 +174,8 @@ class TestDistillation:
         pools = FeedbackPools(["D1"])
         with_nrp_weight = ModelParams(lambda1=0.2, lambda2=0.4, interp_lambda=0.0)
         plain = ModelParams(lambda1=0.0, lambda2=0.5, interp_lambda=0.0)
-        a, _ = estimate_distillation(ab_index, ["b"], pools, with_nrp_weight)
-        b, _ = estimate_distillation(ab_index, ["b"], pools, plain)
+        a, _, _ = estimate_distillation(ab_index, ["b"], pools, with_nrp_weight)
+        b, _, _ = estimate_distillation(ab_index, ["b"], pools, plain)
         assert a.weights == pytest.approx(b.weights)
 
     def test_nonrelevant_pool_absorbs_its_topic(self):
@@ -183,18 +183,18 @@ class TestDistillation:
         pools = FeedbackPools(["R1"], ["N1"])
         with_nrp = ModelParams(lambda1=0.5, lambda2=0.0, interp_lambda=0.0)
         without = ModelParams(lambda1=0.0, lambda2=0.0, interp_lambda=0.0)
-        a, _ = estimate_distillation(idx, ["a"], pools, with_nrp)
-        b, _ = estimate_distillation(idx, ["a"], FeedbackPools(["R1"]), without)
+        a, _, _ = estimate_distillation(idx, ["a"], pools, with_nrp)
+        b, _, _ = estimate_distillation(idx, ["a"], FeedbackPools(["R1"]), without)
         # x dominates the non-relevant pool, so the relevance topic sheds it
         assert a.weights["a"] > b.weights["a"]
 
     def test_empty_pool_falls_back(self, ab_index):
-        model, fell_back = estimate_distillation(ab_index, ["a"], FeedbackPools(), ModelParams())
-        assert fell_back and model.weights == {"a": 1.0}
+        estimate = estimate_distillation(ab_index, ["a"], FeedbackPools(), ModelParams())
+        assert estimate.fallback and estimate.model.weights == {"a": 1.0}
 
     def test_output_is_a_distribution(self, ab_index):
         params = ModelParams(lambda1=0.2, lambda2=0.2, interp_lambda=0.3, num_expansion_terms=1)
-        model, _ = estimate_distillation(ab_index, ["b"], FeedbackPools(["D1", "D2"]), params)
+        model, _, _ = estimate_distillation(ab_index, ["b"], FeedbackPools(["D1", "D2"]), params)
         assert sum(model.weights.values()) == pytest.approx(1.0)
         assert all(w >= 0 for w in model.weights.values())
 
@@ -202,20 +202,21 @@ class TestDistillation:
 class TestRocchio:
     def test_no_feedback_endpoint(self, ab_index):
         params = ModelParams(beta=0.0, gamma=0.0)
-        model = estimate_rocchio(ab_index, ["b", "b", "a"], FeedbackPools(["D1"], ["D2"]), params)
+        pools = FeedbackPools(["D1"], ["D2"])
+        model = estimate_rocchio(ab_index, ["b", "b", "a"], pools, params).model
         assert model.weights == {"b": 2.0, "a": 1.0}
 
     def test_relevant_centroid_hand_computed(self, ab_index):
         params = ModelParams(beta=1.0, gamma=0.5)
         rank = params.ranking_params()
-        model = estimate_rocchio(ab_index, ["b"], FeedbackPools(["D1"]), params)
+        model = estimate_rocchio(ab_index, ["b"], FeedbackPools(["D1"]), params).model
         assert model.weights["a"] == pytest.approx(bm25_weight(ab_index, "a", "D1", rank))
         assert model.weights["b"] == pytest.approx(1.0 + bm25_weight(ab_index, "b", "D1", rank))
 
     def test_two_doc_centroid_averages(self, ab_index):
         params = ModelParams(beta=1.0, gamma=0.0)
         rank = params.ranking_params()
-        model = estimate_rocchio(ab_index, ["a"], FeedbackPools(["D1", "D2"]), params)
+        model = estimate_rocchio(ab_index, ["a"], FeedbackPools(["D1", "D2"]), params).model
         expected_b = (bm25_weight(ab_index, "b", "D1", rank) + bm25_weight(ab_index, "b", "D2", rank)) / 2
         assert model.weights["b"] == pytest.approx(expected_b)
 
@@ -223,10 +224,11 @@ class TestRocchio:
         # c occurs only in the non-relevant doc
         idx = make_index([("R", "ab"), ("N", "c")])
         rank = ModelParams().ranking_params()
-        sub = estimate_rocchio(idx, ["a"], FeedbackPools(["R"], ["N"]), ModelParams(gamma=2.0))
+        pools = FeedbackPools(["R"], ["N"])
+        sub = estimate_rocchio(idx, ["a"], pools, ModelParams(gamma=2.0)).model
         add = estimate_rocchio(
-            idx, ["a"], FeedbackPools(["R"], ["N"]), ModelParams(gamma=2.0, subtract_nonrelevant=False)
-        )
+            idx, ["a"], pools, ModelParams(gamma=2.0, subtract_nonrelevant=False)
+        ).model
         centroid_weight = bm25_weight(idx, "c", "N", rank)
         assert sub.weights["c"] == pytest.approx(-2.0 * centroid_weight)
         assert add.weights["c"] == pytest.approx(2.0 * centroid_weight)
@@ -237,7 +239,7 @@ class TestRocchio:
         models = {
             beta: estimate_rocchio(
                 ab_index, q0, pools, ModelParams(beta=beta, gamma=1.5, num_expansion_terms=50)
-            ).weights
+            ).model.weights
             for beta in (0.0, 1.0, 2.0)
         }
         terms = set(models[0.0]) | set(models[1.0]) | set(models[2.0])
@@ -248,7 +250,7 @@ class TestRocchio:
     def test_truncation_keeps_query_terms_and_top_expansion(self):
         idx = make_index([("D1", "cdefg"), ("D2", "q")])
         params = ModelParams(beta=1.0, gamma=0.0, num_expansion_terms=2)
-        model = estimate_rocchio(idx, ["q"], FeedbackPools(["D1"]), params)
+        model = estimate_rocchio(idx, ["q"], FeedbackPools(["D1"]), params).model
         assert "q" in model.weights
         assert len([t for t in model.weights if t != "q"]) == 2
 
@@ -267,7 +269,7 @@ class TestProb:
         idx = self.make_prob_index()
         pools = FeedbackPools(["D000", "D001"])  # both contain w
         params = ModelParams(interp_lambda=0.0, num_expansion_terms=50)
-        model, _ = estimate_prob(idx, ["w"], pools, params)
+        model = estimate_prob(idx, ["w"], pools, params).model
         p_w = (2 + 10 / 100) / 3
         u_w = (10 - 2 + 10 / 100) / 99
         expected = math.log(p_w * (1 - u_w) / (u_w * (1 - p_w)))
@@ -278,26 +280,28 @@ class TestProb:
         idx = self.make_prob_index()
         pools = FeedbackPools(["D000"])
         params = ModelParams(interp_lambda=1.0)
-        model, _ = estimate_prob(idx, ["w"], pools, params)
+        model = estimate_prob(idx, ["w"], pools, params).model
         assert model.weights == pytest.approx({"w": math.log((100 - 10) / 10)})
 
     def test_term_absent_from_corpus_excluded(self):
         idx = self.make_prob_index()
         pools = FeedbackPools(["D000"])
-        model, excluded = estimate_prob(idx, ["zzz"], pools, ModelParams(interp_lambda=1.0))
+        model, _, diagnostics = estimate_prob(idx, ["zzz"], pools, ModelParams(interp_lambda=1.0))
         assert "zzz" not in model.weights
-        assert excluded >= 1
+        assert diagnostics["excluded"] >= 1
 
     def test_term_in_every_document_excluded_with_warning(self):
         idx = make_index([("D1", "ca"), ("D2", "cb"), ("D3", "cx")])
         pools = FeedbackPools(["D1"])
-        model, excluded = estimate_prob(idx, ["c"], pools, ModelParams(interp_lambda=0.5))
+        model, _, diagnostics = estimate_prob(idx, ["c"], pools, ModelParams(interp_lambda=0.5))
         assert "c" not in model.weights
-        assert excluded == 2  # excluded on the feedback and the query side
+        assert diagnostics["excluded"] == 2  # excluded on the feedback and the query side
 
-    def test_empty_pool_rejected(self, ab_index):
-        with pytest.raises(FeedbackError, match="relevant pool"):
-            estimate_prob(ab_index, ["a"], FeedbackPools(), ModelParams())
+    def test_empty_pool_falls_back_to_query_counts(self, ab_index):
+        pools = FeedbackPools([], ["D2"])
+        estimate = estimate_prob(ab_index, ["a", "b", "a"], pools, ModelParams())
+        assert estimate.fallback
+        assert estimate.model == query_count_vector(["a", "b", "a"])
 
     def test_pool_covering_collection_rejected(self, ab_index):
         with pytest.raises(FeedbackError, match="collection"):
@@ -314,8 +318,8 @@ class TestEstimatorsUseFullPoolsNotIncrements:
         b.add("D2", True)
         b.add("D1", True)
         params = ModelParams(interp_lambda=0.5)
-        model_a, _ = estimate_rm3(ab_index, ["b"], a, params)
-        model_b, _ = estimate_rm3(ab_index, ["b"], b, params)
+        model_a, _, _ = estimate_rm3(ab_index, ["b"], a, params)
+        model_b, _, _ = estimate_rm3(ab_index, ["b"], b, params)
         assert model_a.weights == pytest.approx(model_b.weights)
 
 
@@ -341,7 +345,7 @@ class TestLanguageModelOutputsAreDistributions:
             )
             query = [rng.choice("abcdef") for _ in range(rng.randint(1, 3))]
             for estimator in (estimate_rm3, estimate_distillation):
-                model, _ = estimator(idx, query, pools, params)
+                model, _, _ = estimator(idx, query, pools, params)
                 assert model.kind == "lm"
                 assert sum(model.weights.values()) == pytest.approx(1.0)
                 assert all(w > 0 for w in model.weights.values())
@@ -353,7 +357,7 @@ class TestRocchioGammaLinearity:
         models = {
             gamma: estimate_rocchio(
                 ab_index, ["b"], pools, ModelParams(beta=0.5, gamma=gamma, num_expansion_terms=50)
-            ).weights
+            ).model.weights
             for gamma in (0.0, 1.0, 2.0)
         }
         terms = set().union(*models.values())
