@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from irfkit.evaluation import average_precision, fisher_randomization, ndcg_at_20
+from irfkit.evaluation import METRICS, fisher_randomization
 from irfkit.feedback import ModelParams
 from irfkit.index import build_index
 from irfkit.session import MODEL_KINDS, BudgetConfig, initial_ranking, make_qrels_judge, run_irf
@@ -24,9 +24,8 @@ BUDGETS = [(10, 1), (5, 2), (2, 5), (1, 10)]
 
 
 def per_query_scores(runs, qrels, metric):
-    if metric == "map":
-        return {r.query_id: average_precision(r.doc_ids, qrels, r.query_id) for r in runs}
-    return {r.query_id: ndcg_at_20(r.doc_ids, qrels, r.query_id) for r in runs}
+    score = METRICS[metric]
+    return {r.query_id: score(r.doc_ids, qrels, r.query_id) for r in runs}
 
 
 def mean(scores):
@@ -76,14 +75,7 @@ def main(argv=None):
             for k, n in BUDGETS
         }
         for metric in ("map", "ndcg20"):
-            initial_scores = {
-                s.query_id: (
-                    average_precision(s.doc_ids, qrels, s.query_id)
-                    if metric == "map"
-                    else ndcg_at_20(s.doc_ids, qrels, s.query_id)
-                )
-                for s in initial_runs
-            }
+            initial_scores = per_query_scores(initial_runs, qrels, metric)
             base_scores = per_query_scores(budget_runs[(10, 1)], qrels, metric)
             cells = []
             for k, n in BUDGETS:

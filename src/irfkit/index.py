@@ -8,13 +8,17 @@ index is immutable once built and safe to share across threads.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .corpus_io import TermSequence
 
 FORMAT_VERSION = 1
+
+# the snapshot separates fields and pairs by whitespace and rows by lines
+_has_whitespace = re.compile(r"\s").search
 
 
 class IndexDataError(ValueError):
@@ -112,6 +116,8 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
     for seq in docs:
         if seq.doc_id in seen:
             raise IndexDataError(f"duplicate doc_id {seq.doc_id!r}")
+        if _has_whitespace(seq.doc_id):
+            raise IndexDataError(f"doc_id {seq.doc_id!r} contains whitespace")
         seen.add(seq.doc_id)
         internal = len(doc_ids)
         doc_ids.append(seq.doc_id)
@@ -122,6 +128,10 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
         forward.append(counts)
         for term, count in counts.items():
             postings.setdefault(term, []).append((internal, count))
+    for term, plist in postings.items():
+        if _has_whitespace(term):
+            doc_id = doc_ids[plist[0][0]]
+            raise IndexDataError(f"doc {doc_id!r} has a term with whitespace: {term!r}")
     return CollectionIndex(doc_ids, doc_lengths, postings, forward, analysis)
 
 
@@ -174,26 +184,53 @@ def load_index(directory: str | Path) -> CollectionIndex:
         raise IndexDataError(
             f"snapshot format version {version} does not match supported version {FORMAT_VERSION}"
         )
-    doc_ids: list[str] = []
-    doc_lengths: list[int] = []
-    for line in (directory / "docs.tsv").read_text("utf-8").splitlines():
-        doc_id, length = line.split("\t")
-        doc_ids.append(doc_id)
-        doc_lengths.append(int(length))
-    postings: dict[str, list[tuple[int, int]]] = {}
-    for line in (directory / "postings.tsv").read_text("utf-8").splitlines():
-        term, pairs = line.split("\t")
-        postings[term] = [
-            (int(doc), int(count))
-            for doc, count in (pair.split(":") for pair in pairs.split())
-        ]
-    forward: list[dict[str, int]] = []
-    for line in (directory / "forward.tsv").read_text("utf-8").splitlines():
-        counts = {}
-        for pair in line.split():
-            term, count = pair.rsplit(":", 1)
-            counts[term] = int(count)
-        forward.append(counts)
+    docs = _read_rows(directory / "docs.tsv", "doc_id<TAB>length", _parse_doc_row)
+    doc_ids = [doc_id for doc_id, _ in docs]
+    doc_lengths = [length for _, length in docs]
+    postings = dict(
+        _read_rows(directory / "postings.tsv", "term<TAB>doc:count ...", _parse_postings_row)
+    )
+    forward = _read_rows(directory / "forward.tsv", "term:count ...", _parse_forward_row)
     if len(forward) != len(doc_ids):
         raise IndexDataError(f"snapshot at {directory} is inconsistent: forward store size mismatch")
-    return CollectionIndex(doc_ids, doc_lengths, postings, forward, manifest.get("analysis") or {})
+    index = CollectionIndex(doc_ids, doc_lengths, postings, forward, manifest.get("analysis") or {})
+    stats = index.stats
+    for key in ("num_docs", "total_terms", "vocab_size"):
+        if manifest.get(key) != getattr(stats, key):
+            raise IndexDataError(
+                f"{manifest_path}: {key} is {manifest.get(key)} but the snapshot "
+                f"holds {getattr(stats, key)}"
+            )
+    return index
+
+
+def _parse_doc_row(line: str) -> tuple[str, int]:
+    doc_id, length = line.split("\t")
+    return doc_id, int(length)
+
+
+def _parse_postings_row(line: str) -> tuple[str, list[tuple[int, int]]]:
+    term, pairs = line.split("\t")
+    return term, [
+        (int(doc), int(count)) for doc, count in (pair.split(":") for pair in pairs.split())
+    ]
+
+
+def _parse_forward_row(line: str) -> dict[str, int]:
+    counts = {}
+    for pair in line.split():
+        term, count = pair.rsplit(":", 1)
+        counts[term] = int(count)
+    return counts
+
+
+def _read_rows(path: Path, layout: str, parse: Callable[[str], object]) -> list:
+    """Parse each line of a snapshot file; a malformed one is reported by
+    path and line number."""
+    rows = []
+    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), 1):
+        try:
+            rows.append(parse(line))
+        except ValueError:
+            raise IndexDataError(f"{path}:{lineno}: expected {layout}") from None
+    return rows

@@ -127,6 +127,14 @@ class TestRunCommand:
         assert rc == 1
         assert "warp" in capsys.readouterr().err
 
+    def test_bad_param_value_names_file_line_and_key(self, indexed, toy_paths, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        params.write_text("# tuned\nmu=1.0\nnum_expansion_terms=2.5\n")
+        args = run_args(indexed, toy_paths, tmp_path, extra=("--params", str(params)))
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert f"{params}:3:" in err and "'num_expansion_terms'" in err and "'2.5'" in err
+
     def test_qrels_required_without_interactive(self, indexed, toy_paths, tmp_path, capsys):
         args = run_args(indexed, toy_paths, tmp_path)
         idx = args.index("--qrels")
@@ -258,6 +266,25 @@ class TestSweepCommand:
         sweep_out = capsys.readouterr().out
         pooled = [l for l in sweep_out.splitlines() if l.startswith("pooled")][0]
         assert pooled.split("\t")[4] == map_value
+
+    def test_bad_grid_value_names_file_line_and_key(self, indexed, toy_paths, tmp_path, capsys):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("interp_lambda=0.5\nmu=50,5o\n")
+        rc = cli.main(
+            [
+                "sweep",
+                "--index", str(indexed),
+                "--topics", str(toy_paths["topics"]),
+                "--qrels", str(toy_paths["qrels"]),
+                "--model", "rm3",
+                "--docs-per-iter", "1",
+                "--iterations", "1",
+                "--grid", str(grid),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{grid}:2:" in err and "'mu'" in err and "'5o'" in err
 
     def test_unknown_grid_key_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
         grid = tmp_path / "grid.txt"

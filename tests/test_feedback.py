@@ -65,6 +65,12 @@ class TestModelParams:
         with pytest.raises(FeedbackError, match="alpha"):
             load_params(path)
 
+    def test_bad_value_names_file_line_and_key(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("mu=100\n\nsubtract_nonrelevant=maybe\n")
+        with pytest.raises(FeedbackError, match=r"params.txt:3: .*'maybe'.*'subtract_nonrelevant'"):
+            load_params(path)
+
     def test_overrides_win(self, tmp_path):
         path = tmp_path / "params.txt"
         path.write_text("mu=100\nk1=1.2\n")

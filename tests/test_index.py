@@ -1,3 +1,4 @@
+import json
 import os
 import random
 
@@ -148,3 +149,77 @@ class TestInvariants:
         assert {d: l for d, l in zip(a.doc_ids, a.doc_lengths)} == {
             d: l for d, l in zip(b.doc_ids, b.doc_lengths)
         }
+
+
+class TestUnstorableInput:
+    @pytest.mark.parametrize("term", ["a b", "a\tb", "a\nb", "a\rb", "\u2028"])
+    def test_term_with_whitespace_rejected_naming_the_doc(self, term):
+        with pytest.raises(IndexDataError, match="D2"):
+            build_index([TermSequence("D1", ("ok",)), TermSequence("D2", ("ok", term))])
+
+    @pytest.mark.parametrize("doc_id", ["D 1", "D\t1", "D1\n"])
+    def test_doc_id_with_whitespace_rejected(self, doc_id):
+        with pytest.raises(IndexDataError, match="whitespace"):
+            build_index([TermSequence(doc_id, ("a",))])
+
+    def test_colon_in_term_round_trips(self, tmp_path):
+        idx = build_index(make_docs([("D1", ["a:1", "b:", ":"]), ("D:2", ["a:1"])]))
+        save_index(idx, tmp_path / "snap")
+        assert load_index(tmp_path / "snap") == idx
+
+
+@given(st.lists(st.lists(st.text(max_size=6), max_size=6), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_snapshot_round_trips_any_term_text_or_rejects_it_at_build(tmp_path_factory, term_lists):
+    docs = [TermSequence(f"D{i}", tuple(terms)) for i, terms in enumerate(term_lists)]
+    if any(ch.isspace() for terms in term_lists for term in terms for ch in term):
+        with pytest.raises(IndexDataError):
+            build_index(docs)
+        return
+    idx = build_index(docs)
+    directory = tmp_path_factory.mktemp("snap")
+    save_index(idx, directory)
+    assert load_index(directory) == idx
+
+
+@pytest.fixture
+def saved_toy(tmp_path):
+    idx = build_index(make_docs([("D1", "aba"), ("D2", "bc"), ("D3", "")]))
+    save_index(idx, tmp_path / "snap")
+    return tmp_path / "snap"
+
+
+class TestCorruptSnapshot:
+    @pytest.mark.parametrize(
+        "name,lineno,bad",
+        [
+            ("docs.tsv", 2, "D2"),
+            ("docs.tsv", 1, "D1\tthree"),
+            ("postings.tsv", 3, "c\t1"),
+            ("postings.tsv", 1, "a\t0:2\textra"),
+            ("forward.tsv", 2, "b:1 c"),
+            ("forward.tsv", 1, "a:two b:1"),
+        ],
+    )
+    def test_malformed_line_reports_path_and_line(self, saved_toy, name, lineno, bad):
+        path = saved_toy / name
+        lines = path.read_text().split("\n")
+        lines[lineno - 1] = bad
+        path.write_text("\n".join(lines))
+        with pytest.raises(IndexDataError, match=f"{name}:{lineno}: expected"):
+            load_index(saved_toy)
+
+    @pytest.mark.parametrize("key", ["num_docs", "total_terms", "vocab_size"])
+    def test_manifest_counts_checked(self, saved_toy, key):
+        manifest_path = saved_toy / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] += 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(IndexDataError, match=key):
+            load_index(saved_toy)
+
+    def test_dropped_postings_row_caught_by_vocab_size(self, saved_toy):
+        path = saved_toy / "postings.tsv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        with pytest.raises(IndexDataError, match="vocab_size"):
+            load_index(saved_toy)
