@@ -130,32 +130,23 @@ def fisher_randomization(
     return SigTestResult((count + 1) / (samples + 1), observed, samples, seed)
 
 
-# Default hyper-parameter search grids for cross-validation.
-_DEFAULT_GRID = {
-    "mu": (30.0, 50.0, 300.0, 500.0, 1000.0, 1500.0),
-    "k1": (1.2, 1.4, 1.6, 1.8, 2.0),
-    "b": (0.75,),
-    "interp_lambda": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
-    "lambda1": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
-    "lambda2": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
-    "num_expansion_terms": (10, 20, 30, 40, 50),
-    "beta": (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-    "gamma": (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
-}
-
 @dataclass(frozen=True)
 class GridSpec:
-    """Per-parameter candidate values for grid search."""
+    """Per-parameter candidate values for grid search.
 
-    mu: tuple[float, ...] = _DEFAULT_GRID["mu"]
-    k1: tuple[float, ...] = _DEFAULT_GRID["k1"]
-    b: tuple[float, ...] = _DEFAULT_GRID["b"]
-    interp_lambda: tuple[float, ...] = _DEFAULT_GRID["interp_lambda"]
-    lambda1: tuple[float, ...] = _DEFAULT_GRID["lambda1"]
-    lambda2: tuple[float, ...] = _DEFAULT_GRID["lambda2"]
-    num_expansion_terms: tuple[int, ...] = _DEFAULT_GRID["num_expansion_terms"]
-    beta: tuple[float, ...] = _DEFAULT_GRID["beta"]
-    gamma: tuple[float, ...] = _DEFAULT_GRID["gamma"]
+    The defaults are the built-in hyper-parameter search grids for
+    cross-validation.
+    """
+
+    mu: tuple[float, ...] = (30.0, 50.0, 300.0, 500.0, 1000.0, 1500.0)
+    k1: tuple[float, ...] = (1.2, 1.4, 1.6, 1.8, 2.0)
+    b: tuple[float, ...] = (0.75,)
+    interp_lambda: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    lambda1: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    lambda2: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    num_expansion_terms: tuple[int, ...] = (10, 20, 30, 40, 50)
+    beta: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+    gamma: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
     def __post_init__(self) -> None:
         for f in fields(self):
