@@ -91,6 +91,10 @@ class SigTestResult:
         return self.p_value < 0.05
 
 
+# sign patterns the exact test enumerates at a time, which bounds its memory
+_EXACT_BLOCK = 2**16
+
+
 def fisher_randomization(
     per_query_a: Mapping[str, float],
     per_query_b: Mapping[str, float],
@@ -113,20 +117,20 @@ def fisher_randomization(
     observed = float(diffs.mean())
     threshold = abs(observed) - 1e-12
     if n <= exact_limit:
-        patterns = np.arange(2**n, dtype=np.uint32)
-        signs = ((patterns[:, None] >> np.arange(n)) & 1).astype(np.float64) * 2.0 - 1.0
-        means = signs @ diffs / n
-        count = int((np.abs(means) >= threshold).sum())
+        count = 0
+        for start in range(0, 2**n, _EXACT_BLOCK):
+            patterns = np.arange(start, min(start + _EXACT_BLOCK, 2**n), dtype=np.uint32)
+            signs = ((patterns[:, None] >> np.arange(n)) & 1).astype(np.float64) * 2.0 - 1.0
+            means = signs @ diffs / n
+            count += int((np.abs(means) >= threshold).sum())
         return SigTestResult(count / 2**n, observed, 2**n, seed)
     rng = np.random.default_rng(seed)
     count = 0
-    remaining = samples
-    while remaining > 0:
-        chunk = min(remaining, 100_000)
+    for start in range(0, samples, 100_000):
+        chunk = min(samples - start, 100_000)
         signs = rng.integers(0, 2, size=(chunk, n)).astype(np.float64) * 2.0 - 1.0
         means = signs @ diffs / n
         count += int((np.abs(means) >= threshold).sum())
-        remaining -= chunk
     return SigTestResult((count + 1) / (samples + 1), observed, samples, seed)
 
 

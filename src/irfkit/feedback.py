@@ -23,7 +23,14 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .index import CollectionIndex
-from .ranking import QueryModel, RankingParams, query_count_vector, query_language_model
+from .ranking import (
+    QueryModel,
+    RankingParams,
+    bm25_idf,
+    okapi_weight,
+    query_count_vector,
+    query_language_model,
+)
 
 
 class FeedbackError(ValueError):
@@ -339,13 +346,12 @@ def estimate_distillation(
 def _bm25_centroid(
     index: CollectionIndex, doc_ids: Sequence[str], params: RankingParams
 ) -> dict[str, float]:
-    from .ranking import bm25_weight
-
     out: dict[str, float] = {}
     for doc_id in doc_ids:
         internal = index.internal_id(doc_id)
-        for term in index.forward[internal]:
-            out[term] = out.get(term, 0.0) + bm25_weight(index, term, doc_id, params)
+        for term, count in index.forward[internal].items():
+            weight = okapi_weight(index, internal, count, bm25_idf(index, term), params)
+            out[term] = out.get(term, 0.0) + weight
     n = len(doc_ids)
     return {t: w / n for t, w in out.items()}
 

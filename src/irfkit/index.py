@@ -15,7 +15,9 @@ from typing import Callable, Iterable
 
 from .corpus_io import TermSequence
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# the collection statistics a manifest records, checked on load
+_MANIFEST_COUNTS = ("num_docs", "total_terms", "vocab_size")
 
 # the snapshot separates fields and pairs by whitespace and rows by lines
 _has_whitespace = re.compile(r"\s").search
@@ -31,13 +33,6 @@ class CollectionStats:
     total_terms: int
     avg_doc_len: float
     vocab_size: int
-
-
-@dataclass(frozen=True)
-class TermStats:
-    term: str
-    df: int
-    cf: int
 
 
 class CollectionIndex:
@@ -61,17 +56,11 @@ class CollectionIndex:
         self.forward = forward
         self.analysis = analysis or {}
         self._internal = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-        self.term_stats = {
-            term: TermStats(term, len(plist), sum(c for _, c in plist))
-            for term, plist in postings.items()
-        }
-
-    @property
-    def stats(self) -> CollectionStats:
-        num_docs = len(self.doc_ids)
-        total = sum(self.doc_lengths)
+        self._cf = {term: sum(c for _, c in plist) for term, plist in postings.items()}
+        num_docs = len(doc_ids)
+        total = sum(doc_lengths)
         avgdl = total / num_docs if num_docs else 0.0
-        return CollectionStats(num_docs, total, avgdl, len(self.postings))
+        self.stats = CollectionStats(num_docs, total, avgdl, len(postings))
 
     @property
     def num_docs(self) -> int:
@@ -87,12 +76,10 @@ class CollectionIndex:
         return doc_id in self._internal
 
     def df(self, term: str) -> int:
-        stats = self.term_stats.get(term)
-        return stats.df if stats else 0
+        return len(self.postings.get(term, ()))
 
     def cf(self, term: str) -> int:
-        stats = self.term_stats.get(term)
-        return stats.cf if stats else 0
+        return self._cf.get(term, 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CollectionIndex):
@@ -141,39 +128,27 @@ def doc_vector(index: CollectionIndex, doc_id: str) -> dict[str, int]:
 
 
 def save_index(index: CollectionIndex, directory: str | Path) -> None:
-    """Write a snapshot: manifest, lexicon, postings, forward, doc table."""
+    """Write a snapshot: doc table, postings, manifest.  The old manifest goes
+    first, so ``load_index`` rejects a save that died midway."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    stats = index.stats
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "num_docs": stats.num_docs,
-        "total_terms": stats.total_terms,
-        "vocab_size": stats.vocab_size,
-        "analysis": index.analysis,
-    }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"
-    )
+    manifest_path = directory / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     with open(directory / "docs.tsv", "w", encoding="utf-8") as handle:
         for doc_id, length in zip(index.doc_ids, index.doc_lengths):
             handle.write(f"{doc_id}\t{length}\n")
-    terms = sorted(index.postings)
-    with open(directory / "lexicon.tsv", "w", encoding="utf-8") as handle:
-        for term in terms:
-            stats_t = index.term_stats[term]
-            handle.write(f"{term}\t{stats_t.df}\t{stats_t.cf}\n")
     with open(directory / "postings.tsv", "w", encoding="utf-8") as handle:
-        for term in terms:
+        for term in sorted(index.postings):
             pairs = " ".join(f"{doc}:{count}" for doc, count in index.postings[term])
             handle.write(f"{term}\t{pairs}\n")
-    with open(directory / "forward.tsv", "w", encoding="utf-8") as handle:
-        for counts in index.forward:
-            pairs = " ".join(f"{term}:{count}" for term, count in sorted(counts.items()))
-            handle.write(f"{pairs}\n")
+    manifest = {key: getattr(index.stats, key) for key in _MANIFEST_COUNTS}
+    manifest.update(format_version=FORMAT_VERSION, analysis=index.analysis)
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
 def load_index(directory: str | Path) -> CollectionIndex:
+    """Read a snapshot; the forward store is the transposed postings, each
+    document's counts in sorted term order."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -182,24 +157,38 @@ def load_index(directory: str | Path) -> CollectionIndex:
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise IndexDataError(
-            f"snapshot format version {version} does not match supported version {FORMAT_VERSION}"
+            f"snapshot format version {version} does not match supported version "
+            f"{FORMAT_VERSION}; re-index the collection with `irfkit index`"
         )
-    docs = _read_rows(directory / "docs.tsv", "doc_id<TAB>length", _parse_doc_row)
+    docs_path = directory / "docs.tsv"
+    docs = _read_rows(docs_path, "doc_id<TAB>length", _parse_doc_row)
     doc_ids = [doc_id for doc_id, _ in docs]
     doc_lengths = [length for _, length in docs]
-    postings = dict(
-        _read_rows(directory / "postings.tsv", "term<TAB>doc:count ...", _parse_postings_row)
-    )
-    forward = _read_rows(directory / "forward.tsv", "term:count ...", _parse_forward_row)
-    if len(forward) != len(doc_ids):
-        raise IndexDataError(f"snapshot at {directory} is inconsistent: forward store size mismatch")
+    postings_path = directory / "postings.tsv"
+    postings: dict[str, list[tuple[int, int]]] = {}
+    forward: list[dict[str, int]] = [{} for _ in doc_ids]
+    num_docs = len(forward)
+    rows = _read_rows(postings_path, "term<TAB>doc:count ...", _parse_postings_row)
+    for lineno, (term, plist) in enumerate(rows, 1):
+        postings[term] = plist
+        for doc, count in plist:
+            if not 0 <= doc < num_docs:
+                raise IndexDataError(
+                    f"{postings_path}:{lineno}: doc {doc} is outside [0, {num_docs})"
+                )
+            forward[doc][term] = count
     index = CollectionIndex(doc_ids, doc_lengths, postings, forward, manifest.get("analysis") or {})
-    stats = index.stats
-    for key in ("num_docs", "total_terms", "vocab_size"):
-        if manifest.get(key) != getattr(stats, key):
+    for key in _MANIFEST_COUNTS:
+        if manifest.get(key) != getattr(index.stats, key):
             raise IndexDataError(
                 f"{manifest_path}: {key} is {manifest.get(key)} but the snapshot "
-                f"holds {getattr(stats, key)}"
+                f"holds {getattr(index.stats, key)}"
+            )
+    for lineno, (counts, length) in enumerate(zip(forward, doc_lengths), 1):
+        if sum(counts.values()) != length:
+            raise IndexDataError(
+                f"{docs_path}:{lineno}: length is {length} but the postings "
+                f"hold {sum(counts.values())} terms"
             )
     return index
 
@@ -214,14 +203,6 @@ def _parse_postings_row(line: str) -> tuple[str, list[tuple[int, int]]]:
     return term, [
         (int(doc), int(count)) for doc, count in (pair.split(":") for pair in pairs.split())
     ]
-
-
-def _parse_forward_row(line: str) -> dict[str, int]:
-    counts = {}
-    for pair in line.split():
-        term, count = pair.rsplit(":", 1)
-        counts[term] = int(count)
-    return counts
 
 
 def _read_rows(path: Path, layout: str, parse: Callable[[str], object]) -> list:

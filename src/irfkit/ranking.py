@@ -154,16 +154,28 @@ def retrieve_ql(
     return retrieve_kl(index, model, params, exclude, query_id)
 
 
+def bm25_idf(index: CollectionIndex, term: str) -> float:
+    """log((N+1)/df) of a term that occurs in the collection."""
+    return math.log((index.stats.num_docs + 1) / index.df(term))
+
+
+def okapi_weight(
+    index: CollectionIndex, internal: int, count: int, idf: float, params: RankingParams
+) -> float:
+    """Okapi weight ((k1+1)c / (k1(1-b+b|x|/avgdl) + c)) * idf of a count in doc ``internal``."""
+    norm = params.k1 * (
+        1.0 - params.b + params.b * index.doc_lengths[internal] / index.stats.avg_doc_len
+    )
+    return (params.k1 + 1.0) * count / (norm + count) * idf
+
+
 def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: RankingParams) -> float:
-    """Okapi weight ((k1+1)c / (k1(1-b+b|x|/avgdl) + c)) * log((N+1)/df)."""
+    """Okapi weight of a term in a document, with idf log((N+1)/df)."""
     internal = index.internal_id(doc_id)
     count = index.forward[internal].get(term, 0)
     if count == 0:
         return 0.0
-    stats = index.stats
-    norm = params.k1 * (1.0 - params.b + params.b * index.doc_lengths[internal] / stats.avg_doc_len)
-    idf = math.log((stats.num_docs + 1) / index.df(term))
-    return (params.k1 + 1.0) * count / (norm + count) * idf
+    return okapi_weight(index, internal, count, bm25_idf(index, term), params)
 
 
 VECTORIZERS = ("bm25", "mle")
@@ -183,7 +195,6 @@ def retrieve_dot(
         raise ValueError(f"retrieve_dot requires a vector query model, got {model.kind!r}")
     if vectorizer not in VECTORIZERS:
         raise ValueError(f"unknown vectorizer {vectorizer!r}; expected one of {VECTORIZERS}")
-    stats = index.stats
     excluded = _excluded_internals(index, exclude)
     scores: dict[int, float] = {}
     for term, q_weight in sorted(model.weights.items()):
@@ -191,14 +202,11 @@ def retrieve_dot(
         if not plist:
             continue
         if vectorizer == "bm25":
-            idf = math.log((stats.num_docs + 1) / index.df(term))
+            idf = bm25_idf(index, term)
             for internal, count in plist:
                 if internal in excluded:
                     continue
-                norm = params.k1 * (
-                    1.0 - params.b + params.b * index.doc_lengths[internal] / stats.avg_doc_len
-                )
-                doc_weight = (params.k1 + 1.0) * count / (norm + count) * idf
+                doc_weight = okapi_weight(index, internal, count, idf, params)
                 scores[internal] = scores.get(internal, 0.0) + q_weight * doc_weight
         else:
             for internal, count in plist:

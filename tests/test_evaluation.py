@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
 
+from irfkit import evaluation
 from irfkit.corpus_io import QrelSet
 from irfkit.evaluation import (
     GridSpec,
@@ -132,6 +134,24 @@ class TestFisherRandomization:
         mc = fisher_randomization(sub_a, sub_b, samples=samples, seed=4, exact_limit=10)
         tol = 3 * math.sqrt(exact.p_value * (1 - exact.p_value) / samples) + 2 / samples
         assert abs(mc.p_value - exact.p_value) <= tol
+
+    @pytest.mark.parametrize("block", [2**4, evaluation._EXACT_BLOCK])
+    def test_exact_enumeration_matches_brute_force(self, monkeypatch, block):
+        """At n = 10 every one of the 2^10 sign patterns is tried, whether in
+        one block or in 64; the differences hold ties."""
+        monkeypatch.setattr(evaluation, "_EXACT_BLOCK", block)
+        rng = random.Random(13)
+        a = {f"q{i}": rng.choice([0.1, 0.25, 0.4, 0.55]) for i in range(10)}
+        b = {f"q{i}": rng.choice([0.1, 0.25, 0.4]) for i in range(10)}
+        diffs = [a[q] - b[q] for q in sorted(a)]
+        threshold = abs(sum(diffs) / 10) - 1e-12
+        extreme = sum(
+            abs(sum(s * d for s, d in zip(signs, diffs)) / 10) >= threshold
+            for signs in itertools.product((-1.0, 1.0), repeat=10)
+        )
+        result = fisher_randomization(a, b)
+        assert result.samples == 1024
+        assert result.p_value == extreme / 1024
 
     def test_monte_carlo_reproducible_given_seed(self):
         rng = random.Random(8)

@@ -1,11 +1,13 @@
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irfkit import index as index_module
 from irfkit.corpus_io import TermSequence, default_stoplist, normalize_collection, parse_trec_collection
 from irfkit.index import (
     IndexDataError,
@@ -83,9 +85,11 @@ class TestSnapshot:
     def test_version_mismatch_reports_both_versions(self, tmp_path):
         idx = build_index(make_docs([("D1", "a")]))
         save_index(idx, tmp_path / "snap")
-        manifest = tmp_path / "snap" / "manifest.json"
-        manifest.write_text(manifest.read_text().replace('"format_version": 1', '"format_version": 99'))
-        with pytest.raises(IndexDataError, match="99.*1"):
+        manifest_path = tmp_path / "snap" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(IndexDataError, match="version 1 .* version 2; re-index .*irfkit index"):
             load_index(tmp_path / "snap")
 
     def test_second_save_is_byte_identical(self, tmp_path):
@@ -98,8 +102,37 @@ class TestSnapshot:
         save_index(idx, tmp_path / "one")
         reloaded = load_index(tmp_path / "one")
         save_index(reloaded, tmp_path / "two")
-        for name in ("manifest.json", "docs.tsv", "lexicon.tsv", "postings.tsv", "forward.tsv"):
+        names = ["docs.tsv", "manifest.json", "postings.tsv"]
+        for snapshot in ("one", "two"):
+            assert sorted(path.name for path in (tmp_path / snapshot).iterdir()) == names
+        for name in names:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+    def test_loaded_forward_store_is_the_transposed_postings(self, tmp_path):
+        idx = build_index(make_docs([("D1", "cabca"), ("D2", "b"), ("D3", "")]))
+        save_index(idx, tmp_path / "snap")
+        loaded = load_index(tmp_path / "snap")
+        assert [list(counts.items()) for counts in loaded.forward] == [
+            [("a", 2), ("b", 1), ("c", 2)],
+            [("b", 1)],
+            [],
+        ]
+
+    def test_interrupted_save_is_rejected(self, tmp_path, monkeypatch):
+        save_index(build_index(make_docs([("D1", "ab"), ("D2", "b")])), tmp_path / "snap")
+
+        def open_until_postings(path, *args, **kwargs):
+            if Path(path).name == "postings.tsv":
+                raise OSError("disk full")
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(index_module, "open", open_until_postings, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(build_index(make_docs([("D1", "ba"), ("D2", "b")])), tmp_path / "snap")
+        monkeypatch.undo()
+        assert (tmp_path / "snap" / "docs.tsv").read_text() == "D1\t2\nD2\t1\n"
+        with pytest.raises(IndexDataError, match="missing manifest.json"):
+            load_index(tmp_path / "snap")
 
 
 WEBAP_CORPUS = os.environ.get("IRFKIT_WEBAP_CORPUS")
@@ -145,7 +178,9 @@ class TestInvariants:
         rng.shuffle(shuffled)
         a, b = build_index(docs), build_index(shuffled)
         assert a.stats == b.stats
-        assert a.term_stats == b.term_stats
+        assert {t: (a.df(t), a.cf(t)) for t in a.postings} == {
+            t: (b.df(t), b.cf(t)) for t in b.postings
+        }
         assert {d: l for d, l in zip(a.doc_ids, a.doc_lengths)} == {
             d: l for d, l in zip(b.doc_ids, b.doc_lengths)
         }
@@ -189,6 +224,12 @@ def saved_toy(tmp_path):
     return tmp_path / "snap"
 
 
+def replace_line(path, lineno, text):
+    lines = path.read_text().split("\n")
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines))
+
+
 class TestCorruptSnapshot:
     @pytest.mark.parametrize(
         "name,lineno,bad",
@@ -197,15 +238,10 @@ class TestCorruptSnapshot:
             ("docs.tsv", 1, "D1\tthree"),
             ("postings.tsv", 3, "c\t1"),
             ("postings.tsv", 1, "a\t0:2\textra"),
-            ("forward.tsv", 2, "b:1 c"),
-            ("forward.tsv", 1, "a:two b:1"),
         ],
     )
     def test_malformed_line_reports_path_and_line(self, saved_toy, name, lineno, bad):
-        path = saved_toy / name
-        lines = path.read_text().split("\n")
-        lines[lineno - 1] = bad
-        path.write_text("\n".join(lines))
+        replace_line(saved_toy / name, lineno, bad)
         with pytest.raises(IndexDataError, match=f"{name}:{lineno}: expected"):
             load_index(saved_toy)
 
@@ -216,6 +252,18 @@ class TestCorruptSnapshot:
         manifest[key] += 1
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(IndexDataError, match=key):
+            load_index(saved_toy)
+
+    @pytest.mark.parametrize("bad,doc", [("c\t3:1", 3), ("c\t0:1 -1:1", -1)])
+    def test_postings_doc_outside_doc_table_reports_path_and_line(self, saved_toy, bad, doc):
+        replace_line(saved_toy / "postings.tsv", 3, bad)
+        with pytest.raises(IndexDataError, match=rf"postings.tsv:3: doc {doc} is outside \[0, 3\)"):
+            load_index(saved_toy)
+
+    def test_length_disagreeing_with_postings_reports_path_and_line(self, saved_toy):
+        # moving c from D2 to D3 keeps every manifest count
+        replace_line(saved_toy / "postings.tsv", 3, "c\t2:1")
+        with pytest.raises(IndexDataError, match="docs.tsv:2: length is 2 but the postings hold 1"):
             load_index(saved_toy)
 
     def test_dropped_postings_row_caught_by_vocab_size(self, saved_toy):
