@@ -26,8 +26,8 @@ from .index import CollectionIndex
 from .ranking import (
     QueryModel,
     RankingParams,
-    bm25_idf,
-    okapi_weight,
+    Weighting,
+    doc_weighting,
     query_count_vector,
     query_language_model,
 )
@@ -64,12 +64,6 @@ class FeedbackPools:
         self._seen.add(doc_id)
         (self.relevant if is_relevant else self.nonrelevant).append(doc_id)
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._seen
-
-    def __len__(self) -> int:
-        return len(self._seen)
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -101,6 +95,10 @@ class ModelParams:
             raise FeedbackError("beta and gamma must be non-negative")
         if self.em_max_iters < 1:
             raise FeedbackError(f"em_max_iters must be >= 1, got {self.em_max_iters}")
+        try:  # RankingParams holds the range checks of mu, k1 and b
+            self.ranking_params()
+        except ValueError as exc:
+            raise FeedbackError(str(exc)) from None
 
     def ranking_params(self, depth: int = 1000) -> RankingParams:
         return RankingParams(mu=self.mu, k1=self.k1, b=self.b, depth=depth)
@@ -159,12 +157,16 @@ def write_params(params: ModelParams, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", "utf-8")
 
 
-def _doc_mle(index: CollectionIndex, doc_id: str) -> dict[str, float]:
-    internal = index.internal_id(doc_id)
-    length = index.doc_lengths[internal]
-    if length == 0:
-        return {}
-    return {t: c / length for t, c in index.forward[internal].items()}
+def _centroid(index: CollectionIndex, doc_ids: Sequence[str], weighting: Weighting) -> dict[str, float]:
+    """Mean of the documents' vectors under a ``ranking.doc_weighting``, in
+    sorted term order."""
+    out: dict[str, float] = {}
+    for doc_id in doc_ids:
+        internal = index.internal_id(doc_id)
+        for term, count in index.forward[internal].items():
+            out[term] = out.get(term, 0.0) + weighting(term)(internal, count)
+    n = len(doc_ids)
+    return {t: w / n for t, w in sorted(out.items())}
 
 
 def _pool_counts(index: CollectionIndex, doc_ids: Sequence[str]) -> dict[str, int]:
@@ -184,12 +186,7 @@ def mle(index: CollectionIndex, doc_set: Sequence[str], mode: str = "concatenate
     if not doc_set:
         raise FeedbackError("mle requires a non-empty document set")
     if mode == "averaged":
-        out: dict[str, float] = {}
-        for doc_id in doc_set:
-            for term, p in _doc_mle(index, doc_id).items():
-                out[term] = out.get(term, 0.0) + p
-        n = len(doc_set)
-        return {t: p / n for t, p in sorted(out.items())}
+        return _centroid(index, doc_set, doc_weighting(index, "mle", RankingParams()))
     if mode == "concatenated":
         counts = _pool_counts(index, doc_set)
         total = sum(counts.values())
@@ -343,19 +340,6 @@ def estimate_distillation(
     return Estimate(model, False, {})
 
 
-def _bm25_centroid(
-    index: CollectionIndex, doc_ids: Sequence[str], params: RankingParams
-) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for doc_id in doc_ids:
-        internal = index.internal_id(doc_id)
-        for term, count in index.forward[internal].items():
-            weight = okapi_weight(index, internal, count, bm25_idf(index, term), params)
-            out[term] = out.get(term, 0.0) + weight
-    n = len(doc_ids)
-    return {t: w / n for t, w in out.items()}
-
-
 def estimate_rocchio(
     index: CollectionIndex,
     query_terms: Sequence[str],
@@ -371,17 +355,17 @@ def estimate_rocchio(
     Expansion terms outside the original query are truncated to the top
     num_expansion_terms by absolute weight; query terms are always kept.
     """
-    rank_params = params.ranking_params()
+    bm25 = doc_weighting(index, "bm25", params.ranking_params())
     vector: dict[str, float] = {}
     for term in query_terms:
         vector[term] = vector.get(term, 0.0) + 1.0
     query_term_set = set(vector)
     if pools.relevant and params.beta != 0.0:
-        for term, weight in _bm25_centroid(index, pools.relevant, rank_params).items():
+        for term, weight in _centroid(index, pools.relevant, bm25).items():
             vector[term] = vector.get(term, 0.0) + params.beta * weight
     if pools.nonrelevant and params.gamma != 0.0:
         sign = -1.0 if params.subtract_nonrelevant else 1.0
-        for term, weight in _bm25_centroid(index, pools.nonrelevant, rank_params).items():
+        for term, weight in _centroid(index, pools.nonrelevant, bm25).items():
             vector[term] = vector.get(term, 0.0) + sign * params.gamma * weight
     expansion = {t: w for t, w in vector.items() if t not in query_term_set}
     kept = _top_terms(expansion, params.num_expansion_terms, abs)

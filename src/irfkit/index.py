@@ -129,11 +129,13 @@ def doc_vector(index: CollectionIndex, doc_id: str) -> dict[str, int]:
 
 def save_index(index: CollectionIndex, directory: str | Path) -> None:
     """Write a snapshot: doc table, postings, manifest.  The old manifest goes
-    first, so ``load_index`` rejects a save that died midway."""
+    first, so ``load_index`` rejects a save that died midway, and with it the
+    two files only format 1 wrote."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / "manifest.json"
-    manifest_path.unlink(missing_ok=True)
+    for name in ("manifest.json", "lexicon.tsv", "forward.tsv"):
+        (directory / name).unlink(missing_ok=True)
     with open(directory / "docs.tsv", "w", encoding="utf-8") as handle:
         for doc_id, length in zip(index.doc_ids, index.doc_lengths):
             handle.write(f"{doc_id}\t{length}\n")
@@ -164,6 +166,12 @@ def load_index(directory: str | Path) -> CollectionIndex:
     docs = _read_rows(docs_path, "doc_id<TAB>length", _parse_doc_row)
     doc_ids = [doc_id for doc_id, _ in docs]
     doc_lengths = [length for _, length in docs]
+    first_line: dict[str, int] = {}
+    for lineno, doc_id in enumerate(doc_ids, 1):
+        if first_line.setdefault(doc_id, lineno) != lineno:
+            raise IndexDataError(
+                f"{docs_path}:{lineno}: doc {doc_id!r} is already on line {first_line[doc_id]}"
+            )
     postings_path = directory / "postings.tsv"
     postings: dict[str, list[tuple[int, int]]] = {}
     forward: list[dict[str, int]] = [{} for _ in doc_ids]

@@ -1,5 +1,9 @@
-"""Retrieval scorers: Dirichlet query likelihood, KL re-ranking, BM25,
-and dot-product scoring over BM25 or MLE document vectors.
+"""Retrieval scorers: Dirichlet query likelihood, KL re-ranking, and
+dot-product scoring over BM25 or MLE document vectors.
+
+Every scorer sums q_w * weight(x, c(w,x)) in one postings loop: KL weighs by
+its Dirichlet delta, the dot product by one of the two document weightings of
+``doc_weighting`` (Okapi BM25, MLE c/|x|), which the feedback centroids share.
 
 All scorers are pure functions over an immutable index.  Only documents
 containing at least one query-model term are scored; ties break by
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .index import CollectionIndex
 
@@ -90,8 +94,28 @@ def _rank(index: CollectionIndex, scores: dict[int, float], depth: int) -> tuple
     return tuple(items[:depth])
 
 
-def _excluded_internals(index: CollectionIndex, exclude: Iterable[str]) -> set[int]:
-    return {index.internal_id(d) for d in exclude if index.has_doc(d)}
+# a document weighting: per term, the weight of count c in document x
+Weighting = Callable[[str], Callable[[int, int], float]]
+
+
+def _accumulate(
+    index: CollectionIndex, model: QueryModel, weighting: Weighting, exclude: Iterable[str]
+) -> dict[int, float]:
+    """sum_w q_w * weighting(w)(x, c(w,x)) per document x outside ``exclude``, w sorted."""
+    excluded = {index.internal_id(d) for d in exclude if index.has_doc(d)}
+    postings = index.postings
+    scores: dict[int, float] = {}
+    get = scores.get
+    for term, q_weight in sorted(model.weights.items()):
+        plist = postings.get(term)
+        if not plist:
+            continue
+        weight = weighting(term)
+        for x, c in plist:
+            if x in excluded:
+                continue
+            scores[x] = get(x, 0.0) + q_weight * weight(x, c)
+    return scores
 
 
 def retrieve_kl(
@@ -111,29 +135,28 @@ def retrieve_kl(
     if model.kind != "lm":
         raise ValueError(f"retrieve_kl requires an lm query model, got {model.kind!r}")
     total_terms = index.stats.total_terms
-    terms = [(t, w) for t, w in sorted(model.weights.items()) if index.cf(t) > 0]
-    if not terms or total_terms == 0:
+    backgrounds = {
+        t: params.mu * index.cf(t) / total_terms for t in sorted(model.weights) if index.cf(t) > 0
+    }
+    if not backgrounds:
         return ScoredList(query_id, ())
-    mu = params.mu
-    excluded = _excluded_internals(index, exclude)
     # score(x) = sum_w q_w * log(c(w,x) + mu*bg_w) - (sum_w q_w) * log(|x| + mu)
     # accumulated as a delta over the all-background baseline so only
     # postings entries are touched.
-    baseline = 0.0
-    weight_sum = 0.0
-    partial: dict[int, float] = {}
-    for term, q_weight in terms:
-        background = mu * index.cf(term) / total_terms
-        baseline += q_weight * math.log(background)
-        weight_sum += q_weight
-        for internal, count in index.postings[term]:
-            if internal in excluded:
-                continue
-            delta = q_weight * (math.log(count + background) - math.log(background))
-            partial[internal] = partial.get(internal, 0.0) + delta
+    baseline = weight_sum = 0.0
+    for term, background in backgrounds.items():
+        baseline += model.weights[term] * math.log(background)
+        weight_sum += model.weights[term]
+
+    def dirichlet_delta(term: str) -> Callable[[int, int], float]:
+        background, log = backgrounds[term], math.log
+        log_background = log(background)
+        return lambda x, c: log(c + background) - log_background
+
+    partial = _accumulate(index, model, dirichlet_delta, exclude)
     scores = {
-        internal: acc + baseline - weight_sum * math.log(index.doc_lengths[internal] + mu)
-        for internal, acc in partial.items()
+        x: acc + baseline - weight_sum * math.log(index.doc_lengths[x] + params.mu)
+        for x, acc in partial.items()
     }
     return ScoredList(query_id, _rank(index, scores, params.depth))
 
@@ -154,19 +177,25 @@ def retrieve_ql(
     return retrieve_kl(index, model, params, exclude, query_id)
 
 
-def bm25_idf(index: CollectionIndex, term: str) -> float:
-    """log((N+1)/df) of a term that occurs in the collection."""
-    return math.log((index.stats.num_docs + 1) / index.df(term))
+VECTORIZERS = ("bm25", "mle")
 
 
-def okapi_weight(
-    index: CollectionIndex, internal: int, count: int, idf: float, params: RankingParams
-) -> float:
-    """Okapi weight ((k1+1)c / (k1(1-b+b|x|/avgdl) + c)) * idf of a count in doc ``internal``."""
-    norm = params.k1 * (
-        1.0 - params.b + params.b * index.doc_lengths[internal] / index.stats.avg_doc_len
-    )
-    return (params.k1 + 1.0) * count / (norm + count) * idf
+def doc_weighting(index: CollectionIndex, vectorizer: str, params: RankingParams) -> Weighting:
+    """The weight of count c in document x: Okapi BM25
+    ((k1+1)c / (k1(1-b+b|x|/avgdl) + c)) * idf with idf log((N+1)/df), or
+    MLE c/|x|."""
+    if vectorizer not in VECTORIZERS:
+        raise ValueError(f"unknown vectorizer {vectorizer!r}; expected one of {VECTORIZERS}")
+    lengths = index.doc_lengths
+    if vectorizer == "mle":
+        return lambda term: lambda x, c: c / lengths[x]
+    k1, b, avgdl, num_docs = params.k1, params.b, index.stats.avg_doc_len, index.stats.num_docs
+
+    def okapi(term: str) -> Callable[[int, int], float]:
+        idf = math.log((num_docs + 1) / index.df(term))
+        return lambda x, c: (k1 + 1.0) * c / (k1 * (1.0 - b + b * lengths[x] / avgdl) + c) * idf
+
+    return okapi
 
 
 def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: RankingParams) -> float:
@@ -175,10 +204,7 @@ def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: RankingP
     count = index.forward[internal].get(term, 0)
     if count == 0:
         return 0.0
-    return okapi_weight(index, internal, count, bm25_idf(index, term), params)
-
-
-VECTORIZERS = ("bm25", "mle")
+    return doc_weighting(index, "bm25", params)(term)(internal, count)
 
 
 def retrieve_dot(
@@ -193,27 +219,7 @@ def retrieve_dot(
     vectors."""
     if model.kind != "vector":
         raise ValueError(f"retrieve_dot requires a vector query model, got {model.kind!r}")
-    if vectorizer not in VECTORIZERS:
-        raise ValueError(f"unknown vectorizer {vectorizer!r}; expected one of {VECTORIZERS}")
-    excluded = _excluded_internals(index, exclude)
-    scores: dict[int, float] = {}
-    for term, q_weight in sorted(model.weights.items()):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        if vectorizer == "bm25":
-            idf = bm25_idf(index, term)
-            for internal, count in plist:
-                if internal in excluded:
-                    continue
-                doc_weight = okapi_weight(index, internal, count, idf, params)
-                scores[internal] = scores.get(internal, 0.0) + q_weight * doc_weight
-        else:
-            for internal, count in plist:
-                if internal in excluded:
-                    continue
-                doc_weight = count / index.doc_lengths[internal]
-                scores[internal] = scores.get(internal, 0.0) + q_weight * doc_weight
+    scores = _accumulate(index, model, doc_weighting(index, vectorizer, params), exclude)
     return ScoredList(query_id, _rank(index, scores, params.depth))
 
 

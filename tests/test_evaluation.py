@@ -190,6 +190,10 @@ class TestGridSpec:
         assert all(p.lambda1 + p.lambda2 < 1.0 for p in points)
         assert len(points) == 3
 
+    def test_expand_rejects_out_of_range_value(self):
+        with pytest.raises(ValueError, match="mu must be > 0"):
+            GridSpec(mu=(50.0, 0.0)).expand("rm3")
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="empty grid"):
             GridSpec(mu=())

@@ -53,6 +53,13 @@ class TestModelParams:
         with pytest.raises(FeedbackError, match="interp"):
             ModelParams(interp_lambda=1.5)
 
+    @pytest.mark.parametrize(
+        "override,match", [({"mu": 0.0}, "mu"), ({"k1": -1.0}, "k1"), ({"b": 1.5}, "b")]
+    )
+    def test_ranking_fields_checked_like_ranking_params(self, override, match):
+        with pytest.raises(FeedbackError, match=f"{match} must be"):
+            ModelParams(**override)
+
     def test_param_file_round_trip(self, tmp_path):
         params = ModelParams(mu=300.0, interp_lambda=0.4, num_expansion_terms=30)
         path = tmp_path / "params.txt"

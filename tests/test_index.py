@@ -108,6 +108,16 @@ class TestSnapshot:
         for name in names:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
+    def test_save_over_format_1_snapshot_removes_its_extra_files(self, tmp_path):
+        idx = build_index(make_docs([("D1", "ab"), ("D2", "b")]))
+        (tmp_path / "snap").mkdir()
+        for name in ("lexicon.tsv", "forward.tsv", "docs.tsv"):
+            (tmp_path / "snap" / name).write_text("left by format 1\n")
+        save_index(idx, tmp_path / "snap")
+        names = sorted(path.name for path in (tmp_path / "snap").iterdir())
+        assert names == ["docs.tsv", "manifest.json", "postings.tsv"]
+        assert load_index(tmp_path / "snap") == idx
+
     def test_loaded_forward_store_is_the_transposed_postings(self, tmp_path):
         idx = build_index(make_docs([("D1", "cabca"), ("D2", "b"), ("D3", "")]))
         save_index(idx, tmp_path / "snap")
@@ -264,6 +274,12 @@ class TestCorruptSnapshot:
         # moving c from D2 to D3 keeps every manifest count
         replace_line(saved_toy / "postings.tsv", 3, "c\t2:1")
         with pytest.raises(IndexDataError, match="docs.tsv:2: length is 2 but the postings hold 1"):
+            load_index(saved_toy)
+
+    def test_repeated_doc_id_reports_path_line_and_first_line(self, saved_toy):
+        # without the check the snapshot loads and internal_id("D1") is the last row
+        replace_line(saved_toy / "docs.tsv", 3, "D1\t0")
+        with pytest.raises(IndexDataError, match="docs.tsv:3: doc 'D1' is already on line 1"):
             load_index(saved_toy)
 
     def test_dropped_postings_row_caught_by_vocab_size(self, saved_toy):

@@ -143,6 +143,42 @@ class TestRetrieveDot:
         }
         assert dict(res.entries) == pytest.approx(expected)
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60)
+    def test_matches_brute_force_over_definitions(self, seed):
+        rng = random.Random(seed)
+        docs = {
+            f"D{i:02d}": [rng.choice("abcde") for _ in range(rng.randint(1, 8))]
+            for i in range(rng.randint(2, 12))
+        }
+        idx = make_index(docs.items())
+        query_terms = rng.sample("abcdef", rng.randint(1, 4))  # f is in no document
+        model = QueryModel.vector({t: rng.uniform(-2.0, 3.0) for t in query_terms})
+        exclude = set(rng.sample(sorted(docs), rng.randint(0, len(docs) - 1))) | {"unknown"}
+        params = RankingParams(k1=rng.uniform(0.5, 2.0), b=rng.uniform(0.0, 1.0), depth=1000)
+        k1, b = params.k1, params.b
+        num_docs = len(docs)
+        avgdl = sum(len(terms) for terms in docs.values()) / num_docs
+
+        def okapi(term, terms):
+            count = terms.count(term)
+            idf = math.log((num_docs + 1) / sum(term in other for other in docs.values()))
+            return (k1 + 1) * count / (k1 * (1 - b + b * len(terms) / avgdl) + count) * idf
+
+        def mle(term, terms):
+            return terms.count(term) / len(terms)
+
+        for vectorizer, weight in (("bm25", okapi), ("mle", mle)):
+            res = retrieve_dot(idx, model, vectorizer, params, exclude)
+            expected = {
+                doc: sum(q * weight(t, terms) for t, q in model.weights.items() if t in terms)
+                for doc, terms in docs.items()
+                if doc not in exclude and set(terms) & set(model.weights)
+            }
+            scores = dict(res.entries)
+            assert scores == pytest.approx(expected)
+            assert res.doc_ids == sorted(scores, key=lambda d: (-scores[d], d))
+
     def test_mle_vectorizer_hand_value(self):
         idx = make_index([("D1", "aba")])
         res = retrieve_dot(idx, query_count_vector(["a"]), "mle", RankingParams(depth=5))
