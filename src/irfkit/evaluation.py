@@ -92,7 +92,7 @@ class SigTestResult:
 
 
 # sign patterns the exact test enumerates at a time, which bounds its memory
-_EXACT_BLOCK = 2**16
+_EXACT_BLOCK = 2**12
 
 
 def fisher_randomization(

@@ -163,8 +163,9 @@ def _centroid(index: CollectionIndex, doc_ids: Sequence[str], weighting: Weighti
     out: dict[str, float] = {}
     for doc_id in doc_ids:
         internal = index.internal_id(doc_id)
+        length = index.doc_lengths[internal]
         for term, count in index.forward[internal].items():
-            out[term] = out.get(term, 0.0) + weighting(term)(internal, count)
+            out[term] = out.get(term, 0.0) + weighting(term)(length, count)
     n = len(doc_ids)
     return {t: w / n for t, w in sorted(out.items())}
 

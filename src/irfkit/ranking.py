@@ -1,9 +1,12 @@
 """Retrieval scorers: Dirichlet query likelihood, KL re-ranking, and
 dot-product scoring over BM25 or MLE document vectors.
 
-Every scorer sums q_w * weight(x, c(w,x)) in one postings loop: KL weighs by
-its Dirichlet delta, the dot product by one of the two document weightings of
+Every scorer sums q_w * weight(|x|, c(w,x)) in one postings loop, a term's
+postings slice at a time into a float64 accumulator: KL weighs by its
+Dirichlet delta, the dot product by one of the two document weightings of
 ``doc_weighting`` (Okapi BM25, MLE c/|x|), which the feedback centroids share.
+Array arithmetic keeps the operation order, and every log is ``math.log``, so
+the scores are the same floats a loop over single postings would give.
 
 All scorers are pure functions over an immutable index.  Only documents
 containing at least one query-model term are scored; ties break by
@@ -14,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .index import CollectionIndex
 
@@ -88,34 +93,57 @@ class ScoredList:
         return [doc_id for doc_id, _ in self.entries]
 
 
-def _rank(index: CollectionIndex, scores: dict[int, float], depth: int) -> tuple[tuple[str, float], ...]:
-    items = [(index.doc_ids[internal], score) for internal, score in scores.items()]
-    items.sort(key=lambda pair: (-pair[1], pair[0]))
-    return tuple(items[:depth])
+def _rank(
+    index: CollectionIndex, candidates: np.ndarray, scores: np.ndarray, depth: int
+) -> tuple[tuple[str, float], ...]:
+    """The top ``depth`` candidates by (score desc, doc_id asc): a partition
+    keeps every candidate tied at the cut, then a sort orders what it kept."""
+    if len(candidates) > depth:
+        cut = np.partition(-scores, depth - 1)[depth - 1]
+        kept = -scores <= cut
+        candidates, scores = candidates[kept], scores[kept]
+    order = np.lexsort((index.doc_id_rank[candidates], -scores))[:depth]
+    doc_ids = index.doc_ids
+    return tuple(zip([doc_ids[x] for x in candidates[order].tolist()], scores[order].tolist()))
 
 
-# a document weighting: per term, the weight of count c in document x
-Weighting = Callable[[str], Callable[[int, int], float]]
+# a document weighting: per term, the weight of count c in a document of
+# length |x|, elementwise over arrays or on two numbers
+Weighting = Callable[[str], Callable[[Any, Any], Any]]
 
 
 def _accumulate(
     index: CollectionIndex, model: QueryModel, weighting: Weighting, exclude: Iterable[str]
-) -> dict[int, float]:
-    """sum_w q_w * weighting(w)(x, c(w,x)) per document x outside ``exclude``, w sorted."""
-    excluded = {index.internal_id(d) for d in exclude if index.has_doc(d)}
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_w q_w * weighting(w)(|x|, c(w,x)) per document x outside ``exclude``,
+    w sorted: the candidates' internal ids, ascending, and their scores."""
     postings = index.postings
-    scores: dict[int, float] = {}
-    get = scores.get
+    scores = np.zeros(index.num_docs)
+    scored = np.zeros(index.num_docs, dtype=bool)
     for term, q_weight in sorted(model.weights.items()):
-        plist = postings.get(term)
-        if not plist:
+        docs, counts = postings.columns(term)
+        if not docs.size:
             continue
-        weight = weighting(term)
-        for x, c in plist:
-            if x in excluded:
-                continue
-            scores[x] = get(x, 0.0) + q_weight * weight(x, c)
-    return scores
+        scores[docs] += q_weight * weighting(term)(index.doc_length_array[docs], counts)
+        scored[docs] = True
+    scored[[index.internal_id(d) for d in exclude if index.has_doc(d)]] = False
+    candidates = np.flatnonzero(scored)
+    return candidates, scores[candidates]
+
+
+def _log_each(values: np.ndarray, offset: float) -> np.ndarray:
+    """math.log(v + offset) of every value, one call per distinct value.  The
+    values are non-negative integers (counts or lengths): small ones index a
+    table, and a sort finds the distinct ones when a table would be large."""
+    values = values.astype(np.int64, copy=False)
+    if values.size and values.max() > 2 * values.size + 1024:
+        distinct, where = np.unique(values, return_inverse=True)
+        return np.array([math.log(v + offset) for v in distinct.tolist()])[where]
+    present = np.bincount(values)
+    logs = np.zeros(present.size)
+    distinct = np.flatnonzero(present)
+    logs[distinct] = [math.log(v + offset) for v in distinct.tolist()]
+    return logs[values]
 
 
 def retrieve_kl(
@@ -148,17 +176,15 @@ def retrieve_kl(
         baseline += model.weights[term] * math.log(background)
         weight_sum += model.weights[term]
 
-    def dirichlet_delta(term: str) -> Callable[[int, int], float]:
-        background, log = backgrounds[term], math.log
-        log_background = log(background)
-        return lambda x, c: log(c + background) - log_background
+    def dirichlet_delta(term: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        background = backgrounds[term]
+        log_background = math.log(background)
+        return lambda lengths, counts: _log_each(counts, background) - log_background
 
-    partial = _accumulate(index, model, dirichlet_delta, exclude)
-    scores = {
-        x: acc + baseline - weight_sum * math.log(index.doc_lengths[x] + params.mu)
-        for x, acc in partial.items()
-    }
-    return ScoredList(query_id, _rank(index, scores, params.depth))
+    candidates, partial = _accumulate(index, model, dirichlet_delta, exclude)
+    lengths = index.doc_length_array[candidates]
+    scores = partial + baseline - weight_sum * _log_each(lengths, params.mu)
+    return ScoredList(query_id, _rank(index, candidates, scores, params.depth))
 
 
 def retrieve_ql(
@@ -181,19 +207,18 @@ VECTORIZERS = ("bm25", "mle")
 
 
 def doc_weighting(index: CollectionIndex, vectorizer: str, params: RankingParams) -> Weighting:
-    """The weight of count c in document x: Okapi BM25
+    """The weight of count c in a document of length |x|: Okapi BM25
     ((k1+1)c / (k1(1-b+b|x|/avgdl) + c)) * idf with idf log((N+1)/df), or
-    MLE c/|x|."""
+    MLE c/|x|.  On Python numbers it returns a Python float."""
     if vectorizer not in VECTORIZERS:
         raise ValueError(f"unknown vectorizer {vectorizer!r}; expected one of {VECTORIZERS}")
-    lengths = index.doc_lengths
     if vectorizer == "mle":
-        return lambda term: lambda x, c: c / lengths[x]
+        return lambda term: lambda length, c: c / length
     k1, b, avgdl, num_docs = params.k1, params.b, index.stats.avg_doc_len, index.stats.num_docs
 
-    def okapi(term: str) -> Callable[[int, int], float]:
+    def okapi(term: str) -> Callable[[Any, Any], Any]:
         idf = math.log((num_docs + 1) / index.df(term))
-        return lambda x, c: (k1 + 1.0) * c / (k1 * (1.0 - b + b * lengths[x] / avgdl) + c) * idf
+        return lambda length, c: (k1 + 1.0) * c / (k1 * (1.0 - b + b * length / avgdl) + c) * idf
 
     return okapi
 
@@ -204,7 +229,7 @@ def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: RankingP
     count = index.forward[internal].get(term, 0)
     if count == 0:
         return 0.0
-    return doc_weighting(index, "bm25", params)(term)(internal, count)
+    return doc_weighting(index, "bm25", params)(term)(index.doc_lengths[internal], count)
 
 
 def retrieve_dot(
@@ -219,8 +244,9 @@ def retrieve_dot(
     vectors."""
     if model.kind != "vector":
         raise ValueError(f"retrieve_dot requires a vector query model, got {model.kind!r}")
-    scores = _accumulate(index, model, doc_weighting(index, vectorizer, params), exclude)
-    return ScoredList(query_id, _rank(index, scores, params.depth))
+    weighting = doc_weighting(index, vectorizer, params)
+    candidates, scores = _accumulate(index, model, weighting, exclude)
+    return ScoredList(query_id, _rank(index, candidates, scores, params.depth))
 
 
 def write_run(runs: Iterable[ScoredList], path, run_tag: str = "irfkit") -> None:

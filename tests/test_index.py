@@ -55,6 +55,47 @@ class TestBuildIndex:
         assert doc_vector(idx, "D1") == {}
 
 
+class TestPostingsView:
+    LAYOUT = [("D2", "aba"), ("D1", "bc"), ("D3", "")]
+    EXPECTED = {"a": [(0, 2)], "b": [(0, 1), (1, 1)], "c": [(1, 1)]}
+
+    @pytest.fixture(params=["built", "loaded"])
+    def idx(self, request, tmp_path):
+        built = build_index(make_docs(self.LAYOUT))
+        if request.param == "built":
+            return built
+        save_index(built, tmp_path / "snap")
+        return load_index(tmp_path / "snap")
+
+    def test_rows_are_lists_of_python_int_pairs(self, idx):
+        assert repr(idx.postings["a"]) == "[(0, 2)]"
+        assert repr(idx.postings["b"]) == "[(0, 1), (1, 1)]"
+        assert {type(value) for pair in idx.postings["b"] for value in pair} == {int}
+
+    def test_equals_a_plain_dict(self, idx):
+        assert idx.postings == self.EXPECTED
+        assert idx.postings != {**self.EXPECTED, "c": [(1, 2)]}
+        assert list(idx.postings) == ["a", "b", "c"]
+        assert "z" not in idx.postings and idx.postings.get("z") is None
+        with pytest.raises(KeyError):
+            idx.postings["z"]
+
+    def test_df_and_cf_are_sums_over_the_view(self, idx):
+        for term, plist in idx.postings.items():
+            assert idx.df(term) == len(plist)
+            assert idx.cf(term) == sum(count for _, count in plist)
+        assert idx.df("z") == idx.cf("z") == 0
+
+    def test_built_and_loaded_compare_equal(self, idx):
+        assert idx == build_index(make_docs(self.LAYOUT))
+
+    def test_read_only(self, idx):
+        with pytest.raises(TypeError):
+            idx.postings["a"] = []
+        with pytest.raises(ValueError):
+            idx.postings.counts[0] = 5
+
+
 class TestDocVector:
     def test_exact_counts(self):
         idx = build_index(make_docs([("D1", "aba"), ("D2", "b")]))
@@ -248,6 +289,9 @@ class TestCorruptSnapshot:
             ("docs.tsv", 1, "D1\tthree"),
             ("postings.tsv", 3, "c\t1"),
             ("postings.tsv", 1, "a\t0:2\textra"),
+            ("postings.tsv", 3, "c\t1:1:1"),
+            ("postings.tsv", 2, "b\t0:1  1:1"),
+            ("postings.tsv", 1, "a\t0:99999999999999999999"),
         ],
     )
     def test_malformed_line_reports_path_and_line(self, saved_toy, name, lineno, bad):
@@ -268,6 +312,23 @@ class TestCorruptSnapshot:
     def test_postings_doc_outside_doc_table_reports_path_and_line(self, saved_toy, bad, doc):
         replace_line(saved_toy / "postings.tsv", 3, bad)
         with pytest.raises(IndexDataError, match=rf"postings.tsv:3: doc {doc} is outside \[0, 3\)"):
+            load_index(saved_toy)
+
+    @pytest.mark.parametrize(
+        "lineno,bad,message",
+        [
+            (3, "c\t1:0", r"postings.tsv:3: count 0 is outside \[1, 2147483648\)"),
+            (2, "b\t1:1 0:1", "postings.tsv:2: doc 0 does not follow doc 1"),
+            (2, "b\t0:1 0:1", "postings.tsv:2: doc 0 does not follow doc 0"),
+            (3, "b\t1:1", "postings.tsv:3: term 'b' does not follow 'b'"),
+            (2, "0\t0:1 1:1", "postings.tsv:2: term '0' does not follow 'a'"),
+        ],
+    )
+    def test_postings_row_out_of_order_or_range_reports_path_and_line(
+        self, saved_toy, lineno, bad, message
+    ):
+        replace_line(saved_toy / "postings.tsv", lineno, bad)
+        with pytest.raises(IndexDataError, match=message):
             load_index(saved_toy)
 
     def test_length_disagreeing_with_postings_reports_path_and_line(self, saved_toy):

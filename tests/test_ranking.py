@@ -1,12 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irfkit.corpus_io import TermSequence
 from irfkit.index import IndexDataError, build_index
+from irfkit import ranking
 from irfkit.ranking import (
     QueryModel,
     RankingParams,
@@ -253,6 +255,157 @@ class TestRankingProperties:
         other = build_index(shuffled)
         params = RankingParams(mu=10.0, depth=1000)
         assert retrieve_ql(idx, terms, params) == retrieve_ql(other, terms, params)
+
+
+# The scorers as they were before the columnar index: one closure call per
+# posting into a dict, then a sort of every candidate.  The array scorers must
+# give the same entries, float for float.
+
+
+def reference_scores(index, model, weight, exclude):
+    excluded = {index.internal_id(d) for d in exclude if index.has_doc(d)}
+    scores = {}
+    for term, q_weight in sorted(model.weights.items()):
+        plist = index.postings.get(term)
+        if not plist:
+            continue
+        term_weight = weight(term)
+        for x, c in plist:
+            if x in excluded:
+                continue
+            scores[x] = scores.get(x, 0.0) + q_weight * term_weight(x, c)
+    return scores
+
+
+def reference_rank(index, scores, depth):
+    items = [(index.doc_ids[x], score) for x, score in scores.items()]
+    items.sort(key=lambda pair: (-pair[1], pair[0]))
+    return tuple(items[:depth])
+
+
+def reference_kl(index, model, params, exclude):
+    total_terms = index.stats.total_terms
+    backgrounds = {
+        t: params.mu * index.cf(t) / total_terms for t in sorted(model.weights) if index.cf(t) > 0
+    }
+    if not backgrounds:
+        return ()
+    baseline = weight_sum = 0.0
+    for term, background in backgrounds.items():
+        baseline += model.weights[term] * math.log(background)
+        weight_sum += model.weights[term]
+
+    def dirichlet_delta(term):
+        background = backgrounds[term]
+        log_background = math.log(background)
+        return lambda x, c: math.log(c + background) - log_background
+
+    partial = reference_scores(index, model, dirichlet_delta, exclude)
+    scores = {
+        x: acc + baseline - weight_sum * math.log(index.doc_lengths[x] + params.mu)
+        for x, acc in partial.items()
+    }
+    return reference_rank(index, scores, params.depth)
+
+
+def reference_dot(index, model, vectorizer, params, exclude):
+    lengths = index.doc_lengths
+    k1, b, avgdl, num_docs = params.k1, params.b, index.stats.avg_doc_len, index.stats.num_docs
+
+    def okapi(term):
+        idf = math.log((num_docs + 1) / index.df(term))
+        return lambda x, c: (k1 + 1.0) * c / (k1 * (1.0 - b + b * lengths[x] / avgdl) + c) * idf
+
+    def mle(term):
+        return lambda x, c: c / lengths[x]
+
+    weight = okapi if vectorizer == "bm25" else mle
+    return reference_rank(index, reference_scores(index, model, weight, exclude), params.depth)
+
+
+@st.composite
+def scoring_cases(draw):
+    """A small index whose doc ids sort differently from their internal order
+    (d10 before d9), with few terms and short documents so that many scores
+    tie, sometimes one long document; a query model over its terms and one
+    term in no document; exclusions with an unknown id; any depth."""
+    numbers = draw(st.lists(st.integers(0, 40), min_size=1, max_size=14, unique=True))
+    docs = [
+        (f"d{n}", draw(st.lists(st.sampled_from("abcde"), max_size=8)))
+        for n in numbers
+    ]
+    if draw(st.booleans()):
+        docs.append(("long", ["a"] * 1500 + ["b"] * draw(st.integers(0, 3))))
+    index = make_index(docs)
+    query_terms = draw(st.lists(st.sampled_from("abcdez"), min_size=1, max_size=6, unique=True))
+    raw = [draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) for _ in query_terms]
+    lm = QueryModel.lm({t: w / sum(raw) for t, w in zip(query_terms, raw)})
+    vector = QueryModel.vector(
+        {t: draw(st.sampled_from([-1.5, -1.0, 0.25, 1.0, 2.0])) for t in query_terms}
+    )
+    doc_ids = [doc_id for doc_id, _ in docs]
+    exclude = set(draw(st.lists(st.sampled_from(doc_ids), max_size=len(doc_ids)))) | {"unknown"}
+    params = RankingParams(
+        mu=draw(st.sampled_from([1.0, 10.0, 2000.0])),
+        k1=draw(st.sampled_from([0.5, 1.2, 2.0])),
+        b=draw(st.sampled_from([0.0, 0.75, 1.0])),
+        depth=draw(st.integers(1, len(docs) + 1)),
+    )
+    return index, lm, vector, exclude, params
+
+
+class TestMatchesReferenceScorer:
+    @given(scoring_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_entries_equal_to_the_posting_loop(self, case):
+        index, lm, vector, exclude, params = case
+        assert retrieve_kl(index, lm, params, exclude).entries == reference_kl(
+            index, lm, params, exclude
+        )
+        for vectorizer in ("bm25", "mle"):
+            assert retrieve_dot(index, vector, vectorizer, params, exclude).entries == (
+                reference_dot(index, vector, vectorizer, params, exclude)
+            )
+
+    def test_ties_at_the_cut_resolved_by_doc_id_not_internal_order(self):
+        # d9, d10 and d100 score the same; lexically d10 < d100 < d9
+        idx = make_index([("d9", "a"), ("d10", "a"), ("d100", "a"), ("d2", "aa")])
+        res = retrieve_dot(idx, query_count_vector(["a"]), "mle", RankingParams(depth=3))
+        assert res.doc_ids == ["d10", "d100", "d2"]
+        assert res.entries == reference_dot(
+            idx, query_count_vector(["a"]), "mle", RankingParams(depth=3), ()
+        )
+
+    def test_kl_delta_takes_math_log(self):
+        # np.log is not correctly rounded for every input; find a mu at which
+        # it would move a score, so an np.log delta cannot pass unnoticed
+        idx = make_index([(f"d{c:02d}", "a" * c + "bbbb") for c in range(1, 41)])
+        cf, total = idx.cf("a"), idx.stats.total_terms
+        counts = np.arange(1, 41)
+        for step in range(20_000):
+            mu = 1.0 + 0.37 * step
+            background = mu * cf / total
+            log_background = math.log(background)
+            moved = [
+                (math.log(c + background) - log_background) + log_background
+                != (np_log - log_background) + log_background
+                for c, np_log in zip(counts.tolist(), np.log(counts + background).tolist())
+            ]
+            if any(moved):
+                break
+        model, params = QueryModel.lm({"a": 1.0}), RankingParams(mu=mu, depth=100)
+        assert retrieve_kl(idx, model, params).entries == reference_kl(idx, model, params, ())
+
+    @pytest.mark.parametrize("values", [[0, 3, 3, 1, 0], [5000, 2, 5000, 7]])
+    def test_log_each_is_math_log_per_value(self, values):
+        # the second case is sparse enough to take the sort path
+        got = ranking._log_each(np.array(values, dtype=np.int32), 2.5)
+        assert got.tolist() == [math.log(v + 2.5) for v in values]
+
+    def test_scores_are_python_floats(self, two_doc_index):
+        res = retrieve_dot(two_doc_index, query_count_vector(["a", "b"]), "bm25", RankingParams())
+        assert all(type(score) is float for _, score in res.entries)
+        assert type(bm25_weight(two_doc_index, "a", "D1", RankingParams())) is float
 
 
 def test_write_run_format(tmp_path, two_doc_index):
