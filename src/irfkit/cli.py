@@ -13,6 +13,7 @@ from pathlib import Path
 
 from . import corpus_io, evaluation, feedback, session
 from .index import build_index, load_index, save_index
+from .ranking import ordered_sum
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
@@ -224,7 +225,7 @@ def cmd_sweep(args) -> int:
     for fold in result.folds:
         flat = " ".join(f"{k}={v}" for k, v in sorted(fold.best_params.to_dict().items()))
         heldout_mean = (
-            sum(fold.heldout_per_query.values()) / len(fold.heldout_per_query)
+            ordered_sum(fold.heldout_per_query.values()) / len(fold.heldout_per_query)
             if fold.heldout_per_query
             else 0.0
         )

@@ -16,6 +16,7 @@ import numpy as np
 
 from .corpus_io import QrelSet
 from .feedback import ModelParams, model_spec
+from .ranking import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def evaluate_run(
         for query_id, doc_ids in sorted(run.items())
         if qrels.num_relevant(query_id) > 0
     }
-    mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
+    mean = ordered_sum(per_query.values()) / len(per_query) if per_query else 0.0
     return MetricResult(metric, per_query, mean)
 
 
@@ -221,12 +222,12 @@ def cross_validate(
         train = [q for q in sorted(query_ids) if q not in heldout_set]
         best = None
         for params, scores in table:
-            mean = sum(scores[q] for q in train) / len(train) if train else 0.0
+            mean = ordered_sum(scores[q] for q in train) / len(train) if train else 0.0
             if best is None or mean > best[0]:
                 best = (mean, params, scores)
         train_mean, best_params, best_scores = best
         heldout_scores = {q: best_scores[q] for q in heldout}
         pooled.update(heldout_scores)
         fold_results.append(FoldResult(fold_idx, heldout, best_params, train_mean, heldout_scores))
-    pooled_mean = sum(pooled.values()) / len(pooled) if pooled else 0.0
+    pooled_mean = ordered_sum(pooled.values()) / len(pooled) if pooled else 0.0
     return CVResult(fold_results, pooled, pooled_mean)

@@ -22,12 +22,13 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .index import CollectionIndex
+from .index import CollectionIndex, doc_vector
 from .ranking import (
     QueryModel,
     RankingParams,
     Weighting,
     doc_weighting,
+    ordered_sum,
     query_count_vector,
     query_language_model,
 )
@@ -162,9 +163,8 @@ def _centroid(index: CollectionIndex, doc_ids: Sequence[str], weighting: Weighti
     sorted term order."""
     out: dict[str, float] = {}
     for doc_id in doc_ids:
-        internal = index.internal_id(doc_id)
-        length = index.doc_lengths[internal]
-        for term, count in index.forward[internal].items():
+        length = index.doc_lengths[index.internal_id(doc_id)]
+        for term, count in doc_vector(index, doc_id).items():
             out[term] = out.get(term, 0.0) + weighting(term)(length, count)
     n = len(doc_ids)
     return {t: w / n for t, w in sorted(out.items())}
@@ -173,7 +173,7 @@ def _centroid(index: CollectionIndex, doc_ids: Sequence[str], weighting: Weighti
 def _pool_counts(index: CollectionIndex, doc_ids: Sequence[str]) -> dict[str, int]:
     counts: dict[str, int] = {}
     for doc_id in doc_ids:
-        for term, count in index.forward[index.internal_id(doc_id)].items():
+        for term, count in doc_vector(index, doc_id).items():
             counts[term] = counts.get(term, 0) + count
     return counts
 
@@ -212,7 +212,7 @@ def _truncate_distribution(dist: dict[str, float], m: int) -> dict[str, float]:
     if len(dist) <= m:
         return dist
     top = _top_terms(dist, m)
-    total = sum(top.values())
+    total = ordered_sum(top.values())
     return {t: w / total for t, w in top.items()}
 
 
@@ -288,7 +288,7 @@ def distill_relevance_model(
     p_rel = [c / total for c in counts]
 
     def log_likelihood(p: list[float]) -> float:
-        return sum(c * math.log(rel_weight * pw + fw) for c, pw, fw in zip(counts, p, fixed))
+        return ordered_sum(c * math.log(rel_weight * pw + fw) for c, pw, fw in zip(counts, p, fixed))
 
     trace = [log_likelihood(p_rel)]
     for _ in range(max_iters):
@@ -296,7 +296,7 @@ def distill_relevance_model(
             c * (rel_weight * pw) / (rel_weight * pw + fw)
             for c, pw, fw in zip(counts, p_rel, fixed)
         ]
-        mass = sum(expected)
+        mass = ordered_sum(expected)
         if mass == 0.0:
             break
         p_rel = [e / mass for e in expected]
@@ -401,7 +401,7 @@ def estimate_prob(
 
     df_pool: dict[str, int] = {}
     for doc_id in pools.relevant:
-        for term in index.forward[index.internal_id(doc_id)]:
+        for term in doc_vector(index, doc_id):
             df_pool[term] = df_pool.get(term, 0) + 1
 
     feedback: dict[str, float] = {}

@@ -1,12 +1,14 @@
 """Inverted index with collection statistics and a forward store.
 
-The postings are stored once, as CSR columns: a term -> row map over rows in
-sorted term order, int64 row offsets, and int32 doc ids and counts, each row
-in ascending doc order.  ``CollectionIndex.postings`` shows them as a
-read-only mapping of (doc, count) lists.  The forward store (doc -> term
-counts) sits alongside the postings because the feedback estimators need full
-term vectors of judged documents.  The index is immutable once built and safe
-to share across threads.
+An index is its doc ids and its postings; everything else is derived from
+them once, at construction.  The postings are CSR columns: a term -> row map
+over rows in sorted term order, int64 row offsets, and int32 doc ids and
+counts, each row in ascending doc order.  ``CollectionIndex.postings`` shows
+them as a read-only mapping of (doc, count) lists.  The forward store is the
+same entries transposed, doc-major CSR columns of term rows and counts,
+because the feedback estimators need full term vectors of judged documents;
+``doc_vector`` reads it.  The index is immutable once built and safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .corpus_io import TermSequence
 
 FORMAT_VERSION = 2
 # the collection statistics a manifest records, checked on load
-_MANIFEST_COUNTS = ("num_docs", "total_terms", "vocab_size")
+_MANIFEST_COUNTS = ("num_docs", "vocab_size", "total_terms")
 
 # the snapshot separates fields and pairs by whitespace and rows by lines
 _has_whitespace = re.compile(r"\s").search
@@ -57,6 +59,7 @@ class Postings(Mapping):
     ``docs[offsets[row]:offsets[row + 1]]`` and the same slice of ``counts``."""
 
     def __init__(self, terms: list[str], offsets: np.ndarray, docs: np.ndarray, counts: np.ndarray):
+        self.terms = terms
         self.rows = {term: row for row, term in enumerate(terms)}
         self.offsets = _frozen(offsets.astype(np.int64, copy=False))
         self.docs = _frozen(docs.astype(np.int32, copy=False))
@@ -97,39 +100,35 @@ class Postings(Mapping):
 
 
 class CollectionIndex:
-    """Postings, lengths, forward vectors, and per-term statistics.
+    """Doc ids and postings, and what is derived from them at construction:
+    the forward store, document lengths and per-term statistics.
 
     ``analysis`` records how the collection text was normalized (stemmer
     name, stoplist) so queries can be normalized identically later.
-    ``doc_length_array`` holds ``doc_lengths`` as float64 and
-    ``doc_id_rank`` each document's place in ascending doc_id order, for
-    scoring and ranking on arrays.
+    ``forward_offsets``, ``forward_terms`` (postings rows) and
+    ``forward_counts`` are the postings transposed to doc-major CSR, each
+    document's entries in sorted term order.  ``doc_length_array`` holds
+    ``doc_lengths`` as float64 and ``doc_id_rank`` each document's place in
+    ascending doc_id order, for scoring and ranking on arrays.
     """
 
-    def __init__(
-        self,
-        doc_ids: list[str],
-        doc_lengths: list[int],
-        postings: Postings,
-        forward: list[dict[str, int]],
-        analysis: dict | None = None,
-    ) -> None:
+    def __init__(self, doc_ids: list[str], postings: Postings, analysis: dict | None = None) -> None:
         self.doc_ids = doc_ids
-        self.doc_lengths = doc_lengths
         self.postings = postings
-        self.forward = forward
         self.analysis = analysis or {}
         self._internal = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-        self.doc_length_array = _frozen(np.array(doc_lengths, dtype=np.float64))
-        rank = np.empty(len(doc_ids), dtype=np.int64)
-        rank[sorted(range(len(doc_ids)), key=doc_ids.__getitem__)] = np.arange(len(doc_ids))
-        self.doc_id_rank = _frozen(rank)
-        offsets = postings.offsets
-        self._df = np.diff(offsets).tolist()
-        running = np.concatenate(([0], np.cumsum(postings.counts, dtype=np.int64)))
-        self._cf = (running[offsets[1:]] - running[offsets[:-1]]).tolist()
         num_docs = len(doc_ids)
-        total = sum(doc_lengths)
+        forward = _transpose(postings.offsets, postings.docs, postings.counts, num_docs)
+        self.forward_offsets, self.forward_terms, self.forward_counts = map(_frozen, forward)
+        lengths = _row_sums(self.forward_offsets, self.forward_counts)
+        self.doc_lengths: list[int] = lengths.tolist()
+        self.doc_length_array = _frozen(lengths.astype(np.float64))
+        rank = np.empty(num_docs, dtype=np.int64)
+        rank[sorted(range(num_docs), key=doc_ids.__getitem__)] = np.arange(num_docs)
+        self.doc_id_rank = _frozen(rank)
+        self._df = np.diff(postings.offsets).tolist()
+        self._cf = _row_sums(postings.offsets, postings.counts).tolist()
+        total = sum(self.doc_lengths)
         avgdl = total / num_docs if num_docs else 0.0
         self.stats = CollectionStats(num_docs, total, avgdl, len(postings))
 
@@ -159,22 +158,37 @@ class CollectionIndex:
             return NotImplemented
         return (
             self.doc_ids == other.doc_ids
-            and self.doc_lengths == other.doc_lengths
             and self.postings == other.postings
-            and self.forward == other.forward
             and self.analysis == other.analysis
         )
+
+
+def _transpose(
+    offsets: np.ndarray, cols: np.ndarray, counts: np.ndarray, num_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR entries regrouped by column: the offsets, old row ids and
+    counts of the transposed rows, each in ascending old-row order."""
+    # the smallest unsigned type that holds a column lets numpy radix-sort it
+    keys = cols.astype(np.min_scalar_type(num_cols), copy=False)
+    order = np.argsort(keys, kind="stable")
+    transposed = np.zeros(num_cols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=num_cols), out=transposed[1:])
+    rows = np.repeat(np.arange(len(offsets) - 1, dtype=np.int32), np.diff(offsets))
+    return transposed, rows[order], counts[order]
+
+
+def _row_sums(offsets: np.ndarray, values: np.ndarray) -> np.ndarray:
+    running = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+    return running[offsets[1:]] - running[offsets[:-1]]
 
 
 def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> CollectionIndex:
     """Build an index from term sequences; deterministic given input order."""
     doc_ids: list[str] = []
-    doc_lengths: list[int] = []
-    forward: list[dict[str, int]] = []
-    # each document's term ids (in order of first use) and counts, and how many
+    # each document's term ids (in order of first use) and counts, and where they end
     term_ids: defaultdict[str, int] = defaultdict()
     term_ids.default_factory = term_ids.__len__
-    term_column, count_column, sizes = array("i"), array("i"), array("i")
+    term_column, count_column, ends = array("i"), array("i"), array("q", [0])
     seen: set[str] = set()
     for seq in docs:
         if seq.doc_id in seen:
@@ -183,36 +197,33 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
             raise IndexDataError(f"doc_id {seq.doc_id!r} contains whitespace")
         seen.add(seq.doc_id)
         doc_ids.append(seq.doc_id)
-        doc_lengths.append(len(seq.terms))
         counts: dict[str, int] = {}
         for term in seq.terms:
             counts[term] = counts.get(term, 0) + 1
-        forward.append(counts)
         term_column.extend(map(term_ids.__getitem__, counts))
         count_column.extend(counts.values())
-        sizes.append(len(counts))
+        ends.append(len(term_column))
     terms = sorted(term_ids)
-    # the smallest unsigned type that holds a row lets numpy radix-sort small vocabularies
-    row_of_id = np.empty(len(terms), dtype=np.min_scalar_type(len(terms)))
+    row_of_id = np.empty(len(terms), dtype=np.int32)
     row_of_id[[term_ids[term] for term in terms]] = np.arange(len(terms))
     rows = row_of_id[np.frombuffer(term_column, dtype=np.int32)]
-    # a stable sort keeps each row's postings in ascending doc order
-    order = np.argsort(rows, kind="stable")
-    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(terms)), out=offsets[1:])
-    doc_column = np.repeat(np.arange(len(doc_ids), dtype=np.int32), np.frombuffer(sizes, dtype=np.int32))
-    counts = np.frombuffer(count_column, dtype=np.int32)
-    postings = Postings(terms, offsets, doc_column[order], counts[order])
+    columns = _transpose(
+        np.frombuffer(ends, dtype=np.int64), rows, np.frombuffer(count_column, dtype=np.int32), len(terms)
+    )
+    postings = Postings(terms, *columns)
     for row, term in enumerate(terms):
         if _has_whitespace(term):
-            doc_id = doc_ids[postings.docs[offsets[row]]]
+            doc_id = doc_ids[postings.docs[postings.offsets[row]]]
             raise IndexDataError(f"doc {doc_id!r} has a term with whitespace: {term!r}")
-    return CollectionIndex(doc_ids, doc_lengths, postings, forward, analysis)
+    return CollectionIndex(doc_ids, postings, analysis)
 
 
 def doc_vector(index: CollectionIndex, doc_id: str) -> dict[str, int]:
-    """Exact term counts of one document."""
-    return dict(index.forward[index.internal_id(doc_id)])
+    """Exact term counts of one document, in sorted term order."""
+    internal = index.internal_id(doc_id)
+    start, end = index.forward_offsets[internal], index.forward_offsets[internal + 1]
+    terms = map(index.postings.terms.__getitem__, index.forward_terms[start:end].tolist())
+    return dict(zip(terms, index.forward_counts[start:end].tolist()))
 
 
 def save_index(index: CollectionIndex, directory: str | Path) -> None:
@@ -240,8 +251,8 @@ def save_index(index: CollectionIndex, directory: str | Path) -> None:
 
 
 def load_index(directory: str | Path) -> CollectionIndex:
-    """Read a snapshot; the forward store is the transposed postings, each
-    document's counts in sorted term order."""
+    """Read a snapshot: the doc table and postings, checked against each
+    other and against the manifest."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -256,7 +267,6 @@ def load_index(directory: str | Path) -> CollectionIndex:
     docs_path = directory / "docs.tsv"
     doc_rows = _read_rows(docs_path, "doc_id<TAB>length", _parse_doc_row)
     doc_ids = [doc_id for doc_id, _ in doc_rows]
-    doc_lengths = [length for _, length in doc_rows]
     first_line: dict[str, int] = {}
     for lineno, doc_id in enumerate(doc_ids, 1):
         if first_line.setdefault(doc_id, lineno) != lineno:
@@ -295,34 +305,19 @@ def load_index(directory: str | Path) -> CollectionIndex:
             f"{postings_path}:{lineno}: doc {postings.docs[repeated[0]]} does not follow doc "
             f"{postings.docs[repeated[0] - 1]}; a row holds each doc once, in ascending order"
         )
-    forward = _transpose(postings, num_docs)
-    index = CollectionIndex(doc_ids, doc_lengths, postings, forward, manifest.get("analysis") or {})
+    index = CollectionIndex(doc_ids, postings, manifest.get("analysis") or {})
     for key in _MANIFEST_COUNTS:
         if manifest.get(key) != getattr(index.stats, key):
             raise IndexDataError(
                 f"{manifest_path}: {key} is {manifest.get(key)} but the snapshot "
                 f"holds {getattr(index.stats, key)}"
             )
-    held = np.bincount(postings.docs, weights=postings.counts, minlength=num_docs).astype(np.int64)
-    wrong = np.flatnonzero(held != index.doc_length_array)
-    if wrong.size:
-        doc = wrong[0]
-        raise IndexDataError(
-            f"{docs_path}:{doc + 1}: length is {doc_lengths[doc]} but the postings "
-            f"hold {held[doc]} terms"
-        )
+    for lineno, ((_, length), held) in enumerate(zip(doc_rows, index.doc_lengths), 1):
+        if length != held:
+            raise IndexDataError(
+                f"{docs_path}:{lineno}: length is {length} but the postings hold {held} terms"
+            )
     return index
-
-
-def _transpose(postings: Postings, num_docs: int) -> list[dict[str, int]]:
-    """Each document's term counts, in row (sorted term) order."""
-    order = np.argsort(postings.docs, kind="stable")
-    terms = list(postings)
-    row_of = np.repeat(np.arange(len(terms)), np.diff(postings.offsets))
-    names = [terms[row] for row in row_of[order].tolist()]
-    counts = postings.counts[order].tolist()
-    ends = np.cumsum(np.bincount(postings.docs, minlength=num_docs)).tolist()
-    return [dict(zip(names[start:end], counts[start:end])) for start, end in zip([0, *ends], ends)]
 
 
 def _parse_doc_row(line: str) -> tuple[str, int]:

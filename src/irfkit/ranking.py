@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .index import CollectionIndex
+from .index import CollectionIndex, doc_vector
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,15 @@ class RankingParams:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Float sum in iteration order.  From Python 3.12 ``sum()`` compensates
+    rounding, so its float results differ between Python versions."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class QueryModel:
     """Weighted term map: a probability distribution (lm) or a free-weight
@@ -55,7 +64,7 @@ class QueryModel:
         cleaned = {t: float(w) for t, w in weights.items() if w != 0.0}
         if any(w < 0 for w in cleaned.values()):
             raise ValueError("language-model weights must be non-negative")
-        total = sum(cleaned.values())
+        total = ordered_sum(cleaned.values())
         if cleaned and abs(total - 1.0) > 1e-9:
             raise ValueError(f"language-model weights must sum to 1, got {total}")
         return cls("lm", cleaned)
@@ -226,7 +235,7 @@ def doc_weighting(index: CollectionIndex, vectorizer: str, params: RankingParams
 def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: RankingParams) -> float:
     """Okapi weight of a term in a document, with idf log((N+1)/df)."""
     internal = index.internal_id(doc_id)
-    count = index.forward[internal].get(term, 0)
+    count = doc_vector(index, doc_id).get(term, 0)
     if count == 0:
         return 0.0
     return doc_weighting(index, "bm25", params)(term)(index.doc_lengths[internal], count)
@@ -247,11 +256,3 @@ def retrieve_dot(
     weighting = doc_weighting(index, vectorizer, params)
     candidates, scores = _accumulate(index, model, weighting, exclude)
     return ScoredList(query_id, _rank(index, candidates, scores, params.depth))
-
-
-def write_run(runs: Iterable[ScoredList], path, run_tag: str = "irfkit") -> None:
-    """TREC run format: query_id Q0 doc_id rank score tag."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for scored in runs:
-            for rank, (doc_id, score) in enumerate(scored.entries, 1):
-                handle.write(f"{scored.query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}\n")

@@ -25,7 +25,7 @@ from .feedback import (  # the estimators are looked up by name in _retrieve
     estimate_rocchio,
     model_spec,
 )
-from .index import CollectionIndex
+from .index import CollectionIndex, doc_vector
 from .ranking import ScoredList, retrieve_dot, retrieve_kl
 
 MODEL_KINDS = tuple(MODELS)
@@ -204,8 +204,7 @@ def interactive_judge(
 def term_snippet(index: CollectionIndex, doc_id: str, max_terms: int = 12) -> str:
     """Most frequent terms of a document, the closest thing to a preview the
     index can reconstruct."""
-    counts = index.forward[index.internal_id(doc_id)]
-    top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_terms]
+    top = sorted(doc_vector(index, doc_id).items(), key=lambda kv: (-kv[1], kv[0]))[:max_terms]
     return " ".join(term for term, _ in top)
 
 

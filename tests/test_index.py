@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -160,14 +161,17 @@ class TestSnapshot:
         assert load_index(tmp_path / "snap") == idx
 
     def test_loaded_forward_store_is_the_transposed_postings(self, tmp_path):
-        idx = build_index(make_docs([("D1", "cabca"), ("D2", "b"), ("D3", "")]))
-        save_index(idx, tmp_path / "snap")
-        loaded = load_index(tmp_path / "snap")
-        assert [list(counts.items()) for counts in loaded.forward] == [
-            [("a", 2), ("b", 1), ("c", 2)],
-            [("b", 1)],
-            [],
-        ]
+        built = build_index(make_docs([("D1", "cabca"), ("D2", "b"), ("D3", "")]))
+        save_index(built, tmp_path / "snap")
+        for idx in (built, load_index(tmp_path / "snap")):
+            assert [list(doc_vector(idx, doc_id).items()) for doc_id in idx.doc_ids] == [
+                [("a", 2), ("b", 1), ("c", 2)],
+                [("b", 1)],
+                [],
+            ]
+            assert idx.forward_offsets.tolist() == [0, 3, 4, 4]
+            assert idx.forward_terms.tolist() == [0, 1, 2, 1]
+            assert idx.forward_counts.tolist() == [2, 1, 2, 1]
 
     def test_interrupted_save_is_rejected(self, tmp_path, monkeypatch):
         save_index(build_index(make_docs([("D1", "ab"), ("D2", "b")])), tmp_path / "snap")
@@ -235,6 +239,20 @@ class TestInvariants:
         assert {d: l for d, l in zip(a.doc_ids, a.doc_lengths)} == {
             d: l for d, l in zip(b.doc_ids, b.doc_lengths)
         }
+
+    @given(doc_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_doc_vectors_are_the_counts_in_sorted_term_order(self, tmp_path_factory, term_lists):
+        # first-use order in a document is random here, and documents may be empty
+        docs = [TermSequence(f"D{i}", tuple(terms)) for i, terms in enumerate(term_lists)]
+        built = build_index(docs)
+        directory = tmp_path_factory.mktemp("snap")
+        save_index(built, directory)
+        for idx in (built, load_index(directory)):
+            assert repr(idx.doc_lengths) == repr([len(seq.terms) for seq in docs])
+            for seq in docs:
+                vector = doc_vector(idx, seq.doc_id)
+                assert list(vector.items()) == sorted(Counter(seq.terms).items())
 
 
 class TestUnstorableInput:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irfkit.corpus_io import TermSequence
-from irfkit.index import IndexDataError, build_index
+from irfkit.index import IndexDataError, build_index, doc_vector
 from irfkit import ranking
 from irfkit.ranking import (
     QueryModel,
@@ -18,7 +18,6 @@ from irfkit.ranking import (
     retrieve_dot,
     retrieve_kl,
     retrieve_ql,
-    write_run,
 )
 
 
@@ -42,6 +41,13 @@ class TestQueryModel:
     def test_language_model_from_terms(self):
         model = query_language_model(["x", "y", "x"])
         assert model.weights == {"x": 2 / 3, "y": 1 / 3}
+
+
+def test_ordered_sum_adds_in_iteration_order():
+    # a compensated sum (sum() from Python 3.12) gives 1.3
+    values = [1e16, 1.0, -1e16, 0.1, 0.2]
+    assert ranking.ordered_sum(values) == ranking.ordered_sum(iter(values)) == 0.30000000000000004
+    assert ranking.ordered_sum([]) == 0.0
 
 
 class TestRetrieveQL:
@@ -247,8 +253,8 @@ class TestRankingProperties:
         rng = random.Random(seed)
         idx, terms = random_index_and_model(seed)
         docs = [
-            TermSequence(doc_id, tuple(t for t, c in sorted(counts.items()) for _ in range(c)))
-            for doc_id, counts in zip(idx.doc_ids, idx.forward)
+            TermSequence(doc_id, tuple(t for t, c in doc_vector(idx, doc_id).items() for _ in range(c)))
+            for doc_id in idx.doc_ids
         ]
         shuffled = list(docs)
         rng.shuffle(shuffled)
@@ -406,14 +412,3 @@ class TestMatchesReferenceScorer:
         res = retrieve_dot(two_doc_index, query_count_vector(["a", "b"]), "bm25", RankingParams())
         assert all(type(score) is float for _, score in res.entries)
         assert type(bm25_weight(two_doc_index, "a", "D1", RankingParams())) is float
-
-
-def test_write_run_format(tmp_path, two_doc_index):
-    res = retrieve_ql(two_doc_index, ["a", "b"], RankingParams(mu=1.0, depth=10), query_id="q7")
-    path = tmp_path / "run.txt"
-    write_run([res], path, run_tag="tag1")
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(res.entries)
-    first = lines[0].split()
-    assert first[0] == "q7" and first[1] == "Q0" and first[3] == "1" and first[5] == "tag1"
-    assert first[4] == f"{res.entries[0][1]:.6f}"
