@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on data errors, 2 on usage errors.  Every run
 writes a resolved-config echo file next to its output so experiments can be
-reproduced byte for byte.
+reproduced byte for byte.  The library checks its inputs; a command reports
+the ``ValueError`` it raises as a data error.
 """
 
 from __future__ import annotations
@@ -12,21 +13,18 @@ import sys
 from pathlib import Path
 
 from . import corpus_io, evaluation, feedback, session
-from .index import build_index, load_index, save_index
+from .feedback import write_key_values as _write_echo
+from .index import CollectionIndex, build_index, load_index, save_index
 from .ranking import ordered_sum
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
 
 
-def _write_echo(path: Path, resolved: dict) -> None:
-    lines = [f"{key}={value}" for key, value in sorted(resolved.items())]
-    path.write_text("\n".join(lines) + "\n", "utf-8")
-
-
 def read_run(path: str | Path) -> dict[str, list[str]]:
-    """Read a TREC run file into query_id -> doc ids ordered by rank."""
-    entries: dict[str, list[tuple[int, str]]] = {}
+    """Read a TREC run file into query_id -> doc ids ordered by rank; as in
+    trec_eval, a query may rank a doc only once."""
+    entries: dict[str, list[tuple[int, str, int]]] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             parts = line.split()
@@ -43,19 +41,41 @@ def read_run(path: str | Path) -> dict[str, list[str]]:
                 raise corpus_io.CorpusFormatError(
                     f"{path}:{lineno}: non-integer rank {rank!r}"
                 ) from None
-            entries.setdefault(query_id, []).append((rank_num, doc_id))
-    return {
-        query_id: [doc for _, doc in sorted(ranked)]
-        for query_id, ranked in sorted(entries.items())
-    }
+            entries.setdefault(query_id, []).append((rank_num, doc_id, lineno))
+    run = {}
+    for query_id, ranked in sorted(entries.items()):
+        docs = [doc for _, doc, _ in sorted(ranked)]
+        if len(set(docs)) < len(docs):  # cheaper than a check per line; name the lines now
+            first_line: dict[str, int] = {}
+            for _, doc_id, lineno in ranked:
+                first = first_line.setdefault(doc_id, lineno)
+                if first != lineno:
+                    raise corpus_io.CorpusFormatError(
+                        f"{path}:{lineno}: doc {doc_id!r} of query {query_id!r} is already on line {first}"
+                    )
+        run[query_id] = docs
+    return run
 
 
-def _load_analyzed_topics(args, analysis: dict) -> list[corpus_io.Topic]:
-    stoplist = frozenset(analysis.get("stoplist", ()))
-    stemmer = analysis.get("stemmer", "krovetz")
-    return corpus_io.parse_topics(
-        args.topics, args.topics_format, stoplist, stemmer
+def _emit(report: list[str], output: str | None) -> None:
+    """Write the report's lines to ``output``, if given, and to stdout."""
+    text = "\n".join(report) + "\n"
+    if output:
+        Path(output).write_text(text, "utf-8")
+    print(text, end="")
+
+
+def _session_setup(args) -> tuple[CollectionIndex, list[corpus_io.Topic], session.BudgetConfig]:
+    """The index, the topics analysed the way the index was, and the budget."""
+    index = load_index(args.index)
+    analysis = index.analysis
+    topics = corpus_io.parse_topics(
+        args.topics,
+        args.topics_format,
+        frozenset(analysis.get("stoplist", ())),
+        analysis.get("stemmer", "krovetz"),
     )
+    return index, topics, session.BudgetConfig(args.docs_per_iter, args.iterations, args.final_depth)
 
 
 def cmd_index(args) -> int:
@@ -74,26 +94,20 @@ def cmd_index(args) -> int:
     return 0
 
 
-def _resolve_params(args) -> feedback.ModelParams:
-    overrides = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise feedback.FeedbackError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    if args.params:
-        return feedback.load_params(args.params, overrides)
-    return feedback.ModelParams(**feedback.parse_param_items(overrides))
+_RUN_ECHO = (
+    "index", "topics", "topics_format", "qrels", "model", "docs_per_iter",
+    "iterations", "final_depth", "output", "interactive", "run_tag",
+)
 
 
 def cmd_run(args) -> int:
     if not args.interactive and args.qrels is None:
         print("error: --qrels is required unless --interactive", file=sys.stderr)
         return USAGE_ERROR
-    params = _resolve_params(args)
-    index = load_index(args.index)
-    topics = _load_analyzed_topics(args, index.analysis)
-    budget = session.BudgetConfig(args.docs_per_iter, args.iterations, args.final_depth)
+    session.check_run_tag(args.run_tag)  # before the sessions ask for any judgment
+    overrides = dict(feedback.split_key_value(item, "--set") for item in args.set or [])
+    params = feedback.load_params(args.params, overrides)
+    index, topics, budget = _session_setup(args)
 
     if args.interactive:
         judge = session.interactive_judge(
@@ -104,25 +118,12 @@ def cmd_run(args) -> int:
     runs = [session.run_irf(index, topic, args.model, params, budget, judge) for topic in topics]
 
     output = Path(args.output)
-    if output.parent != Path(""):
-        output.parent.mkdir(parents=True, exist_ok=True)
+    output.parent.mkdir(parents=True, exist_ok=True)
     session.write_freezing_run(runs, output, args.run_tag)
     session.write_session_log(runs, output.with_name(output.name + ".sessions.jsonl"))
-    echo = {
-        "index": args.index,
-        "topics": args.topics,
-        "topics_format": args.topics_format,
-        "qrels": args.qrels or "",
-        "model": args.model,
-        "docs_per_iter": args.docs_per_iter,
-        "iterations": args.iterations,
-        "final_depth": args.final_depth,
-        "output": args.output,
-        "interactive": args.interactive,
-        "run_tag": args.run_tag,
-        **params.to_dict(),
-    }
-    _write_echo(output.with_name(output.name + ".config"), echo)
+    echo = {key: getattr(args, key) for key in _RUN_ECHO}
+    echo["qrels"] = args.qrels or ""
+    _write_echo(output.with_name(output.name + ".config"), {**echo, **params.to_dict()})
     judged = sum(len(r.judgments) for run in runs for r in run.records)
     print(f"wrote {output} ({len(runs)} topics, {judged} judgments)")
     return 0
@@ -131,17 +132,13 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     run = read_run(args.run)
     qrels = corpus_io.parse_qrels(args.qrels)
-    metrics = [args.metric] if args.metric != "all" else ["map", "ndcg20"]
     lines = []
-    for metric in metrics:
+    for metric in evaluation.METRICS if args.metric == "all" else [args.metric]:
         result = evaluation.evaluate_run(run, qrels, metric)
         for query_id, value in sorted(result.per_query.items()):
             lines.append(f"{query_id}\t{metric}\t{value:.4f}")
         lines.append(f"all\t{metric}\t{result.mean:.4f}")
-    report = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(report, "utf-8")
-    print(report, end="")
+    _emit(lines, args.output)
     return 0
 
 
@@ -151,15 +148,6 @@ def cmd_compare(args) -> int:
     qrels = corpus_io.parse_qrels(args.qrels)
     result_a = evaluation.evaluate_run(run_a, qrels, args.metric)
     result_b = evaluation.evaluate_run(run_b, qrels, args.metric)
-    if set(result_a.per_query) != set(result_b.per_query):
-        only_a = sorted(set(result_a.per_query) - set(result_b.per_query))
-        only_b = sorted(set(result_b.per_query) - set(result_a.per_query))
-        print(
-            "error: run query sets differ after dropping queries without "
-            f"relevant documents (only in A: {only_a}, only in B: {only_b})",
-            file=sys.stderr,
-        )
-        return DATA_ERROR
     sig = evaluation.fisher_randomization(
         result_a.per_query, result_b.per_query, samples=args.samples, seed=args.seed
     )
@@ -169,10 +157,7 @@ def cmd_compare(args) -> int:
         f"{args.metric}\t{result_a.mean:.4f}\t{result_b.mean:.4f}\t"
         f"{sig.observed_mean_diff:+.4f}\t{sig.p_value:.4f}\t{sig.samples}\t{sig.seed}\t{verdict}"
     )
-    report = header + "\n" + row + "\n"
-    if args.output:
-        Path(args.output).write_text(report, "utf-8")
-    print(report, end="")
+    _emit([header, row], args.output)
     print(f"p={sig.p_value:.4f}: {verdict} at 0.05")
     return 0
 
@@ -194,22 +179,12 @@ def _load_grid(path: str | None) -> evaluation.GridSpec:
 
 
 def cmd_sweep(args) -> int:
-    index = load_index(args.index)
-    topics = _load_analyzed_topics(args, index.analysis)
+    index, topics, budget = _session_setup(args)
     qrels = corpus_io.parse_qrels(args.qrels)
-    budget = session.BudgetConfig(args.docs_per_iter, args.iterations, args.final_depth)
     judge = session.make_qrels_judge(qrels)
-    grid = _load_grid(args.grid)
-    points = grid.expand(args.model)
+    points = _load_grid(args.grid).expand(args.model)
     scorer = evaluation.METRICS[args.metric]
     eligible = [t for t in topics if qrels.num_relevant(t.query_id) > 0]
-    if len(eligible) < args.folds:
-        print(
-            f"error: {len(eligible)} topics with relevant documents, "
-            f"need at least {args.folds} for cross-validation",
-            file=sys.stderr,
-        )
-        return DATA_ERROR
 
     def score_point(params: feedback.ModelParams) -> dict[str, float]:
         scores = {}
@@ -222,22 +197,15 @@ def cmd_sweep(args) -> int:
         score_point, [t.query_id for t in eligible], points, folds=args.folds
     )
     lines = ["fold\tqueries\tbest_params\ttrain_mean\theldout_mean"]
-    for fold in result.folds:
-        flat = " ".join(f"{k}={v}" for k, v in sorted(fold.best_params.to_dict().items()))
-        heldout_mean = (
-            ordered_sum(fold.heldout_per_query.values()) / len(fold.heldout_per_query)
-            if fold.heldout_per_query
-            else 0.0
-        )
+    for fold in result.folds:  # cross_validate leaves no fold empty
+        heldout = fold.heldout_per_query
         lines.append(
-            f"{fold.fold}\t{','.join(fold.query_ids)}\t{flat}\t"
-            f"{fold.train_mean:.4f}\t{heldout_mean:.4f}"
+            f"{fold.fold}\t{','.join(fold.query_ids)}\t"
+            f"{feedback.format_key_values(fold.best_params.to_dict(), ' ')}\t"
+            f"{fold.train_mean:.4f}\t{ordered_sum(heldout.values()) / len(heldout):.4f}"
         )
     lines.append(f"pooled\tall\t-\t-\t{result.pooled_mean:.4f}")
-    report = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(report, "utf-8")
-    print(report, end="")
+    _emit(lines, args.output)
     return 0
 
 
@@ -256,15 +224,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--stemmer", choices=corpus_io.STEMMERS, default="krovetz")
     p_index.set_defaults(func=cmd_index)
 
-    p_run = sub.add_parser("run", help="run feedback sessions and write a freezing run file")
-    p_run.add_argument("--index", required=True)
-    p_run.add_argument("--topics", required=True)
-    p_run.add_argument("--topics-format", choices=corpus_io.TOPIC_FORMATS, default="tsv")
+    shared = argparse.ArgumentParser(add_help=False)  # the session options of run and sweep
+    shared.add_argument("--index", required=True)
+    shared.add_argument("--topics", required=True)
+    shared.add_argument("--topics-format", choices=corpus_io.TOPIC_FORMATS, default="tsv")
+    shared.add_argument("--model", required=True, choices=session.MODEL_KINDS)
+    shared.add_argument("--docs-per-iter", type=int, required=True)
+    shared.add_argument("--iterations", type=int, required=True)
+    shared.add_argument("--final-depth", type=int, default=1000)
+    metrics = tuple(evaluation.METRICS)
+
+    p_run = sub.add_parser("run", parents=[shared], help="run feedback sessions and write a freezing run file")
     p_run.add_argument("--qrels", default=None)
-    p_run.add_argument("--model", required=True, choices=session.MODEL_KINDS)
-    p_run.add_argument("--docs-per-iter", type=int, required=True)
-    p_run.add_argument("--iterations", type=int, required=True)
-    p_run.add_argument("--final-depth", type=int, default=1000)
     p_run.add_argument("--params", default=None, help="flat key=value parameter file")
     p_run.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one parameter")
     p_run.add_argument("--output", required=True)
@@ -275,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score a run file against qrels")
     p_eval.add_argument("--run", required=True)
     p_eval.add_argument("--qrels", required=True)
-    p_eval.add_argument("--metric", choices=("map", "ndcg20", "all"), default="all")
+    p_eval.add_argument("--metric", choices=(*metrics, "all"), default="all")
     p_eval.add_argument("--output", default=None)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -283,23 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--run-a", required=True)
     p_cmp.add_argument("--run-b", required=True)
     p_cmp.add_argument("--qrels", required=True)
-    p_cmp.add_argument("--metric", choices=("map", "ndcg20"), default="map")
+    p_cmp.add_argument("--metric", choices=metrics, default="map")
     p_cmp.add_argument("--samples", type=int, default=100_000)
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--output", default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_sweep = sub.add_parser("sweep", help="cross-validated grid search")
-    p_sweep.add_argument("--index", required=True)
-    p_sweep.add_argument("--topics", required=True)
-    p_sweep.add_argument("--topics-format", choices=corpus_io.TOPIC_FORMATS, default="tsv")
+    p_sweep = sub.add_parser("sweep", parents=[shared], help="cross-validated grid search")
     p_sweep.add_argument("--qrels", required=True)
-    p_sweep.add_argument("--model", required=True, choices=session.MODEL_KINDS)
-    p_sweep.add_argument("--docs-per-iter", type=int, required=True)
-    p_sweep.add_argument("--iterations", type=int, required=True)
-    p_sweep.add_argument("--final-depth", type=int, default=1000)
     p_sweep.add_argument("--grid", default=None, help="key=v1,v2,... file; default: built-in grids")
-    p_sweep.add_argument("--metric", choices=("map", "ndcg20"), default="map")
+    p_sweep.add_argument("--metric", choices=metrics, default="map")
     p_sweep.add_argument("--folds", type=int, default=5)
     p_sweep.add_argument("--output", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
@@ -312,12 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        corpus_io.CorpusFormatError,
-        feedback.FeedbackError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:  # every irfkit data error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -218,7 +218,13 @@ def parse_topics(
             if "\t" not in line:
                 raise CorpusFormatError(f"{path}:{lineno}: expected qid<TAB>text")
             query_id, query_text = line.split("\t", 1)
-            raw.append((query_id.strip(), query_text))
+            query_id = query_id.strip()
+            # a run line is split on whitespace (a TREC <num> is one token already)
+            if query_id.split() != [query_id]:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: query id {query_id!r} is empty or contains whitespace"
+                )
+            raw.append((query_id, query_text))
     else:
         field_re = _TOPIC_FIELD_RES[field]
         for block in text.split("<top>")[1:]:

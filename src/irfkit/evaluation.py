@@ -109,9 +109,15 @@ def fisher_randomization(
     beyond that, Monte Carlo sampling with add-one smoothing of the p-value.
     """
     if set(per_query_a) != set(per_query_b):
-        raise ValueError("the two systems must be evaluated on identical query sets")
+        raise ValueError(
+            "the two systems must be evaluated on identical query sets, but the query "
+            f"sets differ (only in A: {sorted(set(per_query_a) - set(per_query_b))}, "
+            f"only in B: {sorted(set(per_query_b) - set(per_query_a))})"
+        )
     if not per_query_a:
         raise ValueError("empty query set")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     query_ids = sorted(per_query_a)
     diffs = np.array([per_query_a[q] - per_query_b[q] for q in query_ids])
     n = len(diffs)
@@ -210,8 +216,12 @@ def cross_validate(
     """
     if not grid_points:
         raise ValueError("empty parameter grid")
+    if folds < 1:
+        raise ValueError(f"folds must be >= 1, got {folds}")
     if len(query_ids) < folds:
-        raise ValueError(f"need at least {folds} queries for {folds}-fold cross-validation")
+        raise ValueError(
+            f"need at least {folds} queries for {folds}-fold cross-validation, got {len(query_ids)}"
+        )
     fold_members = assign_folds(query_ids, folds)
     table = [(params, dict(score_fn(params))) for params in grid_points]
 

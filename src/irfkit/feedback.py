@@ -84,6 +84,10 @@ class ModelParams:
     em_tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise FeedbackError(f"{f.name} must be finite, got {value}")
         if not 0.0 <= self.interp_lambda <= 1.0:
             raise FeedbackError(f"interp_lambda must be in [0, 1], got {self.interp_lambda}")
         if self.num_expansion_terms < 1:
@@ -128,23 +132,37 @@ def parse_param_items(items: dict[str, str]) -> dict:
     return {key: parse_param(key, value) for key, value in items.items()}
 
 
+def split_key_value(text: str, where: str) -> tuple[str, str]:
+    """Split ``key=value`` at the first ``=``; ``where`` prefixes the error."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise FeedbackError(f"{where}: expected key=value, got {text!r}")
+    return key.strip(), value.strip()
+
+
 def read_key_values(path: str | Path) -> Iterator[tuple[str, str, str]]:
     """Yield (path:line, key, value) for each key=value line of a file;
     blank lines and # comments are skipped."""
     for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FeedbackError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        yield f"{path}:{lineno}", key.strip(), value.strip()
+        if line and not line.startswith("#"):
+            where = f"{path}:{lineno}"
+            yield (where, *split_key_value(line, where))
 
 
-def load_params(path: str | Path, overrides: dict[str, str] | None = None) -> ModelParams:
-    """Read a flat key=value parameter file, then apply overrides."""
+def format_key_values(values: dict, sep: str = "\n") -> str:
+    """``key=value`` for each entry in sorted key order, joined by ``sep``."""
+    return sep.join(f"{key}={value}" for key, value in sorted(values.items()))
+
+
+def write_key_values(path: str | Path, values: dict) -> None:
+    Path(path).write_text(format_key_values(values) + "\n", "utf-8")
+
+
+def load_params(path: str | Path | None, overrides: dict[str, str] | None = None) -> ModelParams:
+    """Read a flat key=value parameter file (if any), then apply overrides."""
     values = {}
-    for where, key, value in read_key_values(path):
+    for where, key, value in read_key_values(path) if path is not None else ():
         try:
             values[key] = parse_param(key, value)
         except FeedbackError as exc:
@@ -154,8 +172,7 @@ def load_params(path: str | Path, overrides: dict[str, str] | None = None) -> Mo
 
 
 def write_params(params: ModelParams, path: str | Path) -> None:
-    lines = [f"{key}={value}" for key, value in sorted(params.to_dict().items())]
-    Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+    write_key_values(path, params.to_dict())
 
 
 def _centroid(index: CollectionIndex, doc_ids: Sequence[str], weighting: Weighting) -> dict[str, float]:

@@ -32,9 +32,9 @@ class RankingParams:
     depth: int = 1000
 
     def __post_init__(self) -> None:
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError(f"mu must be > 0, got {self.mu}")
-        if self.k1 <= 0:
+        if not self.k1 > 0:
             raise ValueError(f"k1 must be > 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")

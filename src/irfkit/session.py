@@ -208,9 +208,16 @@ def term_snippet(index: CollectionIndex, doc_id: str, max_terms: int = 12) -> st
     return " ".join(term for term, _ in top)
 
 
+def check_run_tag(run_tag: str) -> None:
+    """A run tag is the last field of a whitespace-separated run line."""
+    if run_tag.split() != [run_tag]:
+        raise ValueError(f"run tag {run_tag!r} is empty or contains whitespace")
+
+
 def write_freezing_run(runs: Iterable[FreezingRunList], path, run_tag: str = "irfkit") -> None:
     """TREC run file: frozen prefix then tail, with synthetic strictly
     decreasing scores so score-sorting consumers preserve the list order."""
+    check_run_tag(run_tag)
     with open(path, "w", encoding="utf-8") as handle:
         for run in runs:
             docs = run.doc_ids

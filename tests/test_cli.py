@@ -135,6 +135,38 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"{params}:3:" in err and "'num_expansion_terms'" in err and "'2.5'" in err
 
+    def test_non_finite_param_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
+        args = run_args(indexed, toy_paths, tmp_path, extra=("--set", "lambda1=nan"))
+        assert cli.main(args) == 1
+        assert "lambda1 must be finite, got nan" in capsys.readouterr().err
+
+    def test_set_without_equals_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
+        args = run_args(indexed, toy_paths, tmp_path, extra=("--set", "mu"))
+        assert cli.main(args) == 1
+        assert "--set: expected key=value, got 'mu'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tag", ["my tag", ""])
+    def test_run_tag_a_run_line_cannot_hold_is_data_error(self, indexed, toy_paths, tmp_path, capsys, tag):
+        args = run_args(indexed, toy_paths, tmp_path, extra=("--run-tag", tag))
+        assert cli.main(args) == 1
+        assert "run tag" in capsys.readouterr().err
+        assert not (tmp_path / "run.txt").exists()
+
+    def test_topic_id_a_run_line_cannot_hold_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
+        topics = tmp_path / "topics.tsv"
+        topics.write_text("q 1\tapple\n")
+        args = run_args(indexed, toy_paths, tmp_path)
+        args[args.index("--topics") + 1] = str(topics)
+        assert cli.main(args) == 1
+        assert f"{topics}:1: query id 'q 1'" in capsys.readouterr().err
+
+    def test_run_with_tag_round_trips_through_eval(self, indexed, toy_paths, tmp_path, capsys):
+        assert cli.main(run_args(indexed, toy_paths, tmp_path, extra=("--run-tag", "my-tag"))) == 0
+        run_file = tmp_path / "run.txt"
+        assert {line.split()[5] for line in run_file.read_text().splitlines()} == {"my-tag"}
+        assert cli.main(["eval", "--run", str(run_file), "--qrels", str(toy_paths["qrels"])]) == 0
+        assert "all\tmap\t" in capsys.readouterr().out
+
     def test_qrels_required_without_interactive(self, indexed, toy_paths, tmp_path, capsys):
         args = run_args(indexed, toy_paths, tmp_path)
         idx = args.index("--qrels")
@@ -197,6 +229,13 @@ class TestEvalCommand:
         assert rc == 1
 
 
+    def test_repeated_doc_is_data_error(self, tmp_path, toy_paths, capsys):
+        run_file = tmp_path / "dup.txt"
+        run_file.write_text("q1 Q0 d1 1 2.000000 t\nq1 Q0 d1 2 1.000000 t\n")
+        assert cli.main(["eval", "--run", str(run_file), "--qrels", str(toy_paths["qrels"])]) == 1
+        assert f"{run_file}:2: doc 'd1' of query 'q1' is already on line 1" in capsys.readouterr().err
+
+
 class TestCompareCommand:
     def test_run_against_itself_not_significant(self, indexed, toy_paths, tmp_path, capsys):
         cli.main(run_args(indexed, toy_paths, tmp_path))
@@ -227,6 +266,35 @@ class TestCompareCommand:
         )
         assert rc == 1
         assert "query sets differ" in capsys.readouterr().err
+
+
+    def test_repeated_doc_is_data_error(self, tmp_path, toy_paths, capsys):
+        (tmp_path / "a.txt").write_text("q1 Q0 d1 1 2.000000 t\nq1 Q0 d2 2 1.000000 t\n")
+        (tmp_path / "b.txt").write_text("q1 Q0 d1 1 2.000000 t\nq1 Q0 d1 2 1.000000 t\n")
+        rc = cli.main(
+            [
+                "compare",
+                "--run-a", str(tmp_path / "a.txt"),
+                "--run-b", str(tmp_path / "b.txt"),
+                "--qrels", str(toy_paths["qrels"]),
+            ]
+        )
+        assert rc == 1
+        assert "doc 'd1' of query 'q1' is already on line 1" in capsys.readouterr().err
+
+    def test_samples_below_one_is_data_error(self, tmp_path, toy_paths, capsys):
+        (tmp_path / "a.txt").write_text("q1 Q0 d1 1 1.000000 t\n")
+        rc = cli.main(
+            [
+                "compare",
+                "--run-a", str(tmp_path / "a.txt"),
+                "--run-b", str(tmp_path / "a.txt"),
+                "--qrels", str(toy_paths["qrels"]),
+                "--samples", "0",
+            ]
+        )
+        assert rc == 1
+        assert "samples must be >= 1" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -318,3 +386,20 @@ class TestSweepCommand:
             ]
         )
         assert rc == 1
+
+    def test_zero_folds_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
+        rc = cli.main(
+            [
+                "sweep",
+                "--index", str(indexed),
+                "--topics", str(toy_paths["topics"]),
+                "--qrels", str(toy_paths["qrels"]),
+                "--model", "rm3",
+                "--docs-per-iter", "1",
+                "--iterations", "1",
+                "--folds", "0",
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "folds must be >= 1, got 0" in captured.err and captured.out == ""

@@ -265,6 +265,13 @@ class TestParseTopics:
         with pytest.raises(CorpusFormatError, match="duplicate"):
             parse_topics(path, "tsv", stoplist)
 
+    @pytest.mark.parametrize("query_id", ["q 1", "", "q\u00a01"])
+    def test_query_id_a_run_line_cannot_hold_rejected(self, tmp_path, stoplist, query_id):
+        path = tmp_path / "topics.tsv"
+        path.write_text(f"q0\talpha\n{query_id}\tbeta\n", "utf-8")
+        with pytest.raises(CorpusFormatError, match=r"topics.tsv:2: query id .* is empty or contains whitespace"):
+            parse_topics(path, "tsv", stoplist)
+
     def test_trec_title_format(self, tmp_path, stoplist):
         path = tmp_path / "topics.txt"
         path.write_text(

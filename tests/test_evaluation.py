@@ -113,6 +113,17 @@ class TestFisherRandomization:
         with pytest.raises(ValueError, match="identical query sets"):
             fisher_randomization({"q1": 0.1}, {"q2": 0.1})
 
+    def test_differing_query_sets_listed(self):
+        with pytest.raises(ValueError, match=r"query sets differ \(only in A: \['q1'\], only in B: \['q2', 'q3'\]\)"):
+            fisher_randomization({"q1": 0.1, "q4": 0.2}, {"q2": 0.1, "q3": 0.3, "q4": 0.2})
+
+    @pytest.mark.parametrize("queries", [3, 25])  # exact enumeration and sampling
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one_rejected(self, queries, samples):
+        a = {f"q{i}": 0.1 * i for i in range(queries)}
+        with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+            fisher_randomization(a, {q: 0.0 for q in a}, samples=samples)
+
     def test_symmetry(self):
         rng = random.Random(5)
         a = {f"q{i}": rng.random() for i in range(12)}
@@ -258,6 +269,10 @@ class TestCrossValidate:
     def test_too_few_queries_rejected(self):
         with pytest.raises(ValueError, match="queries"):
             cross_validate(lambda p: {}, ["q1", "q2"], [ModelParams()], folds=5)
+
+    def test_zero_folds_rejected(self):
+        with pytest.raises(ValueError, match="folds must be >= 1, got 0"):
+            cross_validate(lambda p: {}, ["q1", "q2"], [ModelParams()], folds=0)
 
     def test_tie_broken_by_grid_order(self):
         qids = [f"q{i}" for i in range(5)]

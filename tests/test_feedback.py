@@ -60,6 +60,20 @@ class TestModelParams:
         with pytest.raises(FeedbackError, match=f"{match} must be"):
             ModelParams(**override)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["mu", "k1", "b", "interp_lambda", "lambda1", "lambda2", "beta", "gamma", "em_tol"]
+    )
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(FeedbackError, match=f"{name} must be finite"):
+            ModelParams(**{name: value})
+
+    def test_line_without_equals_names_file_line_and_text(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("mu=100\nk1 1.2\n")
+        with pytest.raises(FeedbackError, match=r"params.txt:2: expected key=value, got 'k1 1.2'"):
+            load_params(path)
+
     def test_param_file_round_trip(self, tmp_path):
         params = ModelParams(mu=300.0, interp_lambda=0.4, num_expansion_terms=30)
         path = tmp_path / "params.txt"

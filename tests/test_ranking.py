@@ -360,6 +360,12 @@ def scoring_cases(draw):
     return index, lm, vector, exclude, params
 
 
+@pytest.mark.parametrize("field", ["mu", "k1"])
+def test_ranking_params_reject_nan(field):
+    with pytest.raises(ValueError, match=f"{field} must be > 0, got nan"):
+        RankingParams(**{field: math.nan})
+
+
 class TestMatchesReferenceScorer:
     @given(scoring_cases())
     @settings(max_examples=300, deadline=None)

@@ -210,6 +210,15 @@ class TestOutputs:
         scores = [float(l[4]) for l in lines]
         assert scores == sorted(scores, reverse=True)
 
+    @pytest.mark.parametrize("tag", ["my tag", "", "tab\ttag"])
+    def test_run_tag_a_run_line_cannot_hold_rejected_before_writing(self, small_setup, tmp_path, tag):
+        idx, topic, qrels = small_setup
+        run = run_irf(idx, topic, "rm3", ModelParams(mu=1.0), BudgetConfig(1, 1, 10), make_qrels_judge(qrels))
+        path = tmp_path / "run.txt"
+        with pytest.raises(ValueError, match="run tag .* is empty or contains whitespace"):
+            write_freezing_run([run], path, tag)
+        assert not path.exists()
+
     def test_session_log_is_json_lines(self, small_setup, tmp_path):
         idx, topic, qrels = small_setup
         budget = BudgetConfig(2, 2, final_depth=10)
