@@ -54,9 +54,7 @@ from .session import (
     initial_ranking,
     interactive_judge,
     make_qrels_judge,
-    make_replay_judge,
     run_irf,
-    simulate_judgment,
 )
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ the ``ValueError`` it raises as a data error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -22,9 +23,10 @@ DATA_ERROR = 1
 
 
 def read_run(path: str | Path) -> dict[str, list[str]]:
-    """Read a TREC run file into query_id -> doc ids ordered by rank; as in
-    trec_eval, a query may rank a doc only once."""
-    entries: dict[str, list[tuple[int, str, int]]] = {}
+    """Read a TREC run file into query_id -> doc ids.  As in trec_eval, docs
+    are ordered by score, then doc id, both descending, the rank is ignored,
+    and a query may rank a doc only once."""
+    entries: dict[str, list[tuple[float, str, int]]] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             parts = line.split()
@@ -34,20 +36,26 @@ def read_run(path: str | Path) -> dict[str, list[str]]:
                 raise corpus_io.CorpusFormatError(
                     f"{path}:{lineno}: expected 6 fields, got {len(parts)}"
                 )
-            query_id, _, doc_id, rank, _, _ = parts
+            query_id, _, doc_id, rank, score, _ = parts
             try:
-                rank_num = int(rank)
+                int(rank)
             except ValueError:
                 raise corpus_io.CorpusFormatError(
                     f"{path}:{lineno}: non-integer rank {rank!r}"
                 ) from None
-            entries.setdefault(query_id, []).append((rank_num, doc_id, lineno))
+            try:
+                score_num = float(score)
+            except ValueError:
+                score_num = math.nan
+            if not math.isfinite(score_num):
+                raise corpus_io.CorpusFormatError(f"{path}:{lineno}: bad score {score!r}")
+            entries.setdefault(query_id, []).append((score_num, doc_id, lineno))
     run = {}
-    for query_id, ranked in sorted(entries.items()):
-        docs = [doc for _, doc, _ in sorted(ranked)]
+    for query_id, scored in sorted(entries.items()):
+        docs = [doc for _, doc, _ in sorted(scored, reverse=True)]
         if len(set(docs)) < len(docs):  # cheaper than a check per line; name the lines now
             first_line: dict[str, int] = {}
-            for _, doc_id, lineno in ranked:
+            for _, doc_id, lineno in scored:
                 first = first_line.setdefault(doc_id, lineno)
                 if first != lineno:
                     raise corpus_io.CorpusFormatError(

@@ -193,10 +193,7 @@ def write_qrels(qrels: QrelSet, path: str | Path) -> None:
 
 
 _TOPIC_NUM_RE = re.compile(r"<num>\s*(?:Number:)?\s*([^<\s]+)", re.IGNORECASE)
-_TOPIC_FIELD_RES = {
-    "title": re.compile(r"<title>\s*(?:Topic:)?\s*(.*?)\s*(?=<|$)", re.IGNORECASE | re.DOTALL),
-    "desc": re.compile(r"<desc>\s*(?:Description:)?\s*(.*?)\s*(?=<|$)", re.IGNORECASE | re.DOTALL),
-}
+_TOPIC_TITLE_RE = re.compile(r"<title>\s*(?:Topic:)?\s*(.*?)\s*(?=<|$)", re.IGNORECASE | re.DOTALL)
 
 
 def parse_topics(
@@ -204,9 +201,8 @@ def parse_topics(
     fmt: str = "tsv",
     stoplist: frozenset[str] = frozenset(),
     stemmer: str = "krovetz",
-    field: str = "title",
 ) -> list[Topic]:
-    """Parse topics and normalize their text into query terms."""
+    """Parse topics (``trec_title`` reads <title> only) into query terms."""
     if fmt not in TOPIC_FORMATS:
         raise ValueError(f"unknown topic format {fmt!r}; expected one of {TOPIC_FORMATS}")
     raw: list[tuple[str, str]] = []
@@ -226,14 +222,13 @@ def parse_topics(
                 )
             raw.append((query_id, query_text))
     else:
-        field_re = _TOPIC_FIELD_RES[field]
         for block in text.split("<top>")[1:]:
             num = _TOPIC_NUM_RE.search(block)
             if num is None:
                 raise CorpusFormatError(f"{path}: topic block without <num>")
-            m = field_re.search(block)
+            m = _TOPIC_TITLE_RE.search(block)
             if m is None:
-                raise CorpusFormatError(f"{path}: topic {num.group(1)} has no <{field}> field")
+                raise CorpusFormatError(f"{path}: topic {num.group(1)} has no <title> field")
             raw.append((num.group(1).strip(), m.group(1)))
     topics = []
     seen = set()

@@ -127,11 +127,6 @@ def parse_param(key: str, value: str):
         raise FeedbackError(f"bad value {value!r} for parameter {key!r}") from None
 
 
-def parse_param_items(items: dict[str, str]) -> dict:
-    """Coerce string key=value pairs to typed fields; unknown keys rejected."""
-    return {key: parse_param(key, value) for key, value in items.items()}
-
-
 def split_key_value(text: str, where: str) -> tuple[str, str]:
     """Split ``key=value`` at the first ``=``; ``where`` prefixes the error."""
     key, sep, value = text.partition("=")
@@ -167,7 +162,7 @@ def load_params(path: str | Path | None, overrides: dict[str, str] | None = None
             values[key] = parse_param(key, value)
         except FeedbackError as exc:
             raise FeedbackError(f"{where}: {exc}") from None
-    values.update(parse_param_items(overrides or {}))
+    values.update((key, parse_param(key, value)) for key, value in (overrides or {}).items())
     return ModelParams(**values)
 
 
@@ -374,9 +369,7 @@ def estimate_rocchio(
     num_expansion_terms by absolute weight; query terms are always kept.
     """
     bm25 = doc_weighting(index, "bm25", params.ranking_params())
-    vector: dict[str, float] = {}
-    for term in query_terms:
-        vector[term] = vector.get(term, 0.0) + 1.0
+    vector = dict(query_count_vector(query_terms).weights)
     query_term_set = set(vector)
     if pools.relevant and params.beta != 0.0:
         for term, weight in _centroid(index, pools.relevant, bm25).items():

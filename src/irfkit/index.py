@@ -257,7 +257,12 @@ def load_index(directory: str | Path) -> CollectionIndex:
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise IndexDataError(f"no index snapshot at {directory} (missing manifest.json)")
-    manifest = json.loads(manifest_path.read_text("utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+    except ValueError as exc:
+        raise IndexDataError(f"{manifest_path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise IndexDataError(f"{manifest_path}: expected a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise IndexDataError(
@@ -284,6 +289,10 @@ def load_index(directory: str | Path) -> CollectionIndex:
             )
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([pairs.count(":") for _, pairs in rows], out=offsets[1:])
+    empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+    if empty.size:
+        row = empty[0]
+        raise IndexDataError(f"{postings_path}:{row + 1}: term {terms[row]!r} has no postings")
     numbers = " ".join([pairs for _, pairs in rows]).replace(":", " ")
     flat = np.fromstring(numbers, dtype=np.int64, sep=" ").reshape(-1, 2)
     num_docs = len(doc_ids)
@@ -335,8 +344,14 @@ def _parse_postings_row(line: str) -> tuple[str, str]:
 def _read_rows(path: Path, layout: str, parse: Callable[[str], object]) -> list:
     """Parse each line of a snapshot file; a malformed one is reported by
     path and line number."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise IndexDataError(f"{path}:{lineno}: not UTF-8 text") from None
     rows = []
-    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         try:
             rows.append(parse(line))
         except ValueError:

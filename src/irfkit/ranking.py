@@ -198,18 +198,14 @@ def retrieve_kl(
 
 def retrieve_ql(
     index: CollectionIndex,
-    query: QueryModel | Sequence[str],
+    terms: Sequence[str],
     params: RankingParams,
     exclude: Iterable[str] = (),
     query_id: str = "",
 ) -> ScoredList:
-    """Dirichlet-smoothed query likelihood; raw term sequences are turned
-    into their MLE model, which is rank-equivalent to scoring raw counts."""
-    if isinstance(query, QueryModel):
-        model = query
-    else:
-        model = query_language_model(query)
-    return retrieve_kl(index, model, params, exclude, query_id)
+    """Dirichlet-smoothed query likelihood: KL under the terms' MLE model,
+    which is rank-equivalent to scoring raw counts."""
+    return retrieve_kl(index, query_language_model(terms), params, exclude, query_id)
 
 
 VECTORIZERS = ("bm25", "mle")

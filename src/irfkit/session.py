@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
 from .corpus_io import QrelSet, Topic
@@ -78,14 +77,10 @@ class FreezingRunList:
         return self.frozen + self.tail
 
 
-def simulate_judgment(qrels: QrelSet, query_id: str, doc_id: str) -> bool:
+def make_qrels_judge(qrels: QrelSet) -> JudgmentProvider:
     """True labels: relevant iff the qrels grade is >= 1; unjudged pairs are
     non-relevant."""
-    return qrels.is_relevant(query_id, doc_id)
-
-
-def make_qrels_judge(qrels: QrelSet) -> JudgmentProvider:
-    return lambda query_id, doc_id: simulate_judgment(qrels, query_id, doc_id)
+    return qrels.is_relevant
 
 
 def _retrieve(
@@ -245,28 +240,3 @@ def write_session_log(runs: Iterable[FreezingRunList], path) -> None:
                     )
                     + "\n"
                 )
-
-
-def read_session_log(path) -> dict[tuple[str, str], bool]:
-    """Map (query_id, doc_id) -> judgment from a session log."""
-    judgments: dict[tuple[str, str], bool] = {}
-    for line in Path(path).read_text("utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        for doc_id, is_relevant in record["judgments"]:
-            judgments[(record["query_id"], doc_id)] = bool(is_relevant)
-    return judgments
-
-
-def make_replay_judge(judgments: dict[tuple[str, str], bool]) -> JudgmentProvider:
-    """Replay recorded judgments; an unrecorded pair aborts, mirroring the
-    point where the original session stopped."""
-
-    def judge(query_id: str, doc_id: str) -> bool:
-        try:
-            return judgments[(query_id, doc_id)]
-        except KeyError:
-            raise SessionAborted(f"no recorded judgment for ({query_id}, {doc_id})") from None
-
-    return judge

@@ -228,6 +228,27 @@ class TestEvalCommand:
         rc = cli.main(["eval", "--run", str(run_file), "--qrels", str(toy_paths["qrels"])])
         assert rc == 1
 
+    def test_docs_ordered_by_score_not_rank(self, tmp_path, capsys):
+        # trec_eval sorts by score and ignores the rank field, which some systems write as 0
+        run_file = tmp_path / "r.txt"
+        run_file.write_text("q1 Q0 d1 0 1.0 t\nq1 Q0 d2 0 9.0 t\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 0\nq1 0 d2 1\n")
+        rc = cli.main(["eval", "--run", str(run_file), "--qrels", str(qrels), "--metric", "map"])
+        assert rc == 0
+        assert "all\tmap\t1.0000" in capsys.readouterr().out
+
+    def test_score_ties_broken_by_doc_id_descending(self, tmp_path):
+        run_file = tmp_path / "r.txt"
+        run_file.write_text("q1 Q0 d1 1 5.0 t\nq1 Q0 d3 2 5.0 t\nq1 Q0 d2 3 7.0 t\n")
+        assert cli.read_run(run_file) == {"q1": ["d2", "d3", "d1"]}
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "high"])
+    def test_bad_score_is_data_error(self, tmp_path, toy_paths, capsys, score):
+        run_file = tmp_path / "r.txt"
+        run_file.write_text(f"q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 {score} t\n")
+        assert cli.main(["eval", "--run", str(run_file), "--qrels", str(toy_paths["qrels"])]) == 1
+        assert f"{run_file}:2: bad score {score!r}" in capsys.readouterr().err
 
     def test_repeated_doc_is_data_error(self, tmp_path, toy_paths, capsys):
         run_file = tmp_path / "dup.txt"

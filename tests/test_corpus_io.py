@@ -283,15 +283,6 @@ class TestParseTopics:
         assert [t.query_id for t in topics] == ["301", "302"]
         assert topics[0].terms == tuple(normalize("International Organized Crime", stoplist))
 
-    def test_trec_desc_field(self, tmp_path, stoplist):
-        path = tmp_path / "topics.txt"
-        path.write_text(
-            "<top>\n<num> Number: 301\n<title> ignored title\n"
-            "<desc> Description:\n seismic activity \n</top>\n"
-        )
-        topics = parse_topics(path, "trec_title", stoplist, field="desc")
-        assert topics[0].terms == tuple(normalize("seismic activity", stoplist))
-
     def test_topic_empty_after_normalization_rejected(self, tmp_path, stoplist):
         path = tmp_path / "topics.tsv"
         path.write_text("q1\tthe of and\n")

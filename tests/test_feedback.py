@@ -16,7 +16,7 @@ from irfkit.feedback import (
     estimate_rocchio,
     load_params,
     mle,
-    parse_param_items,
+    parse_param,
     write_params,
 )
 from irfkit.index import build_index
@@ -99,9 +99,7 @@ class TestModelParams:
         assert params.mu == 500.0 and params.k1 == 1.2
 
     def test_bool_parsing(self):
-        assert parse_param_items({"subtract_nonrelevant": "false"}) == {
-            "subtract_nonrelevant": False
-        }
+        assert parse_param("subtract_nonrelevant", "false") is False
 
 
 class TestMLE:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irfkit import cli
 from irfkit import index as index_module
 from irfkit.corpus_io import TermSequence, default_stoplist, normalize_collection, parse_trec_collection
 from irfkit.index import (
@@ -340,6 +341,7 @@ class TestCorruptSnapshot:
             (2, "b\t0:1 0:1", "postings.tsv:2: doc 0 does not follow doc 0"),
             (3, "b\t1:1", "postings.tsv:3: term 'b' does not follow 'b'"),
             (2, "0\t0:1 1:1", "postings.tsv:2: term '0' does not follow 'a'"),
+            (4, "zz\t", "postings.tsv:4: term 'zz' has no postings"),
         ],
     )
     def test_postings_row_out_of_order_or_range_reports_path_and_line(
@@ -365,4 +367,28 @@ class TestCorruptSnapshot:
         path = saved_toy / "postings.tsv"
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
         with pytest.raises(IndexDataError, match="vocab_size"):
+            load_index(saved_toy)
+
+    def test_unparsable_manifest_reports_path(self, saved_toy):
+        manifest_path = saved_toy / "manifest.json"
+        manifest_path.write_text(manifest_path.read_text()[:20])
+        with pytest.raises(IndexDataError, match=r"manifest.json: Expecting"):
+            load_index(saved_toy)
+
+    def test_manifest_not_an_object_is_a_data_error(self, saved_toy, toy_paths, tmp_path, capsys):
+        (saved_toy / "manifest.json").write_text("[]\n")
+        with pytest.raises(IndexDataError, match="manifest.json: expected a JSON object"):
+            load_index(saved_toy)
+        args = ["run", "--index", str(saved_toy), "--topics", str(toy_paths["topics"]),
+                "--qrels", str(toy_paths["qrels"]), "--model", "rm3", "--docs-per-iter", "1",
+                "--iterations", "1", "--output", str(tmp_path / "run.txt")]
+        assert cli.main(args) == 1
+        assert "manifest.json: expected a JSON object" in capsys.readouterr().err
+
+    def test_non_utf8_row_reports_path_and_line(self, saved_toy):
+        path = saved_toy / "docs.tsv"
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = b"D2\xff\t2"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(IndexDataError, match="docs.tsv:2: not UTF-8 text"):
             load_index(saved_toy)

@@ -75,12 +75,6 @@ class TestRetrieveQL:
         res = retrieve_ql(idx, ["a"], RankingParams(mu=1.0, depth=10))
         assert res.doc_ids == ["DA", "DB"]
 
-    def test_accepts_prebuilt_model(self, two_doc_index):
-        model = query_language_model(["a"])
-        direct = retrieve_ql(two_doc_index, model, RankingParams(mu=1.0, depth=10))
-        from_terms = retrieve_ql(two_doc_index, ["a"], RankingParams(mu=1.0, depth=10))
-        assert direct == from_terms
-
 
 class TestRetrieveKL:
     def test_one_hot_matches_ql(self, two_doc_index):
