@@ -27,29 +27,28 @@ def read_run(path: str | Path) -> dict[str, list[str]]:
     are ordered by score, then doc id, both descending, the rank is ignored,
     and a query may rank a doc only once."""
     entries: dict[str, list[tuple[float, str, int]]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise corpus_io.CorpusFormatError(
-                    f"{path}:{lineno}: expected 6 fields, got {len(parts)}"
-                )
-            query_id, _, doc_id, rank, score, _ = parts
-            try:
-                int(rank)
-            except ValueError:
-                raise corpus_io.CorpusFormatError(
-                    f"{path}:{lineno}: non-integer rank {rank!r}"
-                ) from None
-            try:
-                score_num = float(score)
-            except ValueError:
-                score_num = math.nan
-            if not math.isfinite(score_num):
-                raise corpus_io.CorpusFormatError(f"{path}:{lineno}: bad score {score!r}")
-            entries.setdefault(query_id, []).append((score_num, doc_id, lineno))
+    for lineno, line in enumerate(corpus_io.read_text(path).split("\n"), 1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 6:
+            raise corpus_io.CorpusFormatError(
+                f"{path}:{lineno}: expected 6 fields, got {len(parts)}"
+            )
+        query_id, _, doc_id, rank, score, _ = parts
+        try:
+            int(rank)
+        except ValueError:
+            raise corpus_io.CorpusFormatError(
+                f"{path}:{lineno}: non-integer rank {rank!r}"
+            ) from None
+        try:
+            score_num = float(score)
+        except ValueError:
+            score_num = math.nan
+        if not math.isfinite(score_num):
+            raise corpus_io.CorpusFormatError(f"{path}:{lineno}: bad score {score!r}")
+        entries.setdefault(query_id, []).append((score_num, doc_id, lineno))
     run = {}
     for query_id, scored in sorted(entries.items()):
         docs = [doc for _, doc, _ in sorted(scored, reverse=True)]

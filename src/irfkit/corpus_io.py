@@ -24,6 +24,18 @@ class CorpusFormatError(ValueError):
     """Raised when a collection, topic, or qrels file is malformed."""
 
 
+def read_text(path: str | Path, error: type[ValueError] = CorpusFormatError) -> str:
+    """A UTF-8 text file's contents with newlines translated as ``open`` does;
+    bytes that are not UTF-8 raise ``error`` naming the path and line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 @dataclass(frozen=True)
 class RawDocument:
     doc_id: str
@@ -45,21 +57,16 @@ class Topic:
 class QrelSet:
     """Graded relevance judgments keyed by (query_id, doc_id).
 
-    Later duplicates of a pair overwrite earlier ones; the number of
-    overwrites is kept in ``duplicate_count``.
+    Later duplicates of a pair overwrite earlier ones.
     """
 
     def __init__(self) -> None:
         self._by_query: dict[str, dict[str, int]] = {}
-        self.duplicate_count = 0
 
     def set(self, query_id: str, doc_id: str, grade: int) -> None:
         if grade < 0:
             raise ValueError(f"negative grade {grade} for ({query_id}, {doc_id})")
-        docs = self._by_query.setdefault(query_id, {})
-        if doc_id in docs:
-            self.duplicate_count += 1
-        docs[doc_id] = grade
+        self._by_query.setdefault(query_id, {})[doc_id] = grade
 
     def grade(self, query_id: str, doc_id: str) -> int:
         return self._by_query.get(query_id, {}).get(doc_id, 0)
@@ -95,7 +102,7 @@ def load_stoplist(path: str | Path | None = None) -> frozenset[str]:
     """Load a one-word-per-line stoplist, or the packaged default."""
     if path is None:
         return default_stoplist()
-    words = Path(path).read_text("utf-8").split()
+    words = read_text(path).split()
     return frozenset(w.casefold() for w in words if w)
 
 
@@ -167,21 +174,20 @@ def normalize_collection(
 def parse_qrels(path: str | Path) -> QrelSet:
     """Parse whitespace-separated "qid 0 docid grade" judgment lines."""
     qrels = QrelSet()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise CorpusFormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            query_id, _, doc_id, grade_str = parts
-            try:
-                grade = int(grade_str)
-            except ValueError:
-                raise CorpusFormatError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
-            if grade < 0:
-                raise CorpusFormatError(f"{path}:{lineno}: negative grade {grade}")
-            qrels.set(query_id, doc_id, grade)
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise CorpusFormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+        query_id, _, doc_id, grade_str = parts
+        try:
+            grade = int(grade_str)
+        except ValueError:
+            raise CorpusFormatError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
+        if grade < 0:
+            raise CorpusFormatError(f"{path}:{lineno}: negative grade {grade}")
+        qrels.set(query_id, doc_id, grade)
     return qrels
 
 
@@ -192,6 +198,7 @@ def write_qrels(qrels: QrelSet, path: str | Path) -> None:
                 handle.write(f"{query_id} 0 {doc_id} {grade}\n")
 
 
+_TOPIC_START_RE = re.compile(r"<top>", re.IGNORECASE)
 _TOPIC_NUM_RE = re.compile(r"<num>\s*(?:Number:)?\s*([^<\s]+)", re.IGNORECASE)
 _TOPIC_TITLE_RE = re.compile(r"<title>\s*(?:Topic:)?\s*(.*?)\s*(?=<|$)", re.IGNORECASE | re.DOTALL)
 
@@ -206,7 +213,7 @@ def parse_topics(
     if fmt not in TOPIC_FORMATS:
         raise ValueError(f"unknown topic format {fmt!r}; expected one of {TOPIC_FORMATS}")
     raw: list[tuple[str, str]] = []
-    text = Path(path).read_text("utf-8")
+    text = read_text(path)
     if fmt == "tsv":
         for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
@@ -222,7 +229,10 @@ def parse_topics(
                 )
             raw.append((query_id, query_text))
     else:
-        for block in text.split("<top>")[1:]:
+        blocks = _TOPIC_START_RE.split(text)
+        if len(blocks) == 1 and text.strip():
+            raise CorpusFormatError(f"{path}: no <top> block")
+        for block in blocks[1:]:
             num = _TOPIC_NUM_RE.search(block)
             if num is None:
                 raise CorpusFormatError(f"{path}: topic block without <num>")

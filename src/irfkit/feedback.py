@@ -22,11 +22,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .index import CollectionIndex, doc_vector
+from .corpus_io import read_text
+from .index import CollectionIndex, Weighting, forward_sum
 from .ranking import (
     QueryModel,
     RankingParams,
-    Weighting,
     doc_weighting,
     ordered_sum,
     query_count_vector,
@@ -138,7 +138,7 @@ def split_key_value(text: str, where: str) -> tuple[str, str]:
 def read_key_values(path: str | Path) -> Iterator[tuple[str, str, str]]:
     """Yield (path:line, key, value) for each key=value line of a file;
     blank lines and # comments are skipped."""
-    for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, FeedbackError).splitlines(), 1):
         line = line.strip()
         if line and not line.startswith("#"):
             where = f"{path}:{lineno}"
@@ -173,21 +173,8 @@ def write_params(params: ModelParams, path: str | Path) -> None:
 def _centroid(index: CollectionIndex, doc_ids: Sequence[str], weighting: Weighting) -> dict[str, float]:
     """Mean of the documents' vectors under a ``ranking.doc_weighting``, in
     sorted term order."""
-    out: dict[str, float] = {}
-    for doc_id in doc_ids:
-        length = index.doc_lengths[index.internal_id(doc_id)]
-        for term, count in doc_vector(index, doc_id).items():
-            out[term] = out.get(term, 0.0) + weighting(term)(length, count)
     n = len(doc_ids)
-    return {t: w / n for t, w in sorted(out.items())}
-
-
-def _pool_counts(index: CollectionIndex, doc_ids: Sequence[str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for doc_id in doc_ids:
-        for term, count in doc_vector(index, doc_id).items():
-            counts[term] = counts.get(term, 0) + count
-    return counts
+    return {t: w / n for t, w in forward_sum(index, doc_ids, weighting).items()}
 
 
 def mle(index: CollectionIndex, doc_set: Sequence[str], mode: str = "concatenated") -> dict[str, float]:
@@ -201,11 +188,9 @@ def mle(index: CollectionIndex, doc_set: Sequence[str], mode: str = "concatenate
     if mode == "averaged":
         return _centroid(index, doc_set, doc_weighting(index, "mle", RankingParams()))
     if mode == "concatenated":
-        counts = _pool_counts(index, doc_set)
+        counts = forward_sum(index, doc_set, lambda term, length, count: count)
         total = sum(counts.values())
-        if total == 0:
-            return {}
-        return {t: c / total for t, c in sorted(counts.items())}
+        return {t: c / total for t, c in counts.items()}
     raise FeedbackError(f"unknown mle mode {mode!r}")
 
 
@@ -342,7 +327,7 @@ def estimate_distillation(
         remaining = 1.0 - lambda1
         lambda1, lambda2 = 0.0, lambda2 / remaining
     total_terms = index.stats.total_terms
-    pool_counts = _pool_counts(index, pools.relevant)
+    pool_counts = forward_sum(index, pools.relevant, lambda term, length, count: count)
     p_corpus = {t: index.cf(t) / total_terms for t in pool_counts}
     relevance, _ = distill_relevance_model(
         pool_counts, p_nonrel, p_corpus, lambda1, lambda2, params.em_max_iters, params.em_tol
@@ -371,13 +356,11 @@ def estimate_rocchio(
     bm25 = doc_weighting(index, "bm25", params.ranking_params())
     vector = dict(query_count_vector(query_terms).weights)
     query_term_set = set(vector)
-    if pools.relevant and params.beta != 0.0:
-        for term, weight in _centroid(index, pools.relevant, bm25).items():
-            vector[term] = vector.get(term, 0.0) + params.beta * weight
-    if pools.nonrelevant and params.gamma != 0.0:
-        sign = -1.0 if params.subtract_nonrelevant else 1.0
-        for term, weight in _centroid(index, pools.nonrelevant, bm25).items():
-            vector[term] = vector.get(term, 0.0) + sign * params.gamma * weight
+    sign = -1.0 if params.subtract_nonrelevant else 1.0
+    for pool, coefficient in (pools.relevant, params.beta), (pools.nonrelevant, sign * params.gamma):
+        if pool and coefficient != 0.0:
+            for term, weight in _centroid(index, pool, bm25).items():
+                vector[term] = vector.get(term, 0.0) + coefficient * weight
     expansion = {t: w for t, w in vector.items() if t not in query_term_set}
     kept = _top_terms(expansion, params.num_expansion_terms, abs)
     vector = {t: w for t, w in vector.items() if t in query_term_set or t in kept}
@@ -409,13 +392,9 @@ def estimate_prob(
         raise FeedbackError("relevant pool covers the whole collection")
     excluded = 0
 
-    df_pool: dict[str, int] = {}
-    for doc_id in pools.relevant:
-        for term in doc_vector(index, doc_id):
-            df_pool[term] = df_pool.get(term, 0) + 1
-
+    df_pool = forward_sum(index, pools.relevant, lambda term, length, count: 1)
     feedback: dict[str, float] = {}
-    for term in sorted(df_pool):
+    for term in df_pool:
         df_all = index.df(term)
         if df_all >= num_docs:
             excluded += 1

@@ -7,8 +7,8 @@ counts, each row in ascending doc order.  ``CollectionIndex.postings`` shows
 them as a read-only mapping of (doc, count) lists.  The forward store is the
 same entries transposed, doc-major CSR columns of term rows and counts,
 because the feedback estimators need full term vectors of judged documents;
-``doc_vector`` reads it.  The index is immutable once built and safe to share
-across threads.
+``forward_sum`` is its one reader.  The index is immutable once built and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .corpus_io import TermSequence
+from .corpus_io import TermSequence, read_text
 
 FORMAT_VERSION = 2
 # the collection statistics a manifest records, checked on load
@@ -218,12 +218,30 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
     return CollectionIndex(doc_ids, postings, analysis)
 
 
+# a document weighting: the weight of count c of a term in a document of
+# length |x|, elementwise over arrays or on two numbers
+Weighting = Callable[[str, Any, Any], Any]
+
+
+def forward_sum(index: CollectionIndex, doc_ids: Iterable[str], weight: Weighting) -> dict[str, Any]:
+    """Per term, the sum from 0 of weight(term, |x|, c) over the documents x
+    holding it, in the order given; in sorted term order.  The one reader of
+    the forward store."""
+    terms, offsets = index.postings.terms, index.forward_offsets
+    sums: dict[int, Any] = {}
+    for doc_id in doc_ids:
+        internal = index.internal_id(doc_id)
+        length = index.doc_lengths[internal]
+        start, end = offsets[internal], offsets[internal + 1]
+        rows, counts = index.forward_terms[start:end].tolist(), index.forward_counts[start:end].tolist()
+        for row, count in zip(rows, counts):
+            sums[row] = sums.get(row, 0) + weight(terms[row], length, count)
+    return {terms[row]: sums[row] for row in sorted(sums)}  # rows are in term order
+
+
 def doc_vector(index: CollectionIndex, doc_id: str) -> dict[str, int]:
     """Exact term counts of one document, in sorted term order."""
-    internal = index.internal_id(doc_id)
-    start, end = index.forward_offsets[internal], index.forward_offsets[internal + 1]
-    terms = map(index.postings.terms.__getitem__, index.forward_terms[start:end].tolist())
-    return dict(zip(terms, index.forward_counts[start:end].tolist()))
+    return forward_sum(index, [doc_id], lambda term, length, count: count)
 
 
 def save_index(index: CollectionIndex, directory: str | Path) -> None:
@@ -344,14 +362,8 @@ def _parse_postings_row(line: str) -> tuple[str, str]:
 def _read_rows(path: Path, layout: str, parse: Callable[[str], object]) -> list:
     """Parse each line of a snapshot file; a malformed one is reported by
     path and line number."""
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise IndexDataError(f"{path}:{lineno}: not UTF-8 text") from None
     rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, IndexDataError).splitlines(), 1):
         try:
             rows.append(parse(line))
         except ValueError:

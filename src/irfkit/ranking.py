@@ -1,7 +1,7 @@
 """Retrieval scorers: Dirichlet query likelihood, KL re-ranking, and
 dot-product scoring over BM25 or MLE document vectors.
 
-Every scorer sums q_w * weight(|x|, c(w,x)) in one postings loop, a term's
+Every scorer sums q_w * weight(w, |x|, c(w,x)) in one postings loop, a term's
 postings slice at a time into a float64 accumulator: KL weighs by its
 Dirichlet delta, the dot product by one of the two document weightings of
 ``doc_weighting`` (Okapi BM25, MLE c/|x|), which the feedback centroids share.
@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .index import CollectionIndex, doc_vector
+from .index import CollectionIndex, Weighting, forward_sum
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,8 @@ class QueryModel:
 
 def query_language_model(terms: Sequence[str]) -> QueryModel:
     """Maximum-likelihood unigram model of a term sequence."""
-    if not terms:
-        return QueryModel.lm({})
-    counts: dict[str, int] = {}
-    for term in terms:
-        counts[term] = counts.get(term, 0) + 1
     n = len(terms)
-    return QueryModel.lm({t: c / n for t, c in counts.items()})
+    return QueryModel.lm({t: c / n for t, c in query_count_vector(terms).weights.items()})
 
 
 def query_count_vector(terms: Sequence[str]) -> QueryModel:
@@ -116,15 +111,10 @@ def _rank(
     return tuple(zip([doc_ids[x] for x in candidates[order].tolist()], scores[order].tolist()))
 
 
-# a document weighting: per term, the weight of count c in a document of
-# length |x|, elementwise over arrays or on two numbers
-Weighting = Callable[[str], Callable[[Any, Any], Any]]
-
-
 def _accumulate(
     index: CollectionIndex, model: QueryModel, weighting: Weighting, exclude: Iterable[str]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sum_w q_w * weighting(w)(|x|, c(w,x)) per document x outside ``exclude``,
+    """sum_w q_w * weighting(w, |x|, c(w,x)) per document x outside ``exclude``,
     w sorted: the candidates' internal ids, ascending, and their scores."""
     postings = index.postings
     scores = np.zeros(index.num_docs)
@@ -133,7 +123,7 @@ def _accumulate(
         docs, counts = postings.columns(term)
         if not docs.size:
             continue
-        scores[docs] += q_weight * weighting(term)(index.doc_length_array[docs], counts)
+        scores[docs] += q_weight * weighting(term, index.doc_length_array[docs], counts)
         scored[docs] = True
     scored[[index.internal_id(d) for d in exclude if index.has_doc(d)]] = False
     candidates = np.flatnonzero(scored)
@@ -185,10 +175,9 @@ def retrieve_kl(
         baseline += model.weights[term] * math.log(background)
         weight_sum += model.weights[term]
 
-    def dirichlet_delta(term: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    def dirichlet_delta(term: str, lengths: np.ndarray, counts: np.ndarray) -> np.ndarray:
         background = backgrounds[term]
-        log_background = math.log(background)
-        return lambda lengths, counts: _log_each(counts, background) - log_background
+        return _log_each(counts, background) - math.log(background)
 
     candidates, partial = _accumulate(index, model, dirichlet_delta, exclude)
     lengths = index.doc_length_array[candidates]
@@ -212,29 +201,25 @@ VECTORIZERS = ("bm25", "mle")
 
 
 def doc_weighting(index: CollectionIndex, vectorizer: str, params: RankingParams) -> Weighting:
-    """The weight of count c in a document of length |x|: Okapi BM25
-    ((k1+1)c / (k1(1-b+b|x|/avgdl) + c)) * idf with idf log((N+1)/df), or
-    MLE c/|x|.  On Python numbers it returns a Python float."""
+    """weight(term, |x|, c), the weight of count c of a term in a document of
+    length |x|: Okapi BM25 ((k1+1)c / (k1(1-b+b|x|/avgdl) + c)) * idf with idf
+    log((N+1)/df), or MLE c/|x|.  On Python numbers it returns a Python float."""
     if vectorizer not in VECTORIZERS:
         raise ValueError(f"unknown vectorizer {vectorizer!r}; expected one of {VECTORIZERS}")
     if vectorizer == "mle":
-        return lambda term: lambda length, c: c / length
+        return lambda term, length, c: c / length
     k1, b, avgdl, num_docs = params.k1, params.b, index.stats.avg_doc_len, index.stats.num_docs
 
-    def okapi(term: str) -> Callable[[Any, Any], Any]:
+    def bm25(term: str, length, c):
         idf = math.log((num_docs + 1) / index.df(term))
-        return lambda length, c: (k1 + 1.0) * c / (k1 * (1.0 - b + b * length / avgdl) + c) * idf
+        return (k1 + 1.0) * c / (k1 * (1.0 - b + b * length / avgdl) + c) * idf
 
-    return okapi
+    return bm25
 
 
 def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: RankingParams) -> float:
     """Okapi weight of a term in a document, with idf log((N+1)/df)."""
-    internal = index.internal_id(doc_id)
-    count = doc_vector(index, doc_id).get(term, 0)
-    if count == 0:
-        return 0.0
-    return doc_weighting(index, "bm25", params)(term)(index.doc_lengths[internal], count)
+    return forward_sum(index, [doc_id], doc_weighting(index, "bm25", params)).get(term, 0.0)
 
 
 def retrieve_dot(

@@ -424,3 +424,49 @@ class TestSweepCommand:
         assert rc == 1
         captured = capsys.readouterr()
         assert "folds must be >= 1, got 0" in captured.err and captured.out == ""
+
+
+
+# each text input with a byte that is not UTF-8, the line it is on, and the
+# command and options that read the file
+NON_UTF8_INPUTS = {
+    "qrels": (b"q1 0 d1 1\nq1 0 d\xff2 1\n", 2, "run", ["--qrels"]),
+    "run": (b"q1 Q0 d1 1 2.0 t\nq1 Q0 d\xff2 2 1.0 t\n", 2, "eval", ["--run"]),
+    "topics_tsv": (b"q1\talpha\nq2\tbeta \xff\n", 2, "run", ["--topics"]),
+    "topics_trec_title": (
+        b"<top>\n<num> 1\n<title> \xff\n</top>\n",
+        3,
+        "run",
+        ["--topics-format", "trec_title", "--topics"],
+    ),
+    "params": (b"mu=1.0\nb=\xff\n", 2, "run", ["--params"]),
+    "grid": (b"mu=1.0\nb=\xff\n", 2, "sweep", ["--grid"]),
+    "stoplist": (b"the\n\xff\n", 2, "index", ["--stoplist"]),
+}
+
+
+@pytest.mark.parametrize("kind", NON_UTF8_INPUTS)
+def test_non_utf8_input_reports_path_and_line(indexed, toy_paths, tmp_path, capsys, kind):
+    data, line, command, options = NON_UTF8_INPUTS[kind]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(data)
+    reads_bad = [*options, str(bad)]
+    if command == "run":
+        argv = run_args(indexed, toy_paths, tmp_path, extra=reads_bad)
+    elif command == "eval":
+        argv = ["eval", *reads_bad, "--qrels", str(toy_paths["qrels"])]
+    elif command == "sweep":
+        argv = [
+            "sweep",
+            "--index", str(indexed),
+            "--topics", str(toy_paths["topics"]),
+            "--qrels", str(toy_paths["qrels"]),
+            "--model", "rm3",
+            "--docs-per-iter", "1",
+            "--iterations", "1",
+            *reads_bad,
+        ]
+    else:
+        argv = ["index", "--corpus", str(toy_paths["corpus"]), "--output", str(tmp_path / "x"), *reads_bad]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}:{line}: not UTF-8 text\n"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,12 +206,12 @@ class TestParseQrels:
         with pytest.raises(CorpusFormatError, match=":2:"):
             parse_qrels(path)
 
-    def test_duplicate_pairs_overwrite_with_counter(self, tmp_path):
+    def test_duplicate_pairs_overwrite(self, tmp_path):
         path = tmp_path / "qrels"
         path.write_text("301 0 D1 0\n301 0 D1 2\n")
         qrels = parse_qrels(path)
         assert qrels.grade("301", "D1") == 2
-        assert qrels.duplicate_count == 1
+        assert len(qrels) == 1
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "qrels"
@@ -250,6 +252,7 @@ class TestParseTopics:
         path = tmp_path / "topics.tsv"
         path.write_text("")
         assert parse_topics(path, "tsv", stoplist) == []
+        assert parse_topics(path, "trec_title", stoplist) == []
 
     def test_many_topics_count_and_order(self, tmp_path, stoplist):
         lines = [f"{301 + i}\ttopic number term{i}" for i in range(250)]
@@ -272,16 +275,31 @@ class TestParseTopics:
         with pytest.raises(CorpusFormatError, match=r"topics.tsv:2: query id .* is empty or contains whitespace"):
             parse_topics(path, "tsv", stoplist)
 
+    TREC_TOPICS = (
+        "<top>\n<num> Number: 301\n<title> International Organized Crime\n"
+        "<desc> Description:\nsomething else\n</top>\n"
+        "<top>\n<num> Number: 302\n<title> Poliomyelitis vaccine\n</top>\n"
+    )
+
     def test_trec_title_format(self, tmp_path, stoplist):
         path = tmp_path / "topics.txt"
-        path.write_text(
-            "<top>\n<num> Number: 301\n<title> International Organized Crime\n"
-            "<desc> Description:\nsomething else\n</top>\n"
-            "<top>\n<num> Number: 302\n<title> Poliomyelitis vaccine\n</top>\n"
-        )
+        path.write_text(self.TREC_TOPICS)
         topics = parse_topics(path, "trec_title", stoplist)
         assert [t.query_id for t in topics] == ["301", "302"]
         assert topics[0].terms == tuple(normalize("International Organized Crime", stoplist))
+
+    def test_trec_title_tags_in_upper_case(self, tmp_path, stoplist):
+        lower, upper = tmp_path / "lower.txt", tmp_path / "upper.txt"
+        lower.write_text(self.TREC_TOPICS)
+        upper.write_text(re.sub(r"</?[a-z]+>", lambda m: m.group().upper(), self.TREC_TOPICS))
+        assert "<TOP>" in upper.read_text() and "<top>" not in upper.read_text()
+        assert parse_topics(upper, "trec_title", stoplist) == parse_topics(lower, "trec_title", stoplist)
+
+    def test_text_without_top_block_rejected(self, tmp_path, stoplist):
+        path = tmp_path / "topics.tsv"
+        path.write_text("q1\tinternational organized crime\n")
+        with pytest.raises(CorpusFormatError, match=r"topics.tsv: no <top> block"):
+            parse_topics(path, "trec_title", stoplist)
 
     def test_topic_empty_after_normalization_rejected(self, tmp_path, stoplist):
         path = tmp_path / "topics.tsv"

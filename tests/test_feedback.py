@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irfkit.corpus_io import TermSequence
 from irfkit.feedback import (
@@ -18,9 +20,10 @@ from irfkit.feedback import (
     mle,
     parse_param,
     write_params,
+    _centroid,
 )
-from irfkit.index import build_index
-from irfkit.ranking import RankingParams, bm25_weight, query_count_vector
+from irfkit.index import build_index, forward_sum
+from irfkit.ranking import RankingParams, bm25_weight, doc_weighting, query_count_vector
 
 
 def make_index(layout):
@@ -411,3 +414,111 @@ class TestEMMonotonicityRandomized:
                 counts, p_n, p_c, lambda1, lambda2, max_iters=60, tol=1e-12
             )
             assert all(b - a >= -1e-9 for a, b in zip(trace, trace[1:]))
+
+
+# The pool reads as they were before ``index.forward_sum``: a dict loop over
+# each judged document's term vector, with a weighting curried by term.  The
+# reader must give the same sums, float for float and in the same term order.
+
+
+def reference_vector(terms):
+    counts = {}
+    for term in terms:
+        counts[term] = counts.get(term, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def reference_weighting(index, vectorizer, params):
+    if vectorizer == "mle":
+        return lambda term: lambda length, c: c / length
+    k1, b, avgdl, num_docs = params.k1, params.b, index.stats.avg_doc_len, index.stats.num_docs
+
+    def okapi(term):
+        idf = math.log((num_docs + 1) / index.df(term))
+        return lambda length, c: (k1 + 1.0) * c / (k1 * (1.0 - b + b * length / avgdl) + c) * idf
+
+    return okapi
+
+
+def reference_centroid(vectors, doc_ids, weighting):
+    out = {}
+    for doc_id in doc_ids:
+        length = sum(vectors[doc_id].values())
+        for term, count in vectors[doc_id].items():
+            out[term] = out.get(term, 0.0) + weighting(term)(length, count)
+    n = len(doc_ids)
+    return {t: w / n for t, w in sorted(out.items())}
+
+
+def reference_pool_counts(vectors, doc_ids):
+    counts = {}
+    for doc_id in doc_ids:
+        for term, count in vectors[doc_id].items():
+            counts[term] = counts.get(term, 0) + count
+    return counts
+
+
+def reference_pool_df(vectors, doc_ids):
+    df_pool = {}
+    for doc_id in doc_ids:
+        for term in vectors[doc_id]:
+            df_pool[term] = df_pool.get(term, 0) + 1
+    return df_pool
+
+
+def reference_bm25_weight(index, vectors, term, doc_id, params):
+    count = vectors[doc_id].get(term, 0)
+    if count == 0:
+        return 0.0
+    return reference_weighting(index, "bm25", params)(term)(sum(vectors[doc_id].values()), count)
+
+
+POOL_TERMS = ["a", "b", "cc", "dd", "e"]
+
+
+@st.composite
+def pool_cases(draw):
+    """A small index whose doc ids sort differently from their internal order
+    (d10 before d9), some documents empty or long; a pool of distinct
+    documents in any order; BM25 parameters."""
+    numbers = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
+    docs = [(f"d{n}", draw(st.lists(st.sampled_from(POOL_TERMS), max_size=12))) for n in numbers]
+    if draw(st.booleans()):
+        docs.append(("long", ["a"] * 700 + draw(st.lists(st.sampled_from(POOL_TERMS), max_size=5))))
+    order = draw(st.permutations([doc_id for doc_id, _ in docs]))
+    pool = order[: draw(st.integers(1, len(order)))]
+    params = RankingParams(
+        k1=draw(st.sampled_from([0.5, 1.2, 2.0])), b=draw(st.sampled_from([0.0, 0.75, 1.0]))
+    )
+    return make_index(docs), {doc_id: reference_vector(terms) for doc_id, terms in docs}, pool, params
+
+
+class TestForwardReaderMatchesDictLoops:
+    @given(pool_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_pool_reads_equal_to_the_dict_loops(self, case):
+        index, vectors, pool, params = case
+
+        def same(got, want):  # equal float for float, in the same term order
+            assert list(got.items()) == list(want.items())
+
+        for vectorizer in ("bm25", "mle"):
+            same(
+                _centroid(index, pool, doc_weighting(index, vectorizer, params)),
+                reference_centroid(vectors, pool, reference_weighting(index, vectorizer, params)),
+            )
+        counts = dict(sorted(reference_pool_counts(vectors, pool).items()))
+        same(forward_sum(index, pool, lambda term, length, count: count), counts)
+        total = sum(counts.values())
+        same(mle(index, pool, "concatenated"), {t: c / total for t, c in counts.items()})
+        same(
+            mle(index, pool, "averaged"),
+            reference_centroid(vectors, pool, reference_weighting(index, "mle", params)),
+        )
+        df_pool = reference_pool_df(vectors, pool)
+        same(forward_sum(index, pool, lambda term, length, count: 1), dict(sorted(df_pool.items())))
+        for doc_id in vectors:
+            for term in [*POOL_TERMS, "zz"]:
+                assert bm25_weight(index, term, doc_id, params) == reference_bm25_weight(
+                    index, vectors, term, doc_id, params
+                )
