@@ -17,6 +17,7 @@ import time
 from irfkit.evaluation import METRICS, fisher_randomization
 from irfkit.feedback import ModelParams
 from irfkit.index import build_index
+from irfkit.ranking import ordered_sum
 from irfkit.session import MODEL_KINDS, BudgetConfig, initial_ranking, make_qrels_judge, run_irf
 from irfkit.synthetic import topical_corpus
 
@@ -29,7 +30,7 @@ def per_query_scores(runs, qrels, metric):
 
 
 def mean(scores):
-    return sum(scores.values()) / len(scores)
+    return ordered_sum(scores.values()) / len(scores)
 
 
 def main(argv=None):

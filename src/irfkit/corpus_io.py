@@ -25,15 +25,15 @@ class CorpusFormatError(ValueError):
 
 
 def read_text(path: str | Path, error: type[ValueError] = CorpusFormatError) -> str:
-    """A UTF-8 text file's contents with newlines translated as ``open`` does;
-    bytes that are not UTF-8 raise ``error`` naming the path and line."""
+    """A UTF-8 text file's contents, less one leading BOM, with newlines translated
+    as ``open`` does; bytes that are not UTF-8 raise ``error`` naming the path and line."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}:{lineno}: not UTF-8 text") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 @dataclass(frozen=True)
@@ -146,20 +146,26 @@ def parse_trec_collection(path: str | Path, fmt: str = "trectext") -> Iterator[R
         gap = data[pos : start if start != -1 else len(data)]
         if gap.strip():
             junk_at = pos + len(gap) - len(gap.lstrip())
-            raise CorpusFormatError(f"unexpected content outside <DOC> block at byte {junk_at}")
+            raise CorpusFormatError(f"{path}: unexpected content outside <DOC> block at byte {junk_at}")
         if start == -1:
             return
         end = data.find(b"</DOC>", start)
         if end == -1:
-            raise CorpusFormatError(f"unterminated <DOC> block at byte {start}")
+            raise CorpusFormatError(f"{path}: unterminated <DOC> block at byte {start}")
         ordinal += 1
         block = data[start + len(b"<DOC>") : end]
         m = _DOCNO_RE.search(block)
         if m is None:
-            raise CorpusFormatError(f"missing <DOCNO> in document block {ordinal} at byte {start}")
-        doc_id = m.group(1).decode("utf-8", errors="replace").strip()
+            raise CorpusFormatError(f"{path}: missing <DOCNO> in document block {ordinal} at byte {start}")
+        try:
+            doc_id = m.group(1).decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            at = start + len(b"<DOC>") + m.start(1) + exc.start
+            raise CorpusFormatError(
+                f"{path}: <DOCNO> in document block {ordinal} is not UTF-8: byte {at} is {data[at:at + 1]!r}"
+            ) from None
         if not doc_id:
-            raise CorpusFormatError(f"empty <DOCNO> in document block {ordinal} at byte {start}")
+            raise CorpusFormatError(f"{path}: empty <DOCNO> in document block {ordinal} at byte {start}")
         yield RawDocument(doc_id, _block_text(block, fmt))
         pos = end + len(b"</DOC>")
 
@@ -215,7 +221,7 @@ def parse_topics(
     raw: list[tuple[str, str]] = []
     text = read_text(path)
     if fmt == "tsv":
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(text.split("\n"), 1):
             if not line.strip():
                 continue
             if "\t" not in line:

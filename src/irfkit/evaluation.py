@@ -123,22 +123,19 @@ def fisher_randomization(
     n = len(diffs)
     observed = float(diffs.mean())
     threshold = abs(observed) - 1e-12
-    if n <= exact_limit:
-        count = 0
-        for start in range(0, 2**n, _EXACT_BLOCK):
-            patterns = np.arange(start, min(start + _EXACT_BLOCK, 2**n), dtype=np.uint32)
-            signs = ((patterns[:, None] >> np.arange(n)) & 1).astype(np.float64) * 2.0 - 1.0
-            means = signs @ diffs / n
-            count += int((np.abs(means) >= threshold).sum())
-        return SigTestResult(count / 2**n, observed, 2**n, seed)
+    exact = n <= exact_limit
+    total, block, add_one = (2**n, _EXACT_BLOCK, 0) if exact else (samples, 100_000, 1)
     rng = np.random.default_rng(seed)
     count = 0
-    for start in range(0, samples, 100_000):
-        chunk = min(samples - start, 100_000)
-        signs = rng.integers(0, 2, size=(chunk, n)).astype(np.float64) * 2.0 - 1.0
-        means = signs @ diffs / n
+    for start in range(0, total, block):
+        size = min(total - start, block)
+        if exact:
+            bits = (np.arange(start, start + size, dtype=np.uint32)[:, None] >> np.arange(n)) & 1
+        else:
+            bits = rng.integers(0, 2, size=(size, n))
+        means = (bits * 2.0 - 1.0) @ diffs / n
         count += int((np.abs(means) >= threshold).sum())
-    return SigTestResult((count + 1) / (samples + 1), observed, samples, seed)
+    return SigTestResult((count + add_one) / (total + add_one), observed, total, seed)
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,7 @@ def split_key_value(text: str, where: str) -> tuple[str, str]:
 def read_key_values(path: str | Path) -> Iterator[tuple[str, str, str]]:
     """Yield (path:line, key, value) for each key=value line of a file;
     blank lines and # comments are skipped."""
-    for lineno, line in enumerate(read_text(path, FeedbackError).splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, FeedbackError).split("\n"), 1):
         line = line.strip()
         if line and not line.startswith("#"):
             where = f"{path}:{lineno}"

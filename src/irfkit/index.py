@@ -32,9 +32,9 @@ _MANIFEST_COUNTS = ("num_docs", "vocab_size", "total_terms")
 
 # the snapshot separates fields and pairs by whitespace and rows by lines
 _has_whitespace = re.compile(r"\s").search
-# the doc:count pairs of a postings row; 18 digits keep every value an int64
+# a postings row: a term without whitespace, a tab, doc:count pairs (18 digits fit an int64)
 _PAIR = r"-?[0-9]{1,18}:-?[0-9]{1,18}"
-_is_pair_list = re.compile(rf"(?:{_PAIR}(?: {_PAIR})*)?").fullmatch
+_is_postings_row = re.compile(rf"\S*\t(?:{_PAIR}(?: {_PAIR})*)?").fullmatch
 
 
 class IndexDataError(ValueError):
@@ -193,8 +193,8 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
     for seq in docs:
         if seq.doc_id in seen:
             raise IndexDataError(f"duplicate doc_id {seq.doc_id!r}")
-        if _has_whitespace(seq.doc_id):
-            raise IndexDataError(f"doc_id {seq.doc_id!r} contains whitespace")
+        if seq.doc_id.split() != [seq.doc_id]:  # one field of a run line
+            raise IndexDataError(f"doc_id {seq.doc_id!r} is empty or contains whitespace")
         seen.add(seq.doc_id)
         doc_ids.append(seq.doc_id)
         counts: dict[str, int] = {}
@@ -349,13 +349,15 @@ def load_index(directory: str | Path) -> CollectionIndex:
 
 def _parse_doc_row(line: str) -> tuple[str, int]:
     doc_id, length = line.split("\t")
+    if doc_id.split() != [doc_id]:  # as in build_index
+        raise ValueError(doc_id)
     return doc_id, int(length)
 
 
 def _parse_postings_row(line: str) -> tuple[str, str]:
+    if not _is_postings_row(line):
+        raise ValueError(line)
     term, pairs = line.split("\t")
-    if not _is_pair_list(pairs):
-        raise ValueError(pairs)
     return term, pairs
 
 
@@ -363,7 +365,8 @@ def _read_rows(path: Path, layout: str, parse: Callable[[str], object]) -> list:
     """Parse each line of a snapshot file; a malformed one is reported by
     path and line number."""
     rows = []
-    for lineno, line in enumerate(read_text(path, IndexDataError).splitlines(), 1):
+    lines = read_text(path, IndexDataError).split("\n")
+    for lineno, line in enumerate(lines[:-1] if lines[-1] == "" else lines, 1):
         try:
             rows.append(parse(line))
         except ValueError:

@@ -197,16 +197,8 @@ def _one_pass(word: str) -> str:
 
 
 def stem(word: str) -> str:
-    """Stem one lowercase token; deterministic and idempotent."""
-    if word in _EXCEPTIONS:
-        return _EXCEPTIONS[word]
-    current = word
-    # each changing pass shortens the word, so this terminates quickly
-    for _ in range(5):
-        output = _one_pass(current)
-        if output in _EXCEPTIONS:
-            return _EXCEPTIONS[output]
-        if output == current:
-            break
-        current = output
-    return current
+    """Stem one lowercase token to its fixed point; deterministic and idempotent."""
+    # each changing pass shortens the word, so this terminates
+    while word not in _EXCEPTIONS and (output := _one_pass(word)) != word:
+        word = output
+    return _EXCEPTIONS.get(word, word)

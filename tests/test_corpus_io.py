@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irfkit import corpus_io
@@ -15,6 +15,7 @@ from irfkit.corpus_io import (
     parse_trec_collection,
     write_qrels,
 )
+from irfkit.feedback import load_params
 from irfkit.krovetz import _EXCEPTIONS, stem
 
 
@@ -68,6 +69,29 @@ class TestParseTrecCollection:
         docs = list(parse_trec_collection(path, "trecweb"))
         assert docs[0].doc_id == "W1"
         assert docs[0].text == "alpha beta"
+
+    def test_non_utf8_docno_names_path_block_and_byte(self, tmp_path):
+        # replacing the bad bytes would merge the two ids into 'A\ufffd'
+        path = tmp_path / "c.trectext"
+        path.write_bytes(b"<DOC><DOCNO>A\xff</DOCNO></DOC>\n<DOC><DOCNO>A\xfe</DOCNO></DOC>\n")
+        message = f"{path}: <DOCNO> in document block 1 is not UTF-8: byte 13 is b'\\xff'"
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            list(parse_trec_collection(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "<DOC><DOCNO>D1</DOCNO></DOC>junk",
+            "<DOC><DOCNO>D1</DOCNO>",
+            "<DOC><TEXT>no id</TEXT></DOC>",
+            "<DOC><DOCNO> </DOCNO></DOC>",
+        ],
+    )
+    def test_every_error_names_the_file(self, tmp_path, text):
+        path = tmp_path / "c.trectext"
+        path.write_text(text)
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: "):
+            list(parse_trec_collection(path))
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "c.x"
@@ -168,6 +192,23 @@ class TestKrovetzStemmer:
     @given(st.text(alphabet=st.characters(min_codepoint=97, max_codepoint=122), min_size=1, max_size=24))
     @settings(max_examples=300)
     def test_stem_idempotent(self, word):
+        assert stem(stem(word)) == stem(word)
+
+    # words built of the endings the rules strip, so each takes many passes
+    @given(
+        st.builds(
+            "".join,
+            st.lists(
+                st.sampled_from(["b", "stop", "creat", "organ", "class", "ed", "ing", "es", "s", "ies",
+                                 "ied", "ation", "ization", "ification"]),
+                min_size=1,
+                max_size=12,
+            ),
+        )
+    )
+    @example("bededededededed")
+    @settings(max_examples=300)
+    def test_stem_reaches_a_fixed_point_on_suffix_chains(self, word):
         assert stem(stem(word)) == stem(word)
 
 
@@ -301,6 +342,13 @@ class TestParseTopics:
         with pytest.raises(CorpusFormatError, match=r"topics.tsv: no <top> block"):
             parse_topics(path, "trec_title", stoplist)
 
+    def test_line_ends_only_at_newline(self, tmp_path, stoplist):
+        path = tmp_path / "topics.tsv"
+        path.write_text("q1\tinternational\forganized\u2028crime\n", "utf-8")
+        topics = parse_topics(path, "tsv", stoplist)
+        assert [t.query_id for t in topics] == ["q1"]
+        assert topics[0].terms == tuple(normalize("international organized crime", stoplist))
+
     def test_topic_empty_after_normalization_rejected(self, tmp_path, stoplist):
         path = tmp_path / "topics.tsv"
         path.write_text("q1\tthe of and\n")
@@ -317,3 +365,19 @@ def test_load_stoplist_from_file(tmp_path):
     path = tmp_path / "stop"
     path.write_text("The\nAND\n")
     assert corpus_io.load_stoplist(path) == {"the", "and"}
+
+
+@pytest.mark.parametrize(
+    "read,text",
+    [
+        (parse_qrels, "q1 0 D1 1\n"),
+        (lambda path: parse_topics(path, "tsv"), "q1\talpha beta\n"),
+        (load_params, "mu=50\n"),
+    ],
+    ids=["qrels", "topics", "params"],
+)
+def test_leading_byte_order_mark_is_dropped(tmp_path, read, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, "utf-8")
+    marked.write_text("\ufeff" + text, "utf-8")
+    assert read(marked) == read(plain)

@@ -172,6 +172,16 @@ class TestFisherRandomization:
         second = fisher_randomization(a, b, samples=20_000, seed=17)
         assert first == second
 
+    def test_monte_carlo_draws_pinned_across_the_chunk_boundary(self):
+        """150,000 draws span two 100,000-draw chunks; drawing the signs in
+        another order or type moves the count from 50,362."""
+        diffs = [0.12, -0.05, 0.31, 0.0, -0.22, 0.08, 0.17, -0.11, 0.04, 0.26, -0.09, 0.15, -0.3,
+                 0.07, 0.02, 0.19, -0.14, 0.1, 0.05, -0.03, 0.21, -0.18, 0.11, 0.06, -0.07]
+        a = {f"q{i:02d}": d for i, d in enumerate(diffs)}
+        result = fisher_randomization(a, {q: 0.0 for q in a}, samples=150_000, seed=0)
+        assert result.samples == 150_000
+        assert result.p_value == (50_362 + 1) / (150_000 + 1)
+
 
 class TestGridSpec:
     def test_default_grids(self):

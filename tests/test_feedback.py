@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,12 @@ class TestModelParams:
         path = tmp_path / "params.txt"
         path.write_text("mu=100\n\nsubtract_nonrelevant=maybe\n")
         with pytest.raises(FeedbackError, match=r"params.txt:3: .*'maybe'.*'subtract_nonrelevant'"):
+            load_params(path)
+
+    def test_line_ends_only_at_newline(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("mu=50\x85k1=1.3\n", "utf-8")
+        with pytest.raises(FeedbackError, match=re.escape("params.txt:1: bad value '50\\x85k1=1.3' for parameter 'mu'")):
             load_params(path)
 
     def test_overrides_win(self, tmp_path):

@@ -262,7 +262,7 @@ class TestUnstorableInput:
         with pytest.raises(IndexDataError, match="D2"):
             build_index([TermSequence("D1", ("ok",)), TermSequence("D2", ("ok", term))])
 
-    @pytest.mark.parametrize("doc_id", ["D 1", "D\t1", "D1\n"])
+    @pytest.mark.parametrize("doc_id", ["D 1", "D\t1", "D1\n", ""])
     def test_doc_id_with_whitespace_rejected(self, doc_id):
         with pytest.raises(IndexDataError, match="whitespace"):
             build_index([TermSequence(doc_id, ("a",))])
@@ -311,6 +311,8 @@ class TestCorruptSnapshot:
             ("postings.tsv", 3, "c\t1:1:1"),
             ("postings.tsv", 2, "b\t0:1  1:1"),
             ("postings.tsv", 1, "a\t0:99999999999999999999"),
+            ("docs.tsv", 1, "D 1\t3"),
+            ("postings.tsv", 1, "a z\t0:2"),
         ],
     )
     def test_malformed_line_reports_path_and_line(self, saved_toy, name, lineno, bad):
