@@ -42,10 +42,8 @@ from .ranking import (
     QueryModel,
     RankingParams,
     ScoredList,
-    bm25_weight,
     retrieve_dot,
     retrieve_kl,
-    retrieve_ql,
 )
 from .session import (
     BudgetConfig,

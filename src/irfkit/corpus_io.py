@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import krovetz
 
@@ -83,14 +83,6 @@ class QrelSet:
     def query_ids(self) -> list[str]:
         return sorted(self._by_query)
 
-    def __len__(self) -> int:
-        return sum(len(d) for d in self._by_query.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QrelSet):
-            return NotImplemented
-        return self._by_query == other._by_query
-
 
 def default_stoplist() -> frozenset[str]:
     """The 418-word INQUERY stopword list shipped with the package."""
@@ -126,12 +118,21 @@ def normalize(text: str, stoplist: frozenset[str] = frozenset(), stemmer: str = 
     return out
 
 
-def _block_text(block: bytes, fmt: str) -> str:
-    block = _DOCNO_RE.sub(b" ", block)
+def _block_text(block: bytes, fmt: str, blank: bytes | Callable[[re.Match], bytes] = b" ") -> bytes:
+    """The block with its <DOCNO>, its trecweb <DOCHDR> and each tag replaced by ``blank``."""
+    block = _DOCNO_RE.sub(blank, block)
     if fmt == "trecweb":
-        block = _DOCHDR_RE.sub(b" ", block)
-    block = _TAG_RE.sub(b" ", block)
-    return " ".join(block.decode("utf-8", errors="replace").split())
+        block = _DOCHDR_RE.sub(blank, block)
+    return _TAG_RE.sub(blank, block)
+
+
+def _decode(raw: bytes, at: int, what: str) -> str:
+    """``raw`` as strict UTF-8; the error names a bad byte's file offset, ``raw`` being at ``at``."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad, at = raw[exc.start : exc.start + 1], at + exc.start
+        raise CorpusFormatError(f"{what} is not UTF-8: byte {at} is {bad!r}") from None
 
 
 def parse_trec_collection(path: str | Path, fmt: str = "trectext") -> Iterator[RawDocument]:
@@ -153,20 +154,19 @@ def parse_trec_collection(path: str | Path, fmt: str = "trectext") -> Iterator[R
         if end == -1:
             raise CorpusFormatError(f"{path}: unterminated <DOC> block at byte {start}")
         ordinal += 1
-        block = data[start + len(b"<DOC>") : end]
+        block = data[start:end]  # <DOC> included (a tag, so stripped): start + offset = file offset
         m = _DOCNO_RE.search(block)
         if m is None:
             raise CorpusFormatError(f"{path}: missing <DOCNO> in document block {ordinal} at byte {start}")
-        try:
-            doc_id = m.group(1).decode("utf-8").strip()
-        except UnicodeDecodeError as exc:
-            at = start + len(b"<DOC>") + m.start(1) + exc.start
-            raise CorpusFormatError(
-                f"{path}: <DOCNO> in document block {ordinal} is not UTF-8: byte {at} is {data[at:at + 1]!r}"
-            ) from None
+        doc_id = _decode(m[1], start + m.start(1), f"{path}: <DOCNO> in document block {ordinal}").strip()
         if not doc_id:
             raise CorpusFormatError(f"{path}: empty <DOCNO> in document block {ordinal} at byte {start}")
-        yield RawDocument(doc_id, _block_text(block, fmt))
+        try:
+            text = _block_text(block, fmt).decode("utf-8")
+        except UnicodeDecodeError:  # markup blanked in place keeps each byte at its offset
+            blanked = _block_text(block, fmt, lambda tag: b" " * len(tag[0]))
+            text = _decode(blanked, start, f"{path}: text in document block {ordinal}")
+        yield RawDocument(doc_id, " ".join(text.split()))
         pos = end + len(b"</DOC>")
 
 

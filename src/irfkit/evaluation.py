@@ -31,7 +31,7 @@ def average_precision(
 ) -> float:
     """AP = (1/R) * sum over relevant ranks r <= cutoff of (hits(r) / r)."""
     grades = qrels.grades_for(query_id)
-    num_relevant = sum(1 for g in grades.values() if g >= 1)
+    num_relevant = qrels.num_relevant(query_id)
     if num_relevant == 0:
         return 0.0
     hits = 0

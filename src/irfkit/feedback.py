@@ -166,10 +166,6 @@ def load_params(path: str | Path | None, overrides: dict[str, str] | None = None
     return ModelParams(**values)
 
 
-def write_params(params: ModelParams, path: str | Path) -> None:
-    write_key_values(path, params.to_dict())
-
-
 def _centroid(index: CollectionIndex, doc_ids: Sequence[str], weighting: Weighting) -> dict[str, float]:
     """Mean of the documents' vectors under a ``ranking.doc_weighting``, in
     sorted term order."""
@@ -388,8 +384,6 @@ def estimate_prob(
     num_rel = len(pools.relevant)
     if num_rel == 0:
         return Estimate(query_count_vector(query_terms), True, {})
-    if num_docs <= num_rel:
-        raise FeedbackError("relevant pool covers the whole collection")
     excluded = 0
 
     df_pool = forward_sum(index, pools.relevant, lambda term, length, count: 1)

@@ -85,19 +85,6 @@ class Postings(Mapping):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __contains__(self, term: object) -> bool:
-        return term in self.rows
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Postings):
-            return super().__eq__(other)
-        return (
-            self.rows == other.rows
-            and np.array_equal(self.offsets, other.offsets)
-            and np.array_equal(self.docs, other.docs)
-            and np.array_equal(self.counts, other.counts)
-        )
-
 
 class CollectionIndex:
     """Doc ids and postings, and what is derived from them at construction:
@@ -158,8 +145,11 @@ class CollectionIndex:
             return NotImplemented
         return (
             self.doc_ids == other.doc_ids
-            and self.postings == other.postings
             and self.analysis == other.analysis
+            and self.postings.terms == other.postings.terms
+            and np.array_equal(self.postings.offsets, other.postings.offsets)
+            and np.array_equal(self.postings.docs, other.postings.docs)
+            and np.array_equal(self.postings.counts, other.postings.counts)
         )
 
 

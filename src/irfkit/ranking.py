@@ -1,5 +1,5 @@
-"""Retrieval scorers: Dirichlet query likelihood, KL re-ranking, and
-dot-product scoring over BM25 or MLE document vectors.
+"""Retrieval scorers: KL re-ranking, Dirichlet query likelihood under a
+``query_language_model``, and dot products over BM25 or MLE document vectors.
 
 Every scorer sums q_w * weight(w, |x|, c(w,x)) in one postings loop, a term's
 postings slice at a time into a float64 accumulator: KL weighs by its
@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .index import CollectionIndex, Weighting, forward_sum
+from .index import CollectionIndex, Weighting
 
 
 @dataclass(frozen=True)
@@ -185,18 +185,6 @@ def retrieve_kl(
     return ScoredList(query_id, _rank(index, candidates, scores, params.depth))
 
 
-def retrieve_ql(
-    index: CollectionIndex,
-    terms: Sequence[str],
-    params: RankingParams,
-    exclude: Iterable[str] = (),
-    query_id: str = "",
-) -> ScoredList:
-    """Dirichlet-smoothed query likelihood: KL under the terms' MLE model,
-    which is rank-equivalent to scoring raw counts."""
-    return retrieve_kl(index, query_language_model(terms), params, exclude, query_id)
-
-
 VECTORIZERS = ("bm25", "mle")
 
 
@@ -215,11 +203,6 @@ def doc_weighting(index: CollectionIndex, vectorizer: str, params: RankingParams
         return (k1 + 1.0) * c / (k1 * (1.0 - b + b * length / avgdl) + c) * idf
 
     return bm25
-
-
-def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: RankingParams) -> float:
-    """Okapi weight of a term in a document, with idf log((N+1)/df)."""
-    return forward_sum(index, [doc_id], doc_weighting(index, "bm25", params)).get(term, 0.0)
 
 
 def retrieve_dot(

@@ -33,7 +33,7 @@ from irfkit.feedback import (
     estimate_rocchio,
 )
 from irfkit.index import build_index
-from irfkit.ranking import query_count_vector, retrieve_dot, retrieve_kl, retrieve_ql
+from irfkit.ranking import query_count_vector, query_language_model, retrieve_dot, retrieve_kl
 from irfkit.session import (
     MODEL_KINDS,
     BudgetConfig,
@@ -43,7 +43,8 @@ from irfkit.session import (
     run_irf,
     write_freezing_run,
 )
-from irfkit.synthetic import random_corpus, random_qrels, random_topics, topical_corpus
+from irfkit.synthetic import topical_corpus
+from support import random_corpus, random_qrels, random_topics
 
 
 # --------------------------------------------------------------------------
@@ -57,7 +58,7 @@ def one_shot_topk_reference(index, topic, model_kind, params, k, final_depth, qr
     the query model, retrieve the tail.  No session machinery."""
     rank_initial = params.ranking_params(k)
     if model_kind in ("rm3", "distill"):
-        first = retrieve_ql(index, list(topic.terms), rank_initial, (), topic.query_id)
+        first = retrieve_kl(index, query_language_model(topic.terms), rank_initial, (), topic.query_id)
     else:
         first = retrieve_dot(
             index, query_count_vector(topic.terms), "bm25", rank_initial, (), topic.query_id
@@ -404,7 +405,7 @@ def test_criterion_8_robust_reproduction(tmp_path):
     def ql_scores(params):
         return {
             t.query_id: average_precision(
-                retrieve_ql(index, list(t.terms), params.ranking_params(1000)).doc_ids,
+                retrieve_kl(index, query_language_model(t.terms), params.ranking_params(1000)).doc_ids,
                 qrels,
                 t.query_id,
             )

@@ -19,6 +19,11 @@ from irfkit.feedback import load_params
 from irfkit.krovetz import _EXCEPTIONS, stem
 
 
+def judgments(qrels):
+    """Every grade a QrelSet holds, by query and doc."""
+    return {query_id: qrels.grades_for(query_id) for query_id in qrels.query_ids()}
+
+
 class TestParseTrecCollection:
     def test_single_well_formed_record(self, tmp_path):
         path = tmp_path / "c.trectext"
@@ -77,6 +82,32 @@ class TestParseTrecCollection:
         message = f"{path}: <DOCNO> in document block 1 is not UTF-8: byte 13 is b'\\xff'"
         with pytest.raises(CorpusFormatError, match=re.escape(message)):
             list(parse_trec_collection(path))
+
+    @pytest.mark.parametrize("fmt", ["trectext", "trecweb"])
+    def test_non_utf8_text_names_path_block_and_byte(self, tmp_path, fmt):
+        # replacing the bad bytes would index Latin-1 'caf\xe9 na\xefve' as caf, na, ve
+        data = (
+            b"<DOC><DOCNO>D1</DOCNO><TEXT>ok</TEXT></DOC>\n"
+            b"<DOC><DOCNO>D2</DOCNO><DOCHDR>h</DOCHDR><TEXT>caf\xe9 na\xefve</TEXT></DOC>\n"
+        )
+        path = tmp_path / "c.trectext"
+        path.write_bytes(data)
+        at = data.index(b"\xe9")
+        message = f"{path}: text in document block 2 is not UTF-8: byte {at} is b'\\xe9'"
+        with pytest.raises(CorpusFormatError, match=re.escape(message)):
+            list(parse_trec_collection(path, fmt))
+
+    @pytest.mark.parametrize(
+        "fmt,block",
+        [
+            ("trectext", b"<TEXT class='\xff'>caf\xc3\xa9</TEXT>"),
+            ("trecweb", b"<DOCHDR>\xff</DOCHDR>caf\xc3\xa9"),
+        ],
+    )
+    def test_non_utf8_bytes_in_stripped_markup_are_ignored(self, tmp_path, fmt, block):
+        path = tmp_path / "c.trectext"
+        path.write_bytes(b"<DOC><DOCNO>D1</DOCNO>" + block + b"</DOC>")
+        assert list(parse_trec_collection(path, fmt)) == [RawDocument("D1", "caf\u00e9")]
 
     @pytest.mark.parametrize(
         "text",
@@ -218,7 +249,7 @@ class TestParseQrels:
         path.write_text("301 0 D1 1\n")
         qrels = parse_qrels(path)
         assert qrels.grade("301", "D1") == 1
-        assert len(qrels) == 1
+        assert judgments(qrels) == {"301": {"D1": 1}}
 
     def test_two_lines_direct_transcription(self, tmp_path):
         path = tmp_path / "qrels"
@@ -226,7 +257,7 @@ class TestParseQrels:
         qrels = parse_qrels(path)
         assert qrels.grade("301", "D1") == 2
         assert qrels.grade("301", "D2") == 0
-        assert len(qrels) == 2
+        assert judgments(qrels) == {"301": {"D1": 2, "D2": 0}}
 
     def test_large_file_entry_count(self, tmp_path):
         # one entry per unique pair, sized like a full document test set
@@ -239,7 +270,7 @@ class TestParseQrels:
         path = tmp_path / "qrels"
         path.write_text("\n".join(lines) + "\n")
         assert len(lines) == 17412
-        assert len(parse_qrels(path)) == 17412
+        assert sum(len(grades) for grades in judgments(parse_qrels(path)).values()) == 17412
 
     def test_non_integer_grade_reports_line(self, tmp_path):
         path = tmp_path / "qrels"
@@ -252,7 +283,7 @@ class TestParseQrels:
         path.write_text("301 0 D1 0\n301 0 D1 2\n")
         qrels = parse_qrels(path)
         assert qrels.grade("301", "D1") == 2
-        assert len(qrels) == 1
+        assert judgments(qrels) == {"301": {"D1": 2}}
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "qrels"
@@ -260,7 +291,7 @@ class TestParseQrels:
         qrels = parse_qrels(path)
         out = tmp_path / "qrels2"
         write_qrels(qrels, out)
-        assert parse_qrels(out) == qrels
+        assert judgments(parse_qrels(out)) == judgments(qrels)
 
     @given(
         st.dictionaries(
@@ -278,7 +309,7 @@ class TestParseQrels:
             qrels.set(query_id, doc_id, grade)
         path = tmp_path_factory.mktemp("qrels") / "q"
         write_qrels(qrels, path)
-        assert parse_qrels(path) == qrels
+        assert judgments(parse_qrels(path)) == judgments(qrels)
 
 
 class TestParseTopics:
@@ -370,7 +401,7 @@ def test_load_stoplist_from_file(tmp_path):
 @pytest.mark.parametrize(
     "read,text",
     [
-        (parse_qrels, "q1 0 D1 1\n"),
+        (lambda path: judgments(parse_qrels(path)), "q1 0 D1 1\n"),
         (lambda path: parse_topics(path, "tsv"), "q1\talpha beta\n"),
         (load_params, "mu=50\n"),
     ],

@@ -20,11 +20,12 @@ from irfkit.feedback import (
     load_params,
     mle,
     parse_param,
-    write_params,
+    write_key_values,
     _centroid,
 )
 from irfkit.index import build_index, forward_sum
-from irfkit.ranking import RankingParams, bm25_weight, doc_weighting, query_count_vector
+from irfkit.ranking import RankingParams, doc_weighting, query_count_vector
+from support import bm25_weight
 
 
 def make_index(layout):
@@ -81,7 +82,7 @@ class TestModelParams:
     def test_param_file_round_trip(self, tmp_path):
         params = ModelParams(mu=300.0, interp_lambda=0.4, num_expansion_terms=30)
         path = tmp_path / "params.txt"
-        write_params(params, path)
+        write_key_values(path, params.to_dict())
         assert load_params(path) == params
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -337,10 +338,6 @@ class TestProb:
         estimate = estimate_prob(ab_index, ["a", "b", "a"], pools, ModelParams())
         assert estimate.fallback
         assert estimate.model == query_count_vector(["a", "b", "a"])
-
-    def test_pool_covering_collection_rejected(self, ab_index):
-        with pytest.raises(FeedbackError, match="collection"):
-            estimate_prob(ab_index, ["a"], FeedbackPools(["D1", "D2"]), ModelParams())
 
 
 class TestEstimatorsUseFullPoolsNotIncrements:

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from irfkit import cli, corpus_io, index, synthetic
-from irfkit.feedback import ModelParams, write_params
+from irfkit.feedback import ModelParams, write_key_values
 
 MODELS = ("rm3", "distill", "rocchio", "prob")
 BUDGETS = ((10, 1), (5, 2), (2, 5), (1, 10))
@@ -66,7 +66,7 @@ def make_workdir(root):
         "".join(f"{t.query_id}\t{' '.join(t.terms)}\n" for t in topics), "utf-8"
     )
     corpus_io.write_qrels(qrels, root / "qrels.txt")
-    write_params(PARAMS, root / "params.txt")
+    write_key_values(root / "params.txt", PARAMS.to_dict())
     for model, text in GRIDS.items():
         (root / f"grid_{model}.txt").write_text(text, "utf-8")
     return root

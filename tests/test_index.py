@@ -98,6 +98,32 @@ class TestPostingsView:
             idx.postings.counts[0] = 5
 
 
+class TestIndexEquality:
+    """``==`` is how the benchmark's tune workload checks a snapshot round trip."""
+
+    LAYOUT, ANALYSIS = [("D1", "aba"), ("D2", "bc")], {"stemmer": "none"}
+
+    def test_loaded_equals_built(self, tmp_path):
+        built = build_index(make_docs(self.LAYOUT), self.ANALYSIS)
+        save_index(built, tmp_path / "snap")
+        loaded = load_index(tmp_path / "snap")
+        assert loaded == built and not loaded != built
+
+    @pytest.mark.parametrize(
+        "layout,analysis",
+        [
+            ([("D1", "abaa"), ("D2", "bc")], ANALYSIS),
+            ([("D1", "aba"), ("D3", "bc")], ANALYSIS),
+            ([("D1", "aba"), ("D2", "bd")], ANALYSIS),
+            (LAYOUT, {"stemmer": "krovetz"}),
+        ],
+        ids=["count", "doc_id", "term", "analysis"],
+    )
+    def test_one_difference_makes_it_unequal(self, layout, analysis):
+        built = build_index(make_docs(self.LAYOUT), self.ANALYSIS)
+        assert build_index(make_docs(layout), analysis) != built
+
+
 class TestDocVector:
     def test_exact_counts(self):
         idx = build_index(make_docs([("D1", "aba"), ("D2", "b")]))

@@ -12,13 +12,12 @@ from irfkit import ranking
 from irfkit.ranking import (
     QueryModel,
     RankingParams,
-    bm25_weight,
     query_count_vector,
     query_language_model,
     retrieve_dot,
     retrieve_kl,
-    retrieve_ql,
 )
+from support import bm25_weight
 
 
 def make_index(layout):
@@ -51,37 +50,37 @@ def test_ordered_sum_adds_in_iteration_order():
 
 
 class TestRetrieveQL:
+    # KL under the query's MLE model, a session's first ranking for rm3 and distill
+    PARAMS = RankingParams(mu=1.0, depth=10)
+
     def test_hand_arithmetic_single_term(self, two_doc_index):
         # c(a,D1)=2, |D1|=3, cf(a)/total=2/4, mu=1 -> p_D1 = 2.5/4 = 0.625
-        res = retrieve_ql(two_doc_index, ["a"], RankingParams(mu=1.0, depth=10))
+        res = retrieve_kl(two_doc_index, query_language_model(["a"]), self.PARAMS)
         assert res.doc_ids == ["D1"]
         assert res.entries[0][1] == pytest.approx(math.log(0.625))
 
     def test_ranking_prefers_higher_count(self):
         idx = make_index([("D1", "aba"), ("D2", "ab"), ("D3", "b")])
-        res = retrieve_ql(idx, ["a"], RankingParams(mu=1.0, depth=10))
+        res = retrieve_kl(idx, query_language_model(["a"]), self.PARAMS)
         assert res.doc_ids == ["D1", "D2"]
 
     def test_exclusion(self, two_doc_index):
-        res = retrieve_ql(two_doc_index, ["b"], RankingParams(mu=1.0, depth=10), exclude={"D1"})
+        res = retrieve_kl(two_doc_index, query_language_model(["b"]), self.PARAMS, exclude={"D1"})
         assert res.doc_ids == ["D2"]
 
     def test_all_query_terms_out_of_vocabulary(self, two_doc_index):
-        res = retrieve_ql(two_doc_index, ["zzz"], RankingParams(mu=1.0, depth=10))
+        res = retrieve_kl(two_doc_index, query_language_model(["zzz"]), self.PARAMS)
         assert res.entries == ()
 
     def test_equal_docs_tie_broken_by_doc_id(self):
         idx = make_index([("DB", "ax"), ("DA", "ay"), ("DC", "z")])
-        res = retrieve_ql(idx, ["a"], RankingParams(mu=1.0, depth=10))
+        res = retrieve_kl(idx, query_language_model(["a"]), self.PARAMS)
         assert res.doc_ids == ["DA", "DB"]
 
 
 class TestRetrieveKL:
-    def test_one_hot_matches_ql(self, two_doc_index):
-        params = RankingParams(mu=1.0, depth=10)
-        kl = retrieve_kl(two_doc_index, QueryModel.lm({"a": 1.0}), params)
-        ql = retrieve_ql(two_doc_index, ["a"], params)
-        assert kl == ql
+    def test_one_hot_matches_ql(self):
+        assert QueryModel.lm({"a": 1.0}) == query_language_model(["a"])
 
     def test_matches_brute_force_over_definitions(self, two_doc_index):
         params = RankingParams(mu=2.0, depth=10)
@@ -213,39 +212,39 @@ def random_index_and_model(seed):
         for i in range(rng.randint(2, 12))
     ]
     terms = [rng.choice("abcde") for _ in range(rng.randint(1, 3))]
-    return make_index(docs), terms
+    return make_index(docs), query_language_model(terms)
 
 
 class TestRankingProperties:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=80)
     def test_determinism(self, seed):
-        idx, terms = random_index_and_model(seed)
+        idx, model = random_index_and_model(seed)
         params = RankingParams(mu=10.0, depth=100)
-        assert retrieve_ql(idx, terms, params) == retrieve_ql(idx, terms, params)
+        assert retrieve_kl(idx, model, params) == retrieve_kl(idx, model, params)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=80)
     def test_truncation_consistency(self, seed):
-        idx, terms = random_index_and_model(seed)
-        deep = retrieve_ql(idx, terms, RankingParams(mu=10.0, depth=1000))
+        idx, model = random_index_and_model(seed)
+        deep = retrieve_kl(idx, model, RankingParams(mu=10.0, depth=1000))
         for k in (1, 2, 3):
-            shallow = retrieve_ql(idx, terms, RankingParams(mu=10.0, depth=k))
+            shallow = retrieve_kl(idx, model, RankingParams(mu=10.0, depth=k))
             assert shallow.entries == deep.entries[:k]
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=80)
     def test_exclusion_soundness(self, seed):
-        idx, terms = random_index_and_model(seed)
+        idx, model = random_index_and_model(seed)
         exclude = set(idx.doc_ids[::2])
-        res = retrieve_ql(idx, terms, RankingParams(mu=10.0, depth=1000), exclude=exclude)
+        res = retrieve_kl(idx, model, RankingParams(mu=10.0, depth=1000), exclude=exclude)
         assert not exclude & set(res.doc_ids)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40)
     def test_scores_independent_of_doc_arrival_order(self, seed):
         rng = random.Random(seed)
-        idx, terms = random_index_and_model(seed)
+        idx, model = random_index_and_model(seed)
         docs = [
             TermSequence(doc_id, tuple(t for t, c in doc_vector(idx, doc_id).items() for _ in range(c)))
             for doc_id in idx.doc_ids
@@ -254,7 +253,7 @@ class TestRankingProperties:
         rng.shuffle(shuffled)
         other = build_index(shuffled)
         params = RankingParams(mu=10.0, depth=1000)
-        assert retrieve_ql(idx, terms, params) == retrieve_ql(other, terms, params)
+        assert retrieve_kl(idx, model, params) == retrieve_kl(other, model, params)
 
 
 # The scorers as they were before the columnar index: one closure call per

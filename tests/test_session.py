@@ -18,7 +18,7 @@ from irfkit.session import (
     write_freezing_run,
     write_session_log,
 )
-from irfkit.synthetic import random_corpus, random_qrels, random_topics
+from support import random_corpus, random_qrels, random_topics
 
 
 def make_index(layout):
@@ -109,6 +109,15 @@ class TestRunIrf:
         run = run_irf(idx, topic, "rm3", ModelParams(mu=1.0), budget, make_qrels_judge(qrels))
         assert len(run.records[0].shown) == 2  # only two docs match
         assert run.tail == []
+
+    @pytest.mark.parametrize("model_kind", MODEL_KINDS)
+    def test_budget_beyond_a_collection_that_is_all_relevant(self, model_kind):
+        # the relevant pool ends up holding every document; prob's log-odds stay defined
+        idx = make_index([("D1", "ab"), ("D2", "ac"), ("D3", "abc")])
+        judge = make_qrels_judge(make_qrels([("q", doc, 1) for doc in idx.doc_ids]))
+        run = run_irf(idx, Topic("q", ("a",)), model_kind, ModelParams(), BudgetConfig(1, 4, 4), judge)
+        assert sorted(run.frozen) == idx.doc_ids and run.tail == []
+        assert [len(record.shown) for record in run.records] == [1, 1, 1, 0]
 
     def test_unknown_model_rejected(self, small_setup):
         idx, topic, qrels = small_setup
