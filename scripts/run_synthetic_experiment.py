@@ -14,23 +14,13 @@ import argparse
 import sys
 import time
 
-from irfkit.evaluation import METRICS, fisher_randomization
+from irfkit.evaluation import evaluate_run, fisher_randomization
 from irfkit.feedback import ModelParams
 from irfkit.index import build_index
-from irfkit.ranking import ordered_sum
 from irfkit.session import MODEL_KINDS, BudgetConfig, initial_ranking, make_qrels_judge, run_irf
 from irfkit.synthetic import topical_corpus
 
 BUDGETS = [(10, 1), (5, 2), (2, 5), (1, 10)]
-
-
-def per_query_scores(runs, qrels, metric):
-    score = METRICS[metric]
-    return {r.query_id: score(r.doc_ids, qrels, r.query_id) for r in runs}
-
-
-def mean(scores):
-    return ordered_sum(scores.values()) / len(scores)
 
 
 def main(argv=None):
@@ -67,35 +57,37 @@ def main(argv=None):
     print(header)
     print("-" * len(header))
     for model_kind in MODEL_KINDS:
-        initial_runs = [initial_ranking(index, t, model_kind, params) for t in topics]
+        initial_run = {
+            t.query_id: initial_ranking(index, t, model_kind, params).doc_ids for t in topics
+        }
         budget_runs = {
-            (k, n): [
-                run_irf(index, t, model_kind, params, BudgetConfig(k, n), judge)
+            (k, n): {
+                t.query_id: run_irf(index, t, model_kind, params, BudgetConfig(k, n), judge).doc_ids
                 for t in topics
-            ]
+            }
             for k, n in BUDGETS
         }
         for metric in ("map", "ndcg20"):
-            initial_scores = per_query_scores(initial_runs, qrels, metric)
-            base_scores = per_query_scores(budget_runs[(10, 1)], qrels, metric)
+            initial = evaluate_run(initial_run, qrels, metric)
+            base = evaluate_run(budget_runs[(10, 1)], qrels, metric)
             cells = []
             for k, n in BUDGETS:
-                scores = per_query_scores(budget_runs[(k, n)], qrels, metric)
+                result = evaluate_run(budget_runs[(k, n)], qrels, metric)
                 marks = ""
                 sig_init = fisher_randomization(
-                    scores, initial_scores, samples=args.samples, seed=args.seed
+                    result.per_query, initial.per_query, samples=args.samples, seed=args.seed
                 )
-                if sig_init.significant and mean(scores) > mean(initial_scores):
+                if sig_init.significant and result.mean > initial.mean:
                     marks += "*"
                 if (k, n) != (10, 1):
                     sig_base = fisher_randomization(
-                        scores, base_scores, samples=args.samples, seed=args.seed
+                        result.per_query, base.per_query, samples=args.samples, seed=args.seed
                     )
-                    if sig_base.significant and mean(scores) > mean(base_scores):
+                    if sig_base.significant and result.mean > base.mean:
                         marks += "+"
-                cells.append(f"{mean(scores):.3f}{marks:<2s}")
+                cells.append(f"{result.mean:.3f}{marks:<2s}")
             print(
-                f"{model_kind:9s}{metric:8s}{mean(initial_scores):>9.3f}"
+                f"{model_kind:9s}{metric:8s}{initial.mean:>9.3f}"
                 + "".join(f"{c:>9s}" for c in cells)
             )
     print(f"done in {time.time() - start:.0f}s "

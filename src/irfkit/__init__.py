@@ -17,7 +17,6 @@ from .corpus_io import (
     parse_trec_collection,
 )
 from .evaluation import (
-    GridSpec,
     MetricResult,
     SigTestResult,
     average_precision,
@@ -40,7 +39,6 @@ from .feedback import (
 from .index import CollectionIndex, build_index, doc_vector, load_index, save_index
 from .ranking import (
     QueryModel,
-    RankingParams,
     ScoredList,
     retrieve_dot,
     retrieve_kl,

@@ -37,13 +37,13 @@ def read_run(path: str | Path) -> dict[str, list[str]]:
             )
         query_id, _, doc_id, rank, score, _ = parts
         try:
-            int(rank)
+            corpus_io.parse_number(rank, int)
         except ValueError:
             raise corpus_io.CorpusFormatError(
                 f"{path}:{lineno}: non-integer rank {rank!r}"
             ) from None
         try:
-            score_num = float(score)
+            score_num = corpus_io.parse_number(score, float)
         except ValueError:
             score_num = math.nan
         if not math.isfinite(score_num):
@@ -169,27 +169,11 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _load_grid(path: str | None) -> evaluation.GridSpec:
-    if path is None:
-        return evaluation.GridSpec()
-    values: dict[str, tuple] = {}
-    for where, key, raw in feedback.read_key_values(path):
-        if key not in evaluation.GridSpec.__dataclass_fields__:
-            raise corpus_io.CorpusFormatError(f"{where}: unknown grid key {key!r}")
-        try:
-            values[key] = tuple(
-                feedback.parse_param(key, v.strip()) for v in raw.split(",") if v.strip()
-            )
-        except feedback.FeedbackError as exc:
-            raise corpus_io.CorpusFormatError(f"{where}: {exc}") from None
-    return evaluation.GridSpec(**values)
-
-
 def cmd_sweep(args) -> int:
     index, topics, budget = _session_setup(args)
     qrels = corpus_io.parse_qrels(args.qrels)
     judge = session.make_qrels_judge(qrels)
-    points = _load_grid(args.grid).expand(args.model)
+    points = feedback.load_grid(args.grid, args.model)
     scorer = evaluation.METRICS[args.metric]
     eligible = [t for t in topics if qrels.num_relevant(t.query_id) > 0]
 

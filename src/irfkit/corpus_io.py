@@ -36,6 +36,15 @@ def read_text(path: str | Path, error: type[ValueError] = CorpusFormatError) -> 
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
+def parse_number(text: str, kind: type[int] | type[float]) -> int | float:
+    """``kind(text)`` for ASCII text without ``_``; ``ValueError`` otherwise.
+    ``int`` and ``float`` alone also read other scripts' digits and ``_``
+    digit groups."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return kind(text)
+
+
 @dataclass(frozen=True)
 class RawDocument:
     doc_id: str
@@ -188,7 +197,7 @@ def parse_qrels(path: str | Path) -> QrelSet:
             raise CorpusFormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
         query_id, _, doc_id, grade_str = parts
         try:
-            grade = int(grade_str)
+            grade = parse_number(grade_str, int)
         except ValueError:
             raise CorpusFormatError(f"{path}:{lineno}: non-integer grade {grade_str!r}") from None
         if grade < 0:

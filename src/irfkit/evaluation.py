@@ -7,15 +7,14 @@ mean, matching trec_eval behaviour.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus_io import QrelSet
-from .feedback import ModelParams, model_spec
+from .feedback import ModelParams
 from .ranking import ordered_sum
 
 
@@ -136,45 +135,6 @@ def fisher_randomization(
         means = (bits * 2.0 - 1.0) @ diffs / n
         count += int((np.abs(means) >= threshold).sum())
     return SigTestResult((count + add_one) / (total + add_one), observed, total, seed)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Per-parameter candidate values for grid search.
-
-    The defaults are the built-in hyper-parameter search grids for
-    cross-validation.
-    """
-
-    mu: tuple[float, ...] = (30.0, 50.0, 300.0, 500.0, 1000.0, 1500.0)
-    k1: tuple[float, ...] = (1.2, 1.4, 1.6, 1.8, 2.0)
-    b: tuple[float, ...] = (0.75,)
-    interp_lambda: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-    lambda1: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-    lambda2: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-    num_expansion_terms: tuple[int, ...] = (10, 20, 30, 40, 50)
-    beta: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-    gamma: tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if not getattr(self, f.name):
-                raise ValueError(f"empty grid for {f.name}")
-
-    def expand(self, model_kind: str) -> list[ModelParams]:
-        """All parameter combinations over the axes the model uses, in
-        deterministic order; combinations violating lambda1 + lambda2 < 1
-        are skipped.  Every other field stays at the ModelParams default."""
-        axes = model_spec(model_kind).axes
-        points = []
-        for values in itertools.product(*(getattr(self, axis) for axis in axes)):
-            override = dict(zip(axes, values))
-            if override.get("lambda1", 0.0) + override.get("lambda2", 0.0) >= 1.0:
-                continue
-            points.append(ModelParams(**override))
-        if not points:
-            raise ValueError("grid expansion produced no valid parameter points")
-        return points
 
 
 @dataclass

@@ -17,16 +17,16 @@ them chains off the previous iteration's model, which is known to drift.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .corpus_io import read_text
+from .corpus_io import parse_number, read_text
 from .index import CollectionIndex, Weighting, forward_sum
 from .ranking import (
     QueryModel,
-    RankingParams,
     doc_weighting,
     ordered_sum,
     query_count_vector,
@@ -68,7 +68,8 @@ class FeedbackPools:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Every tunable knob of the pipeline, loadable from a key=value file."""
+    """Every tunable knob of the pipeline, the scorers' mu, k1 and b among
+    them, checked for type and range; loadable from a key=value file."""
 
     mu: float = 1000.0
     k1: float = 1.2
@@ -85,9 +86,19 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
+            value, kind = getattr(self, f.name), _FIELD_TYPES[f.name]
+            # a bool is an int but only a bool field's value; an int is a float field's too
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+                raise FeedbackError(f"{f.name} must be {kind.__name__}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise FeedbackError(f"{f.name} must be finite, got {value}")
+        if not self.mu > 0:
+            raise FeedbackError(f"mu must be > 0, got {self.mu}")
+        if not self.k1 > 0:
+            raise FeedbackError(f"k1 must be > 0, got {self.k1}")
+        if not 0.0 <= self.b <= 1.0:
+            raise FeedbackError(f"b must be in [0, 1], got {self.b}")
         if not 0.0 <= self.interp_lambda <= 1.0:
             raise FeedbackError(f"interp_lambda must be in [0, 1], got {self.interp_lambda}")
         if self.num_expansion_terms < 1:
@@ -100,13 +111,6 @@ class ModelParams:
             raise FeedbackError("beta and gamma must be non-negative")
         if self.em_max_iters < 1:
             raise FeedbackError(f"em_max_iters must be >= 1, got {self.em_max_iters}")
-        try:  # RankingParams holds the range checks of mu, k1 and b
-            self.ranking_params()
-        except ValueError as exc:
-            raise FeedbackError(str(exc)) from None
-
-    def ranking_params(self, depth: int = 1000) -> RankingParams:
-        return RankingParams(mu=self.mu, k1=self.k1, b=self.b, depth=depth)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -122,7 +126,7 @@ def parse_param(key: str, value: str):
         raise FeedbackError(f"unknown parameter {key!r}")
     field_type = _FIELD_TYPES[key]
     try:
-        return _BOOLS[value.lower()] if field_type is bool else field_type(value)
+        return _BOOLS[value.lower()] if field_type is bool else parse_number(value, field_type)
     except (ValueError, KeyError):
         raise FeedbackError(f"bad value {value!r} for parameter {key!r}") from None
 
@@ -166,6 +170,28 @@ def load_params(path: str | Path | None, overrides: dict[str, str] | None = None
     return ModelParams(**values)
 
 
+def load_grid(path: str | Path | None, model_kind: str) -> list[ModelParams]:
+    """The grid points of a model: every combination of its axes' values, in
+    ``itertools.product`` order, less those with lambda1 + lambda2 >= 1.  A
+    ``key=v1,v2,...`` file (if any) sets the values of some axes; the others
+    keep their ``GRID`` values.  Every other field keeps its default."""
+    axes = model_spec(model_kind).axes
+    values = {axis: GRID[axis] for axis in axes}
+    for where, key, raw in read_key_values(path) if path is not None else ():
+        if key not in values:
+            raise FeedbackError(
+                f"{where}: {key!r} is not a grid axis of {model_kind}; expected one of {axes}"
+            )
+        try:
+            values[key] = tuple(parse_param(key, v.strip()) for v in raw.split(",") if v.strip())
+        except FeedbackError as exc:
+            raise FeedbackError(f"{where}: {exc}") from None
+        if not values[key]:
+            raise FeedbackError(f"{where}: no values for {key!r}")
+    points = (dict(zip(axes, point)) for point in itertools.product(*values.values()))
+    return [ModelParams(**p) for p in points if p.get("lambda1", 0.0) + p.get("lambda2", 0.0) < 1.0]
+
+
 def _centroid(index: CollectionIndex, doc_ids: Sequence[str], weighting: Weighting) -> dict[str, float]:
     """Mean of the documents' vectors under a ``ranking.doc_weighting``, in
     sorted term order."""
@@ -182,7 +208,7 @@ def mle(index: CollectionIndex, doc_set: Sequence[str], mode: str = "concatenate
     if not doc_set:
         raise FeedbackError("mle requires a non-empty document set")
     if mode == "averaged":
-        return _centroid(index, doc_set, doc_weighting(index, "mle", RankingParams()))
+        return _centroid(index, doc_set, doc_weighting(index, "mle", ModelParams()))
     if mode == "concatenated":
         counts = forward_sum(index, doc_set, lambda term, length, count: count)
         total = sum(counts.values())
@@ -349,7 +375,7 @@ def estimate_rocchio(
     Expansion terms outside the original query are truncated to the top
     num_expansion_terms by absolute weight; query terms are always kept.
     """
-    bm25 = doc_weighting(index, "bm25", params.ranking_params())
+    bm25 = doc_weighting(index, "bm25", params)
     vector = dict(query_count_vector(query_terms).weights)
     query_term_set = set(vector)
     sign = -1.0 if params.subtract_nonrelevant else 1.0
@@ -440,6 +466,19 @@ MODELS = {
         "estimate_rocchio", "bm25", ("k1", "b", "beta", "gamma", "num_expansion_terms")
     ),
     "prob": ModelSpec("estimate_prob", "mle", ("k1", "b", "interp_lambda", "num_expansion_terms")),
+}
+
+# the built-in candidate values of each axis for cross-validation
+GRID = {
+    "mu": (30.0, 50.0, 300.0, 500.0, 1000.0, 1500.0),
+    "k1": (1.2, 1.4, 1.6, 1.8, 2.0),
+    "b": (0.75,),
+    "interp_lambda": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
+    "lambda1": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
+    "lambda2": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
+    "num_expansion_terms": (10, 20, 30, 40, 50),
+    "beta": (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
+    "gamma": (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
 }
 
 

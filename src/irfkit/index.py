@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .corpus_io import TermSequence, read_text
+from .corpus_io import STEMMERS, TermSequence, parse_number, read_text
 
 FORMAT_VERSION = 2
 # the collection statistics a manifest records, checked on load
@@ -172,8 +172,21 @@ def _row_sums(offsets: np.ndarray, values: np.ndarray) -> np.ndarray:
     return running[offsets[1:]] - running[offsets[:-1]]
 
 
+def _check_analysis(analysis: object, where: str) -> None:
+    """The one rule for ``analysis``, as a manifest stores it: an object holding
+    at most a ``stemmer`` in STEMMERS and a ``stoplist`` list of strings."""
+    if not isinstance(analysis, dict) or not set(analysis) <= {"stemmer", "stoplist"}:
+        raise IndexDataError(f"{where} must be an object holding only stemmer and stoplist")
+    if analysis.get("stemmer", "krovetz") not in STEMMERS:
+        raise IndexDataError(f"{where}: unknown stemmer {analysis['stemmer']!r}; expected one of {STEMMERS}")
+    stoplist = analysis.get("stoplist", [])
+    if not isinstance(stoplist, list) or not all(isinstance(word, str) for word in stoplist):
+        raise IndexDataError(f"{where}: stoplist must be a list of strings")
+
+
 def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> CollectionIndex:
     """Build an index from term sequences; deterministic given input order."""
+    _check_analysis({} if analysis is None else analysis, "analysis")
     doc_ids: list[str] = []
     # each document's term ids (in order of first use) and counts, and where they end
     term_ids: defaultdict[str, int] = defaultdict()
@@ -238,6 +251,7 @@ def save_index(index: CollectionIndex, directory: str | Path) -> None:
     """Write a snapshot: doc table, postings, manifest.  The old manifest goes
     first, so ``load_index`` rejects a save that died midway, and with it the
     two files only format 1 wrote."""
+    _check_analysis(index.analysis, "analysis")  # json.dumps fails on a set, after the deletes
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / "manifest.json"
@@ -277,6 +291,8 @@ def load_index(directory: str | Path) -> CollectionIndex:
             f"snapshot format version {version} does not match supported version "
             f"{FORMAT_VERSION}; re-index the collection with `irfkit index`"
         )
+    analysis = manifest.get("analysis", {})
+    _check_analysis(analysis, f"{manifest_path}: analysis")
     docs_path = directory / "docs.tsv"
     doc_rows = _read_rows(docs_path, "doc_id<TAB>length", _parse_doc_row)
     doc_ids = [doc_id for doc_id, _ in doc_rows]
@@ -322,7 +338,7 @@ def load_index(directory: str | Path) -> CollectionIndex:
             f"{postings_path}:{lineno}: doc {postings.docs[repeated[0]]} does not follow doc "
             f"{postings.docs[repeated[0] - 1]}; a row holds each doc once, in ascending order"
         )
-    index = CollectionIndex(doc_ids, postings, manifest.get("analysis") or {})
+    index = CollectionIndex(doc_ids, postings, analysis)
     for key in _MANIFEST_COUNTS:
         if manifest.get(key) != getattr(index.stats, key):
             raise IndexDataError(
@@ -341,7 +357,7 @@ def _parse_doc_row(line: str) -> tuple[str, int]:
     doc_id, length = line.split("\t")
     if doc_id.split() != [doc_id]:  # as in build_index
         raise ValueError(doc_id)
-    return doc_id, int(length)
+    return doc_id, parse_number(length, int)
 
 
 def _parse_postings_row(line: str) -> tuple[str, str]:

@@ -17,29 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .index import CollectionIndex, Weighting
 
-
-@dataclass(frozen=True)
-class RankingParams:
-    mu: float = 1000.0
-    k1: float = 1.2
-    b: float = 0.75
-    depth: int = 1000
-
-    def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not self.k1 > 0:
-            raise ValueError(f"k1 must be > 0, got {self.k1}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"b must be in [0, 1], got {self.b}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
+if TYPE_CHECKING:  # feedback imports this module
+    from .feedback import ModelParams
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -102,6 +87,8 @@ def _rank(
 ) -> tuple[tuple[str, float], ...]:
     """The top ``depth`` candidates by (score desc, doc_id asc): a partition
     keeps every candidate tied at the cut, then a sort orders what it kept."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if len(candidates) > depth:
         cut = np.partition(-scores, depth - 1)[depth - 1]
         kept = -scores <= cut
@@ -148,12 +135,14 @@ def _log_each(values: np.ndarray, offset: float) -> np.ndarray:
 def retrieve_kl(
     index: CollectionIndex,
     model: QueryModel,
-    params: RankingParams,
+    params: ModelParams,
     exclude: Iterable[str] = (),
     query_id: str = "",
+    depth: int = 1000,
 ) -> ScoredList:
     """Rank by negative KL divergence against Dirichlet-smoothed document
-    models, which reduces to sum_w p_Q(w) * log p_x(w).
+    models, which reduces to sum_w p_Q(w) * log p_x(w), and keep the top
+    ``depth``.
 
     Query terms missing from a document contribute their background-only
     probability; query terms missing from the whole collection are dropped
@@ -165,8 +154,6 @@ def retrieve_kl(
     backgrounds = {
         t: params.mu * index.cf(t) / total_terms for t in sorted(model.weights) if index.cf(t) > 0
     }
-    if not backgrounds:
-        return ScoredList(query_id, ())
     # score(x) = sum_w q_w * log(c(w,x) + mu*bg_w) - (sum_w q_w) * log(|x| + mu)
     # accumulated as a delta over the all-background baseline so only
     # postings entries are touched.
@@ -182,13 +169,13 @@ def retrieve_kl(
     candidates, partial = _accumulate(index, model, dirichlet_delta, exclude)
     lengths = index.doc_length_array[candidates]
     scores = partial + baseline - weight_sum * _log_each(lengths, params.mu)
-    return ScoredList(query_id, _rank(index, candidates, scores, params.depth))
+    return ScoredList(query_id, _rank(index, candidates, scores, depth))
 
 
 VECTORIZERS = ("bm25", "mle")
 
 
-def doc_weighting(index: CollectionIndex, vectorizer: str, params: RankingParams) -> Weighting:
+def doc_weighting(index: CollectionIndex, vectorizer: str, params: ModelParams) -> Weighting:
     """weight(term, |x|, c), the weight of count c of a term in a document of
     length |x|: Okapi BM25 ((k1+1)c / (k1(1-b+b|x|/avgdl) + c)) * idf with idf
     log((N+1)/df), or MLE c/|x|.  On Python numbers it returns a Python float."""
@@ -209,14 +196,15 @@ def retrieve_dot(
     index: CollectionIndex,
     model: QueryModel,
     vectorizer: str,
-    params: RankingParams,
+    params: ModelParams,
     exclude: Iterable[str] = (),
     query_id: str = "",
+    depth: int = 1000,
 ) -> ScoredList:
     """Dot product of the query vector with BM25-weighted or MLE document
-    vectors."""
+    vectors; the top ``depth`` documents."""
     if model.kind != "vector":
         raise ValueError(f"retrieve_dot requires a vector query model, got {model.kind!r}")
     weighting = doc_weighting(index, vectorizer, params)
     candidates, scores = _accumulate(index, model, weighting, exclude)
-    return ScoredList(query_id, _rank(index, candidates, scores, params.depth))
+    return ScoredList(query_id, _rank(index, candidates, scores, depth))

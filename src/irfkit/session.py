@@ -101,12 +101,11 @@ def _retrieve(
     # resolved at call time, not bound in MODELS, so perfbench's tracer can wrap it
     estimate = globals()[spec.estimator](index, topic.terms, pools, params)
     model = estimate.model
-    rank_params = params.ranking_params(depth)
     if spec.vectorizer is None:
-        scored = retrieve_kl(index, model, rank_params, exclude, topic.query_id)
+        scored = retrieve_kl(index, model, params, exclude, topic.query_id, depth)
     else:
         vectorizer = "bm25" if estimate.fallback else spec.vectorizer
-        scored = retrieve_dot(index, model, vectorizer, rank_params, exclude, topic.query_id)
+        scored = retrieve_dot(index, model, vectorizer, params, exclude, topic.query_id, depth)
     summary = {"model": model_kind, "fallback": estimate.fallback, "terms": len(model.weights)}
     return scored, summary
 

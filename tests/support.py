@@ -6,8 +6,9 @@ import random
 from typing import Sequence
 
 from irfkit.corpus_io import QrelSet, TermSequence, Topic
+from irfkit.feedback import ModelParams
 from irfkit.index import CollectionIndex, forward_sum
-from irfkit.ranking import RankingParams, doc_weighting
+from irfkit.ranking import doc_weighting
 
 
 def random_corpus(
@@ -57,6 +58,6 @@ def random_qrels(
     return qrels
 
 
-def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: RankingParams) -> float:
+def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: ModelParams) -> float:
     """Okapi weight of a term in one document, as the Rocchio centroid reads it."""
     return forward_sum(index, [doc_id], doc_weighting(index, "bm25", params)).get(term, 0.0)

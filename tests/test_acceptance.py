@@ -16,7 +16,6 @@ from irfkit import cli
 from irfkit.corpus_io import QrelSet, Topic, parse_qrels, parse_topics, parse_trec_collection
 from irfkit.corpus_io import default_stoplist, normalize_collection
 from irfkit.evaluation import (
-    GridSpec,
     average_precision,
     cross_validate,
     evaluate_run,
@@ -24,6 +23,7 @@ from irfkit.evaluation import (
     ndcg_at_20,
 )
 from irfkit.feedback import (
+    GRID,
     FeedbackPools,
     ModelParams,
     distill_relevance_model,
@@ -31,6 +31,7 @@ from irfkit.feedback import (
     estimate_prob,
     estimate_rm3,
     estimate_rocchio,
+    load_grid,
 )
 from irfkit.index import build_index
 from irfkit.ranking import query_count_vector, query_language_model, retrieve_dot, retrieve_kl
@@ -56,35 +57,34 @@ from support import random_corpus, random_qrels, random_topics
 def one_shot_topk_reference(index, topic, model_kind, params, k, final_depth, qrels):
     """Straight-line top-k feedback: retrieve once, judge the top k, rebuild
     the query model, retrieve the tail.  No session machinery."""
-    rank_initial = params.ranking_params(k)
     if model_kind in ("rm3", "distill"):
-        first = retrieve_kl(index, query_language_model(topic.terms), rank_initial, (), topic.query_id)
+        first = retrieve_kl(index, query_language_model(topic.terms), params, (), topic.query_id, k)
     else:
         first = retrieve_dot(
-            index, query_count_vector(topic.terms), "bm25", rank_initial, (), topic.query_id
+            index, query_count_vector(topic.terms), "bm25", params, (), topic.query_id, k
         )
     shown = first.doc_ids[:k]
     relevant = [d for d in shown if qrels.is_relevant(topic.query_id, d)]
     nonrelevant = [d for d in shown if not qrels.is_relevant(topic.query_id, d)]
     pools = FeedbackPools(relevant, nonrelevant)
 
-    rank_tail = params.ranking_params(final_depth - len(shown))
+    tail_depth = final_depth - len(shown)
     if model_kind == "rm3":
         model = estimate_rm3(index, topic.terms, pools, params).model
-        tail = retrieve_kl(index, model, rank_tail, shown, topic.query_id)
+        tail = retrieve_kl(index, model, params, shown, topic.query_id, tail_depth)
     elif model_kind == "distill":
         model = estimate_distillation(index, topic.terms, pools, params).model
-        tail = retrieve_kl(index, model, rank_tail, shown, topic.query_id)
+        tail = retrieve_kl(index, model, params, shown, topic.query_id, tail_depth)
     elif model_kind == "rocchio":
         model = estimate_rocchio(index, topic.terms, pools, params).model
-        tail = retrieve_dot(index, model, "bm25", rank_tail, shown, topic.query_id)
+        tail = retrieve_dot(index, model, "bm25", params, shown, topic.query_id, tail_depth)
     else:
         if relevant:
             model = estimate_prob(index, topic.terms, pools, params).model
-            tail = retrieve_dot(index, model, "mle", rank_tail, shown, topic.query_id)
+            tail = retrieve_dot(index, model, "mle", params, shown, topic.query_id, tail_depth)
         else:
             model = query_count_vector(topic.terms)
-            tail = retrieve_dot(index, model, "bm25", rank_tail, shown, topic.query_id)
+            tail = retrieve_dot(index, model, "bm25", params, shown, topic.query_id, tail_depth)
     return FreezingRunList(topic.query_id, shown, tail.doc_ids)
 
 
@@ -399,20 +399,19 @@ def test_criterion_8_robust_reproduction(tmp_path):
     topics = parse_topics(topics_path, "trec_title", stoplist)
     qrels = parse_qrels(qrels_path)
     eligible = [t for t in topics if qrels.num_relevant(t.query_id) > 0]
-    grid = GridSpec()
 
     # query-likelihood baseline, cross-validated mu
     def ql_scores(params):
         return {
             t.query_id: average_precision(
-                retrieve_kl(index, query_language_model(t.terms), params.ranking_params(1000)).doc_ids,
+                retrieve_kl(index, query_language_model(t.terms), params).doc_ids,
                 qrels,
                 t.query_id,
             )
             for t in eligible
         }
 
-    ql_points = [ModelParams(mu=mu) for mu in grid.mu]
+    ql_points = [ModelParams(mu=mu) for mu in GRID["mu"]]
     ql_cv = cross_validate(ql_scores, [t.query_id for t in eligible], ql_points)
     assert abs(ql_cv.pooled_mean - 0.253) <= 0.02
 
@@ -428,6 +427,6 @@ def test_criterion_8_robust_reproduction(tmp_path):
             for t in eligible
         }
 
-    rm3_cv = cross_validate(rm3_scores, [t.query_id for t in eligible], grid.expand("rm3"))
+    rm3_cv = cross_validate(rm3_scores, [t.query_id for t in eligible], load_grid(None, "rm3"))
     assert abs(rm3_cv.pooled_mean - 0.316) <= 0.02
     print("\ncriterion 8 PASS: Robust reproduction within tolerance")

@@ -243,12 +243,19 @@ class TestEvalCommand:
         run_file.write_text("q1 Q0 d1 1 5.0 t\nq1 Q0 d3 2 5.0 t\nq1 Q0 d2 3 7.0 t\n")
         assert cli.read_run(run_file) == {"q1": ["d2", "d3", "d1"]}
 
-    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "high"])
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "high", "1_0.0", "\u0661.0"])
     def test_bad_score_is_data_error(self, tmp_path, toy_paths, capsys, score):
         run_file = tmp_path / "r.txt"
-        run_file.write_text(f"q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 {score} t\n")
+        run_file.write_text(f"q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 {score} t\n", "utf-8")
         assert cli.main(["eval", "--run", str(run_file), "--qrels", str(toy_paths["qrels"])]) == 1
         assert f"{run_file}:2: bad score {score!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rank", ["1_0", "\u0661"])
+    def test_rank_is_an_ascii_integer(self, tmp_path, toy_paths, capsys, rank):
+        run_file = tmp_path / "r.txt"
+        run_file.write_text(f"q1 Q0 d1 1 2.0 t\nq1 Q0 d2 {rank} 1.0 t\n", "utf-8")
+        assert cli.main(["eval", "--run", str(run_file), "--qrels", str(toy_paths["qrels"])]) == 1
+        assert f"{run_file}:2: non-integer rank {rank!r}" in capsys.readouterr().err
 
     def test_repeated_doc_is_data_error(self, tmp_path, toy_paths, capsys):
         run_file = tmp_path / "dup.txt"
@@ -392,6 +399,37 @@ class TestSweepCommand:
         )
         assert rc == 1
         assert "warpfactor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("interp_lambda=0.5\nbeta=7,8\n", ":2: 'beta' is not a grid axis of rm3"),
+            ("interp_lambda=0.5\nem_tol=0.1\n", ":2: 'em_tol' is not a grid axis of rm3"),
+            ("mu=\n", ":1: no values for 'mu'"),
+            ("mu= , ,\n", ":1: no values for 'mu'"),
+        ],
+        ids=["other_model_axis", "field_not_an_axis", "no_values", "only_commas"],
+    )
+    def test_grid_line_the_model_cannot_use_names_file_and_line(
+        self, indexed, toy_paths, tmp_path, capsys, text, message
+    ):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(text)
+        rc = cli.main(
+            [
+                "sweep",
+                "--index", str(indexed),
+                "--topics", str(toy_paths["topics"]),
+                "--qrels", str(toy_paths["qrels"]),
+                "--model", "rm3",
+                "--docs-per-iter", "1",
+                "--iterations", "1",
+                "--grid", str(grid),
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {grid}{message}") and captured.out == ""
 
     def test_too_few_topics_for_folds_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
         rc = cli.main(

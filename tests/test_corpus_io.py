@@ -278,6 +278,14 @@ class TestParseQrels:
         with pytest.raises(CorpusFormatError, match=":2:"):
             parse_qrels(path)
 
+    @pytest.mark.parametrize("grade", ["1_0", "\u0661", "\uff11"])
+    def test_grade_must_be_ascii_digits(self, tmp_path, grade):
+        # int() alone reads 1_0 as 10 and other scripts' digits as their values
+        path = tmp_path / "qrels"
+        path.write_text(f"301 0 D1 1\n301 0 D2 {grade}\n", "utf-8")
+        with pytest.raises(CorpusFormatError, match=f":2: non-integer grade {grade!r}"):
+            parse_qrels(path)
+
     def test_duplicate_pairs_overwrite(self, tmp_path):
         path = tmp_path / "qrels"
         path.write_text("301 0 D1 0\n301 0 D1 2\n")

@@ -1,13 +1,13 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from irfkit import evaluation
 from irfkit.corpus_io import QrelSet
 from irfkit.evaluation import (
-    GridSpec,
     assign_folds,
     average_precision,
     cross_validate,
@@ -15,7 +15,7 @@ from irfkit.evaluation import (
     fisher_randomization,
     ndcg_at_20,
 )
-from irfkit.feedback import ModelParams
+from irfkit.feedback import GRID, MODELS, FeedbackError, ModelParams, load_grid
 
 
 def make_qrels(entries):
@@ -184,40 +184,70 @@ class TestFisherRandomization:
 
 
 class TestGridSpec:
+    """The grid points cross-validation searches: ``feedback.GRID`` and
+    ``feedback.load_grid``."""
+
     def test_default_grids(self):
-        grid = GridSpec()
-        assert grid.mu == (30.0, 50.0, 300.0, 500.0, 1000.0, 1500.0)
-        assert grid.k1 == (1.2, 1.4, 1.6, 1.8, 2.0)
-        assert grid.b == (0.75,)
-        assert grid.interp_lambda == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-        assert grid.num_expansion_terms == (10, 20, 30, 40, 50)
-        assert grid.beta == (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+        assert GRID["mu"] == (30.0, 50.0, 300.0, 500.0, 1000.0, 1500.0)
+        assert GRID["k1"] == (1.2, 1.4, 1.6, 1.8, 2.0)
+        assert GRID["b"] == (0.75,)
+        assert GRID["interp_lambda"] == (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+        assert GRID["num_expansion_terms"] == (10, 20, 30, 40, 50)
+        assert GRID["beta"] == (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+        # every axis of every model has default values, and GRID holds no other field
+        assert set(GRID) == {axis for spec in MODELS.values() for axis in spec.axes}
+        points = load_grid(None, "rm3")
+        assert len(points) == 6 * 6 * 5
+        assert points[:2] == [
+            ModelParams(mu=30.0, interp_lambda=0.0, num_expansion_terms=10),
+            ModelParams(mu=30.0, interp_lambda=0.0, num_expansion_terms=20),
+        ]
 
-    def test_expand_covers_model_axes(self):
-        grid = GridSpec(mu=(10.0, 20.0), interp_lambda=(0.2, 0.4), num_expansion_terms=(5,))
-        points = grid.expand("rm3")
-        assert len(points) == 4
-        assert {p.mu for p in points} == {10.0, 20.0}
+    def test_expand_covers_model_axes(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text("mu=10.0,20.0\ninterp_lambda=0.2,0.4\nnum_expansion_terms=5\n")
+        points = load_grid(path, "rm3")
+        assert [(p.mu, p.interp_lambda) for p in points] == [
+            (10.0, 0.2), (10.0, 0.4), (20.0, 0.2), (20.0, 0.4)
+        ]
+        assert {p.num_expansion_terms for p in points} == {5}
+        # an axis the file leaves out keeps its built-in values
+        path.write_text("mu=10.0\n")
+        assert len(load_grid(path, "rm3")) == 6 * 5
 
-    def test_expand_drops_invalid_lambda_pairs(self):
-        grid = GridSpec(
-            mu=(10.0,),
-            lambda1=(0.0, 0.6),
-            lambda2=(0.0, 0.6),
-            interp_lambda=(0.5,),
-            num_expansion_terms=(5,),
+    def test_expand_drops_invalid_lambda_pairs(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text(
+            "mu=10.0\nlambda1=0.0,0.6\nlambda2=0.0,0.6\ninterp_lambda=0.5\nnum_expansion_terms=5\n"
         )
-        points = grid.expand("distill")
-        assert all(p.lambda1 + p.lambda2 < 1.0 for p in points)
-        assert len(points) == 3
+        points = load_grid(path, "distill")
+        assert [(p.lambda1, p.lambda2) for p in points] == [(0.0, 0.0), (0.0, 0.6), (0.6, 0.0)]
+        # cross_validate rejects a grid that keeps no point
+        path.write_text("lambda1=0.6\nlambda2=0.4,0.6\n")
+        assert load_grid(path, "distill") == []
+        with pytest.raises(ValueError, match="empty parameter grid"):
+            cross_validate(lambda params: {}, ["q1"], load_grid(path, "distill"), folds=1)
 
-    def test_expand_rejects_out_of_range_value(self):
-        with pytest.raises(ValueError, match="mu must be > 0"):
-            GridSpec(mu=(50.0, 0.0)).expand("rm3")
+    def test_expand_rejects_out_of_range_value(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text("mu=50.0,0.0\n")
+        with pytest.raises(FeedbackError, match="mu must be > 0"):
+            load_grid(path, "rm3")
 
-    def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError, match="empty grid"):
-            GridSpec(mu=())
+    def test_empty_axis_rejected(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text("interp_lambda=0.5\nmu=\n")
+        with pytest.raises(FeedbackError, match=f"^{re.escape(str(path))}:2: no values for 'mu'$"):
+            load_grid(path, "rm3")
+
+    @pytest.mark.parametrize(
+        "model,key", [("rm3", "beta"), ("rocchio", "mu"), ("distill", "em_tol"), ("prob", "warpfactor")]
+    )
+    def test_key_outside_the_model_axes_rejected(self, tmp_path, model, key):
+        path = tmp_path / "grid.txt"
+        path.write_text(f"num_expansion_terms=10\n{key}=1,2\n")
+        with pytest.raises(FeedbackError, match=f"^{re.escape(str(path))}:2: {key!r} is not a grid axis of {model}"):
+            load_grid(path, model)
 
 
 class TestCrossValidate:

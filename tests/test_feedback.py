@@ -24,7 +24,7 @@ from irfkit.feedback import (
     _centroid,
 )
 from irfkit.index import build_index, forward_sum
-from irfkit.ranking import RankingParams, doc_weighting, query_count_vector
+from irfkit.ranking import doc_weighting, query_count_vector
 from support import bm25_weight
 
 
@@ -62,8 +62,34 @@ class TestModelParams:
         "override,match", [({"mu": 0.0}, "mu"), ({"k1": -1.0}, "k1"), ({"b": 1.5}, "b")]
     )
     def test_ranking_fields_checked_like_ranking_params(self, override, match):
-        with pytest.raises(FeedbackError, match=f"{match} must be"):
+        # the range checks and messages of the scorers' mu, k1 and b
+        value = override[match]
+        message = f"{match} must be in [0, 1], got {value}" if match == "b" else f"{match} must be > 0, got {value}"
+        with pytest.raises(FeedbackError, match=re.escape(message)):
             ModelParams(**override)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("num_expansion_terms", 2.5),
+            ("num_expansion_terms", True),
+            ("em_max_iters", 2.5),
+            ("em_max_iters", "3"),
+            ("subtract_nonrelevant", 1),
+            ("subtract_nonrelevant", "false"),
+            ("mu", True),
+            ("mu", "50"),
+            ("em_tol", None),
+        ],
+    )
+    def test_field_of_the_wrong_type_rejected(self, name, value):
+        kind = type(getattr(ModelParams(), name)).__name__
+        with pytest.raises(FeedbackError, match=re.escape(f"{name} must be {kind}, got {value!r}")):
+            ModelParams(**{name: value})
+
+    def test_int_is_a_float_field_value(self):
+        params = ModelParams(mu=50, beta=2)
+        assert params.mu == 50 and params.beta == 2
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -111,6 +137,26 @@ class TestModelParams:
 
     def test_bool_parsing(self):
         assert parse_param("subtract_nonrelevant", "false") is False
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("num_expansion_terms", "1_0"),
+            ("num_expansion_terms", "\u0661"),  # Arabic-Indic digit one
+            ("mu", "1_000.0"),
+            ("mu", "\uff15\uff10"),  # fullwidth 50
+            ("em_tol", "1e-6_0"),
+        ],
+    )
+    def test_number_must_be_ascii_without_underscore(self, key, value):
+        with pytest.raises(FeedbackError, match=re.escape(f"bad value {value!r} for parameter {key!r}")):
+            parse_param(key, value)
+
+    def test_ascii_numbers_still_read(self):
+        assert parse_param("num_expansion_terms", "+10") == 10
+        assert parse_param("mu", "1e3") == 1000.0 and parse_param("em_tol", "-1E-6") == -1e-6
+        with pytest.raises(FeedbackError, match="mu must be finite"):
+            load_params(None, {"mu": "nan"})
 
 
 class TestMLE:
@@ -244,28 +290,25 @@ class TestRocchio:
 
     def test_relevant_centroid_hand_computed(self, ab_index):
         params = ModelParams(beta=1.0, gamma=0.5)
-        rank = params.ranking_params()
         model = estimate_rocchio(ab_index, ["b"], FeedbackPools(["D1"]), params).model
-        assert model.weights["a"] == pytest.approx(bm25_weight(ab_index, "a", "D1", rank))
-        assert model.weights["b"] == pytest.approx(1.0 + bm25_weight(ab_index, "b", "D1", rank))
+        assert model.weights["a"] == pytest.approx(bm25_weight(ab_index, "a", "D1", params))
+        assert model.weights["b"] == pytest.approx(1.0 + bm25_weight(ab_index, "b", "D1", params))
 
     def test_two_doc_centroid_averages(self, ab_index):
         params = ModelParams(beta=1.0, gamma=0.0)
-        rank = params.ranking_params()
         model = estimate_rocchio(ab_index, ["a"], FeedbackPools(["D1", "D2"]), params).model
-        expected_b = (bm25_weight(ab_index, "b", "D1", rank) + bm25_weight(ab_index, "b", "D2", rank)) / 2
+        expected_b = (bm25_weight(ab_index, "b", "D1", params) + bm25_weight(ab_index, "b", "D2", params)) / 2
         assert model.weights["b"] == pytest.approx(expected_b)
 
     def test_gamma_sign_configuration(self, ab_index):
         # c occurs only in the non-relevant doc
         idx = make_index([("R", "ab"), ("N", "c")])
-        rank = ModelParams().ranking_params()
         pools = FeedbackPools(["R"], ["N"])
         sub = estimate_rocchio(idx, ["a"], pools, ModelParams(gamma=2.0)).model
         add = estimate_rocchio(
             idx, ["a"], pools, ModelParams(gamma=2.0, subtract_nonrelevant=False)
         ).model
-        centroid_weight = bm25_weight(idx, "c", "N", rank)
+        centroid_weight = bm25_weight(idx, "c", "N", ModelParams())
         assert sub.weights["c"] == pytest.approx(-2.0 * centroid_weight)
         assert add.weights["c"] == pytest.approx(2.0 * centroid_weight)
 
@@ -491,7 +534,7 @@ def pool_cases(draw):
         docs.append(("long", ["a"] * 700 + draw(st.lists(st.sampled_from(POOL_TERMS), max_size=5))))
     order = draw(st.permutations([doc_id for doc_id, _ in docs]))
     pool = order[: draw(st.integers(1, len(order)))]
-    params = RankingParams(
+    params = ModelParams(
         k1=draw(st.sampled_from([0.5, 1.2, 2.0])), b=draw(st.sampled_from([0.0, 0.75, 1.0]))
     )
     return make_index(docs), {doc_id: reference_vector(terms) for doc_id, terms in docs}, pool, params

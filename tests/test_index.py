@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -339,6 +340,9 @@ class TestCorruptSnapshot:
             ("postings.tsv", 1, "a\t0:99999999999999999999"),
             ("docs.tsv", 1, "D 1\t3"),
             ("postings.tsv", 1, "a z\t0:2"),
+            # int() alone reads each of these lengths as 3, D1's
+            ("docs.tsv", 1, "D1\t0_3"),
+            ("docs.tsv", 1, "D1\t\u0663"),
         ],
     )
     def test_malformed_line_reports_path_and_line(self, saved_toy, name, lineno, bad):
@@ -420,3 +424,62 @@ class TestCorruptSnapshot:
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(IndexDataError, match="docs.tsv:2: not UTF-8 text"):
             load_index(saved_toy)
+
+
+NOT_AN_OBJECT = " must be an object holding only stemmer and stoplist"
+NOT_A_LIST = ": stoplist must be a list of strings"
+BAD_ANALYSES = [
+    pytest.param([1], NOT_AN_OBJECT, id="list"),
+    pytest.param({"stemmer": "none", "stemer": "krovetz"}, NOT_AN_OBJECT, id="unknown_key"),
+    pytest.param({"stoplist": 5}, NOT_A_LIST, id="stoplist_int"),
+    pytest.param({"stoplist": ["the", 3]}, NOT_A_LIST, id="stoplist_with_int"),
+    pytest.param({"stemmer": "porter"}, ": unknown stemmer 'porter'", id="unknown_stemmer"),
+]
+
+
+class TestAnalysisRule:
+    """One rule for ``analysis`` at build, save and load: an object holding at
+    most a known ``stemmer`` and a ``stoplist`` list of strings."""
+
+    @pytest.mark.parametrize(
+        "analysis,message", [*BAD_ANALYSES, pytest.param({"stoplist": {"the"}}, NOT_A_LIST, id="stoplist_set")]
+    )
+    def test_build_rejects(self, analysis, message):
+        with pytest.raises(IndexDataError, match="^analysis" + re.escape(message)):
+            build_index(make_docs([("D1", "ab")]), analysis)
+
+    @pytest.mark.parametrize("analysis", [{}, {"stemmer": "none"}, {"stemmer": "krovetz", "stoplist": ["a"]}])
+    def test_build_accepts(self, analysis, tmp_path):
+        idx = build_index(make_docs([("D1", "ab")]), analysis)
+        save_index(idx, tmp_path / "snap")
+        assert load_index(tmp_path / "snap").analysis == analysis
+
+    @pytest.mark.parametrize("analysis,message", [*BAD_ANALYSES, pytest.param(None, NOT_AN_OBJECT, id="null")])
+    def test_load_rejects_naming_the_manifest(self, saved_toy, analysis, message):
+        manifest_path = saved_toy / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["analysis"] = analysis
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(IndexDataError, match="^" + re.escape(f"{manifest_path}: analysis{message}")):
+            load_index(saved_toy)
+
+    def test_save_rejects_before_it_deletes_the_old_snapshot(self, saved_toy):
+        idx = build_index(make_docs([("D1", "ab")]), {"stoplist": ["the"]})
+        idx.analysis["stoplist"] = {"the"}
+        with pytest.raises(IndexDataError, match="stoplist must be a list of strings"):
+            save_index(idx, saved_toy)
+        assert load_index(saved_toy).doc_ids == ["D1", "D2", "D3"]
+
+    @pytest.mark.parametrize(
+        "analysis", [[1], {"stoplist": 5}, {"stemmer": "porter"}], ids=["list", "stoplist_int", "unknown_stemmer"]
+    )
+    def test_run_reports_the_manifest(self, saved_toy, toy_paths, tmp_path, capsys, analysis):
+        manifest_path = saved_toy / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["analysis"] = analysis
+        manifest_path.write_text(json.dumps(manifest))
+        args = ["run", "--index", str(saved_toy), "--topics", str(toy_paths["topics"]),
+                "--qrels", str(toy_paths["qrels"]), "--model", "rm3", "--docs-per-iter", "1",
+                "--iterations", "1", "--output", str(tmp_path / "run.txt")]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest_path}: analysis")

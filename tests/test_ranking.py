@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irfkit.corpus_io import TermSequence
+from irfkit.feedback import ModelParams
 from irfkit.index import IndexDataError, build_index, doc_vector
 from irfkit import ranking
 from irfkit.ranking import (
     QueryModel,
-    RankingParams,
     query_count_vector,
     query_language_model,
     retrieve_dot,
@@ -51,7 +51,7 @@ def test_ordered_sum_adds_in_iteration_order():
 
 class TestRetrieveQL:
     # KL under the query's MLE model, a session's first ranking for rm3 and distill
-    PARAMS = RankingParams(mu=1.0, depth=10)
+    PARAMS = ModelParams(mu=1.0)
 
     def test_hand_arithmetic_single_term(self, two_doc_index):
         # c(a,D1)=2, |D1|=3, cf(a)/total=2/4, mu=1 -> p_D1 = 2.5/4 = 0.625
@@ -83,7 +83,7 @@ class TestRetrieveKL:
         assert QueryModel.lm({"a": 1.0}) == query_language_model(["a"])
 
     def test_matches_brute_force_over_definitions(self, two_doc_index):
-        params = RankingParams(mu=2.0, depth=10)
+        params = ModelParams(mu=2.0)
         model = QueryModel.lm({"a": 0.5, "b": 0.5})
         res = retrieve_kl(two_doc_index, model, params)
 
@@ -103,40 +103,59 @@ class TestRetrieveKL:
         assert res.doc_ids == sorted(expected, key=lambda d: -expected[d])
 
     def test_zero_weight_term_never_changes_scores(self, two_doc_index):
-        params = RankingParams(mu=1.0, depth=10)
+        params = ModelParams(mu=1.0)
         base = retrieve_kl(two_doc_index, QueryModel.lm({"a": 1.0}), params)
         padded = retrieve_kl(two_doc_index, QueryModel.lm({"a": 1.0, "b": 0.0}), params)
         assert base == padded
 
     def test_requires_lm_model(self, two_doc_index):
         with pytest.raises(ValueError, match="lm"):
-            retrieve_kl(two_doc_index, QueryModel.vector({"a": 1.0}), RankingParams())
+            retrieve_kl(two_doc_index, QueryModel.vector({"a": 1.0}), ModelParams())
+
+
+SCORERS = {
+    "kl": lambda index, terms, depth: retrieve_kl(
+        index, query_language_model(terms), ModelParams(), depth=depth
+    ),
+    "dot": lambda index, terms, depth: retrieve_dot(
+        index, query_count_vector(terms), "bm25", ModelParams(), depth=depth
+    ),
+}
+
+
+@pytest.mark.parametrize("terms", [["a"], ["zzz"]], ids=["scored", "out_of_vocabulary"])
+@pytest.mark.parametrize("scorer", SCORERS)
+def test_depth_below_one_rejected(two_doc_index, scorer, terms):
+    # checked before a query with no term in the collection returns empty
+    with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+        SCORERS[scorer](two_doc_index, terms, 0)
+    assert len(SCORERS[scorer](two_doc_index, terms, 1).entries) == (terms == ["a"])
 
 
 class TestBM25Weight:
     def test_absent_term_is_zero(self, two_doc_index):
-        assert bm25_weight(two_doc_index, "a", "D2", RankingParams()) == 0.0
+        assert bm25_weight(two_doc_index, "a", "D2", ModelParams()) == 0.0
 
     def test_hand_arithmetic(self, two_doc_index):
         # |C|=2, df(a)=1, c(a,D1)=2, |D1|=3, avgdl=2, k1=1.2, b=0.75
-        params = RankingParams(k1=1.2, b=0.75)
+        params = ModelParams(k1=1.2, b=0.75)
         expected = (2.2 * 2) / (1.2 * (0.25 + 0.75 * 1.5) + 2) * math.log(3)
         assert bm25_weight(two_doc_index, "a", "D1", params) == pytest.approx(expected)
 
     def test_term_in_every_doc_keeps_positive_idf(self, two_doc_index):
         # df(b) = |C| = 2 -> idf = log(3/2) > 0
-        weight = bm25_weight(two_doc_index, "b", "D2", RankingParams())
+        weight = bm25_weight(two_doc_index, "b", "D2", ModelParams())
         assert weight > 0.0
 
     def test_unknown_doc_errors(self, two_doc_index):
         with pytest.raises(IndexDataError):
-            bm25_weight(two_doc_index, "a", "nope", RankingParams())
+            bm25_weight(two_doc_index, "a", "nope", ModelParams())
 
 
 class TestRetrieveDot:
     def test_bm25_vectorizer_matches_standalone_bm25(self):
         idx = make_index([("D1", "abb"), ("D2", "ab"), ("D3", "ccc"), ("D4", "a")])
-        params = RankingParams(k1=1.4, b=0.6, depth=10)
+        params = ModelParams(k1=1.4, b=0.6)
         res = retrieve_dot(idx, query_count_vector(["b"]), "bm25", params)
         expected = {
             doc: bm25_weight(idx, "b", doc, params)
@@ -156,7 +175,7 @@ class TestRetrieveDot:
         query_terms = rng.sample("abcdef", rng.randint(1, 4))  # f is in no document
         model = QueryModel.vector({t: rng.uniform(-2.0, 3.0) for t in query_terms})
         exclude = set(rng.sample(sorted(docs), rng.randint(0, len(docs) - 1))) | {"unknown"}
-        params = RankingParams(k1=rng.uniform(0.5, 2.0), b=rng.uniform(0.0, 1.0), depth=1000)
+        params = ModelParams(k1=rng.uniform(0.5, 2.0), b=rng.uniform(0.0, 1.0))
         k1, b = params.k1, params.b
         num_docs = len(docs)
         avgdl = sum(len(terms) for terms in docs.values()) / num_docs
@@ -182,25 +201,25 @@ class TestRetrieveDot:
 
     def test_mle_vectorizer_hand_value(self):
         idx = make_index([("D1", "aba")])
-        res = retrieve_dot(idx, query_count_vector(["a"]), "mle", RankingParams(depth=5))
+        res = retrieve_dot(idx, query_count_vector(["a"]), "mle", ModelParams(), depth=5)
         assert dict(res.entries) == {"D1": pytest.approx(2 / 3)}
 
     def test_empty_query_returns_empty(self, two_doc_index):
-        res = retrieve_dot(two_doc_index, QueryModel.vector({}), "bm25", RankingParams())
+        res = retrieve_dot(two_doc_index, QueryModel.vector({}), "bm25", ModelParams())
         assert res.entries == ()
 
     def test_requires_vector_model(self, two_doc_index):
         with pytest.raises(ValueError, match="vector"):
-            retrieve_dot(two_doc_index, QueryModel.lm({"a": 1.0}), "bm25", RankingParams())
+            retrieve_dot(two_doc_index, QueryModel.lm({"a": 1.0}), "bm25", ModelParams())
 
     def test_unknown_vectorizer(self, two_doc_index):
         with pytest.raises(ValueError, match="vectorizer"):
-            retrieve_dot(two_doc_index, QueryModel.vector({"a": 1.0}), "tfidf", RankingParams())
+            retrieve_dot(two_doc_index, QueryModel.vector({"a": 1.0}), "tfidf", ModelParams())
 
     def test_negative_weights_push_docs_down(self):
         idx = make_index([("D1", "ab"), ("D2", "a")])
         res = retrieve_dot(
-            idx, QueryModel.vector({"a": 1.0, "b": -5.0}), "bm25", RankingParams(depth=5)
+            idx, QueryModel.vector({"a": 1.0, "b": -5.0}), "bm25", ModelParams(), depth=5
         )
         assert res.doc_ids == ["D2", "D1"]
 
@@ -220,16 +239,16 @@ class TestRankingProperties:
     @settings(max_examples=80)
     def test_determinism(self, seed):
         idx, model = random_index_and_model(seed)
-        params = RankingParams(mu=10.0, depth=100)
+        params = ModelParams(mu=10.0)
         assert retrieve_kl(idx, model, params) == retrieve_kl(idx, model, params)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=80)
     def test_truncation_consistency(self, seed):
         idx, model = random_index_and_model(seed)
-        deep = retrieve_kl(idx, model, RankingParams(mu=10.0, depth=1000))
+        deep = retrieve_kl(idx, model, ModelParams(mu=10.0))
         for k in (1, 2, 3):
-            shallow = retrieve_kl(idx, model, RankingParams(mu=10.0, depth=k))
+            shallow = retrieve_kl(idx, model, ModelParams(mu=10.0), depth=k)
             assert shallow.entries == deep.entries[:k]
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -237,7 +256,7 @@ class TestRankingProperties:
     def test_exclusion_soundness(self, seed):
         idx, model = random_index_and_model(seed)
         exclude = set(idx.doc_ids[::2])
-        res = retrieve_kl(idx, model, RankingParams(mu=10.0, depth=1000), exclude=exclude)
+        res = retrieve_kl(idx, model, ModelParams(mu=10.0), exclude=exclude)
         assert not exclude & set(res.doc_ids)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -252,7 +271,7 @@ class TestRankingProperties:
         shuffled = list(docs)
         rng.shuffle(shuffled)
         other = build_index(shuffled)
-        params = RankingParams(mu=10.0, depth=1000)
+        params = ModelParams(mu=10.0)
         assert retrieve_kl(idx, model, params) == retrieve_kl(other, model, params)
 
 
@@ -282,7 +301,7 @@ def reference_rank(index, scores, depth):
     return tuple(items[:depth])
 
 
-def reference_kl(index, model, params, exclude):
+def reference_kl(index, model, params, exclude, depth=1000):
     total_terms = index.stats.total_terms
     backgrounds = {
         t: params.mu * index.cf(t) / total_terms for t in sorted(model.weights) if index.cf(t) > 0
@@ -304,10 +323,10 @@ def reference_kl(index, model, params, exclude):
         x: acc + baseline - weight_sum * math.log(index.doc_lengths[x] + params.mu)
         for x, acc in partial.items()
     }
-    return reference_rank(index, scores, params.depth)
+    return reference_rank(index, scores, depth)
 
 
-def reference_dot(index, model, vectorizer, params, exclude):
+def reference_dot(index, model, vectorizer, params, exclude, depth=1000):
     lengths = index.doc_lengths
     k1, b, avgdl, num_docs = params.k1, params.b, index.stats.avg_doc_len, index.stats.num_docs
 
@@ -319,7 +338,7 @@ def reference_dot(index, model, vectorizer, params, exclude):
         return lambda x, c: c / lengths[x]
 
     weight = okapi if vectorizer == "bm25" else mle
-    return reference_rank(index, reference_scores(index, model, weight, exclude), params.depth)
+    return reference_rank(index, reference_scores(index, model, weight, exclude), depth)
 
 
 @st.composite
@@ -344,42 +363,33 @@ def scoring_cases(draw):
     )
     doc_ids = [doc_id for doc_id, _ in docs]
     exclude = set(draw(st.lists(st.sampled_from(doc_ids), max_size=len(doc_ids)))) | {"unknown"}
-    params = RankingParams(
+    params = ModelParams(
         mu=draw(st.sampled_from([1.0, 10.0, 2000.0])),
         k1=draw(st.sampled_from([0.5, 1.2, 2.0])),
         b=draw(st.sampled_from([0.0, 0.75, 1.0])),
-        depth=draw(st.integers(1, len(docs) + 1)),
     )
-    return index, lm, vector, exclude, params
-
-
-@pytest.mark.parametrize("field", ["mu", "k1"])
-def test_ranking_params_reject_nan(field):
-    with pytest.raises(ValueError, match=f"{field} must be > 0, got nan"):
-        RankingParams(**{field: math.nan})
+    return index, lm, vector, exclude, params, draw(st.integers(1, len(docs) + 1))
 
 
 class TestMatchesReferenceScorer:
     @given(scoring_cases())
     @settings(max_examples=300, deadline=None)
     def test_entries_equal_to_the_posting_loop(self, case):
-        index, lm, vector, exclude, params = case
-        assert retrieve_kl(index, lm, params, exclude).entries == reference_kl(
-            index, lm, params, exclude
+        index, lm, vector, exclude, params, depth = case
+        assert retrieve_kl(index, lm, params, exclude, depth=depth).entries == reference_kl(
+            index, lm, params, exclude, depth
         )
         for vectorizer in ("bm25", "mle"):
-            assert retrieve_dot(index, vector, vectorizer, params, exclude).entries == (
-                reference_dot(index, vector, vectorizer, params, exclude)
+            assert retrieve_dot(index, vector, vectorizer, params, exclude, depth=depth).entries == (
+                reference_dot(index, vector, vectorizer, params, exclude, depth)
             )
 
     def test_ties_at_the_cut_resolved_by_doc_id_not_internal_order(self):
         # d9, d10 and d100 score the same; lexically d10 < d100 < d9
         idx = make_index([("d9", "a"), ("d10", "a"), ("d100", "a"), ("d2", "aa")])
-        res = retrieve_dot(idx, query_count_vector(["a"]), "mle", RankingParams(depth=3))
+        res = retrieve_dot(idx, query_count_vector(["a"]), "mle", ModelParams(), depth=3)
         assert res.doc_ids == ["d10", "d100", "d2"]
-        assert res.entries == reference_dot(
-            idx, query_count_vector(["a"]), "mle", RankingParams(depth=3), ()
-        )
+        assert res.entries == reference_dot(idx, query_count_vector(["a"]), "mle", ModelParams(), (), 3)
 
     def test_kl_delta_takes_math_log(self):
         # np.log is not correctly rounded for every input; find a mu at which
@@ -398,7 +408,7 @@ class TestMatchesReferenceScorer:
             ]
             if any(moved):
                 break
-        model, params = QueryModel.lm({"a": 1.0}), RankingParams(mu=mu, depth=100)
+        model, params = QueryModel.lm({"a": 1.0}), ModelParams(mu=mu)
         assert retrieve_kl(idx, model, params).entries == reference_kl(idx, model, params, ())
 
     @pytest.mark.parametrize("values", [[0, 3, 3, 1, 0], [5000, 2, 5000, 7]])
@@ -408,6 +418,6 @@ class TestMatchesReferenceScorer:
         assert got.tolist() == [math.log(v + 2.5) for v in values]
 
     def test_scores_are_python_floats(self, two_doc_index):
-        res = retrieve_dot(two_doc_index, query_count_vector(["a", "b"]), "bm25", RankingParams())
+        res = retrieve_dot(two_doc_index, query_count_vector(["a", "b"]), "bm25", ModelParams())
         assert all(type(score) is float for _, score in res.entries)
-        assert type(bm25_weight(two_doc_index, "a", "D1", RankingParams())) is float
+        assert type(bm25_weight(two_doc_index, "a", "D1", ModelParams())) is float
