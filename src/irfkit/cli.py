@@ -9,7 +9,6 @@ the ``ValueError`` it raises as a data error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -20,48 +19,6 @@ from .ranking import ordered_sum
 
 USAGE_ERROR = 2
 DATA_ERROR = 1
-
-
-def read_run(path: str | Path) -> dict[str, list[str]]:
-    """Read a TREC run file into query_id -> doc ids.  As in trec_eval, docs
-    are ordered by score, then doc id, both descending, the rank is ignored,
-    and a query may rank a doc only once."""
-    entries: dict[str, list[tuple[float, str, int]]] = {}
-    for lineno, line in enumerate(corpus_io.read_text(path).split("\n"), 1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 6:
-            raise corpus_io.CorpusFormatError(
-                f"{path}:{lineno}: expected 6 fields, got {len(parts)}"
-            )
-        query_id, _, doc_id, rank, score, _ = parts
-        try:
-            corpus_io.parse_number(rank, int)
-        except ValueError:
-            raise corpus_io.CorpusFormatError(
-                f"{path}:{lineno}: non-integer rank {rank!r}"
-            ) from None
-        try:
-            score_num = corpus_io.parse_number(score, float)
-        except ValueError:
-            score_num = math.nan
-        if not math.isfinite(score_num):
-            raise corpus_io.CorpusFormatError(f"{path}:{lineno}: bad score {score!r}")
-        entries.setdefault(query_id, []).append((score_num, doc_id, lineno))
-    run = {}
-    for query_id, scored in sorted(entries.items()):
-        docs = [doc for _, doc, _ in sorted(scored, reverse=True)]
-        if len(set(docs)) < len(docs):  # cheaper than a check per line; name the lines now
-            first_line: dict[str, int] = {}
-            for _, doc_id, lineno in scored:
-                first = first_line.setdefault(doc_id, lineno)
-                if first != lineno:
-                    raise corpus_io.CorpusFormatError(
-                        f"{path}:{lineno}: doc {doc_id!r} of query {query_id!r} is already on line {first}"
-                    )
-        run[query_id] = docs
-    return run
 
 
 def _emit(report: list[str], output: str | None) -> None:
@@ -137,7 +94,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    run = read_run(args.run)
+    run = corpus_io.parse_run(args.run)
     qrels = corpus_io.parse_qrels(args.qrels)
     lines = []
     for metric in evaluation.METRICS if args.metric == "all" else [args.metric]:
@@ -150,8 +107,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    run_a = read_run(args.run_a)
-    run_b = read_run(args.run_b)
+    run_a = corpus_io.parse_run(args.run_a)
+    run_b = corpus_io.parse_run(args.run_b)
     qrels = corpus_io.parse_qrels(args.qrels)
     result_a = evaluation.evaluate_run(run_a, qrels, args.metric)
     result_b = evaluation.evaluate_run(run_b, qrels, args.metric)

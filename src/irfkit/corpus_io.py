@@ -1,7 +1,8 @@
-"""Collection, topic, and qrels parsing plus text normalization."""
+"""Collection, topic, qrels and run-file parsing, the line rules they share, and text normalization."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -43,6 +44,33 @@ def parse_number(text: str, kind: type[int] | type[float]) -> int | float:
     if not text.isascii() or "_" in text:
         raise ValueError(f"not an ASCII number: {text!r}")
     return kind(text)
+
+
+def not_one_field(text: str) -> bool:
+    """Whether ``text`` is empty or holds whitespace: a run line's query id, doc id or tag cannot."""
+    return text.split() != [text]
+
+
+def reject_repeats(
+    path: str | Path, keyed_lines: Iterable[tuple[int, str]], what: Callable[[str], str],
+    error: type[ValueError] = CorpusFormatError,
+) -> None:
+    """Reject the first key an earlier line holds: ``path:L: <what(key)> is already on line K``."""
+    lines: dict[str, int] = {}
+    for lineno, key in keyed_lines:
+        earlier = lines.setdefault(key, lineno)
+        if earlier != lineno:
+            raise error(f"{path}:{lineno}: {what(key)} is already on line {earlier}")
+
+
+def _read_table(path: str | Path, width: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank line; a line not ``width`` fields wide is rejected."""
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        fields = line.split()
+        if fields:
+            if len(fields) != width:
+                raise CorpusFormatError(f"{path}:{lineno}: expected {width} fields, got {len(fields)}")
+            yield lineno, fields
 
 
 @dataclass(frozen=True)
@@ -189,13 +217,7 @@ def normalize_collection(
 def parse_qrels(path: str | Path) -> QrelSet:
     """Parse whitespace-separated "qid 0 docid grade" judgment lines."""
     qrels = QrelSet()
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 4:
-            raise CorpusFormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-        query_id, _, doc_id, grade_str = parts
+    for lineno, (query_id, _, doc_id, grade_str) in _read_table(path, 4):
         try:
             grade = parse_number(grade_str, int)
         except ValueError:
@@ -204,6 +226,32 @@ def parse_qrels(path: str | Path) -> QrelSet:
             raise CorpusFormatError(f"{path}:{lineno}: negative grade {grade}")
         qrels.set(query_id, doc_id, grade)
     return qrels
+
+
+def parse_run(path: str | Path) -> dict[str, list[str]]:
+    """Read a TREC run file into query_id -> doc ids.  As in trec_eval, docs
+    are ordered by score, then doc id, both descending, the rank is ignored,
+    and a query may rank a doc only once."""
+    entries: dict[str, list[tuple[float, str, int]]] = {}
+    for lineno, (query_id, _, doc_id, rank, score, _) in _read_table(path, 6):
+        try:
+            parse_number(rank, int)
+        except ValueError:
+            raise CorpusFormatError(f"{path}:{lineno}: non-integer rank {rank!r}") from None
+        try:
+            score_num = parse_number(score, float)
+        except ValueError:
+            score_num = math.nan
+        if not math.isfinite(score_num):
+            raise CorpusFormatError(f"{path}:{lineno}: bad score {score!r}")
+        entries.setdefault(query_id, []).append((score_num, doc_id, lineno))
+    run = {}
+    for query_id, scored in sorted(entries.items()):
+        docs = [doc for _, doc, _ in sorted(scored, reverse=True)]
+        if len(set(docs)) < len(docs):  # cheaper than a check per line; name the lines now
+            reject_repeats(path, [(n, d) for _, d, n in scored], lambda d: f"doc {d!r} of query {query_id!r}")
+        run[query_id] = docs
+    return run
 
 
 def write_qrels(qrels: QrelSet, path: str | Path) -> None:
@@ -227,7 +275,7 @@ def parse_topics(
     """Parse topics (``trec_title`` reads <title> only) into query terms."""
     if fmt not in TOPIC_FORMATS:
         raise ValueError(f"unknown topic format {fmt!r}; expected one of {TOPIC_FORMATS}")
-    raw: list[tuple[str, str]] = []
+    raw: list[tuple[int, str, str]] = []  # (line, query id, text)
     text = read_text(path)
     if fmt == "tsv":
         for lineno, line in enumerate(text.split("\n"), 1):
@@ -238,31 +286,30 @@ def parse_topics(
             query_id, query_text = line.split("\t", 1)
             query_id = query_id.strip()
             # a run line is split on whitespace (a TREC <num> is one token already)
-            if query_id.split() != [query_id]:
+            if not_one_field(query_id):
                 raise CorpusFormatError(
                     f"{path}:{lineno}: query id {query_id!r} is empty or contains whitespace"
                 )
-            raw.append((query_id, query_text))
+            raw.append((lineno, query_id, query_text))
     else:
         blocks = _TOPIC_START_RE.split(text)
         if len(blocks) == 1 and text.strip():
             raise CorpusFormatError(f"{path}: no <top> block")
+        lineno = 1 + blocks[0].count("\n")  # each block's <top> tag is on this line
         for block in blocks[1:]:
             num = _TOPIC_NUM_RE.search(block)
             if num is None:
-                raise CorpusFormatError(f"{path}: topic block without <num>")
+                raise CorpusFormatError(f"{path}:{lineno}: topic block without <num>")
             m = _TOPIC_TITLE_RE.search(block)
             if m is None:
-                raise CorpusFormatError(f"{path}: topic {num.group(1)} has no <title> field")
-            raw.append((num.group(1).strip(), m.group(1)))
+                raise CorpusFormatError(f"{path}:{lineno}: topic {num.group(1)} has no <title> field")
+            raw.append((lineno, num.group(1).strip(), m.group(1)))
+            lineno += block.count("\n")
+    reject_repeats(path, ((lineno, query_id) for lineno, query_id, _ in raw), lambda q: f"query id {q!r}")
     topics = []
-    seen = set()
-    for query_id, query_text in raw:
-        if query_id in seen:
-            raise CorpusFormatError(f"{path}: duplicate query id {query_id!r}")
-        seen.add(query_id)
+    for lineno, query_id, query_text in raw:
         terms = normalize(query_text, stoplist, stemmer)
         if not terms:
-            raise CorpusFormatError(f"{path}: topic {query_id!r} is empty after normalization")
+            raise CorpusFormatError(f"{path}:{lineno}: topic {query_id!r} is empty after normalization")
         topics.append(Topic(query_id, tuple(terms)))
     return topics

@@ -21,9 +21,9 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .corpus_io import parse_number, read_text
+from .corpus_io import parse_number, read_text, reject_repeats
 from .index import CollectionIndex, Weighting, forward_sum
 from .ranking import (
     QueryModel,
@@ -91,7 +91,11 @@ class ModelParams:
             accepted = (int, float) if kind is float else kind
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
                 raise FeedbackError(f"{f.name} must be {kind.__name__}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            try:
+                finite = kind is not float or math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                raise FeedbackError(f"{f.name} must be finite, got an int too large for a float") from None
+            if not finite:
                 raise FeedbackError(f"{f.name} must be finite, got {value}")
         if not self.mu > 0:
             raise FeedbackError(f"mu must be > 0, got {self.mu}")
@@ -139,14 +143,16 @@ def split_key_value(text: str, where: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def read_key_values(path: str | Path) -> Iterator[tuple[str, str, str]]:
-    """Yield (path:line, key, value) for each key=value line of a file;
-    blank lines and # comments are skipped."""
+def read_key_values(path: str | Path) -> list[tuple[str, str, str]]:
+    """(path:line, key, value) for each key=value line of a file; blank lines
+    and # comments are skipped, and a key on two lines is rejected."""
+    lines = []
     for lineno, line in enumerate(read_text(path, FeedbackError).split("\n"), 1):
         line = line.strip()
         if line and not line.startswith("#"):
-            where = f"{path}:{lineno}"
-            yield (where, *split_key_value(line, where))
+            lines.append((lineno, *split_key_value(line, f"{path}:{lineno}")))
+    reject_repeats(path, [(lineno, key) for lineno, key, _ in lines], lambda k: f"key {k!r}", FeedbackError)
+    return [(f"{path}:{lineno}", key, value) for lineno, key, value in lines]
 
 
 def format_key_values(values: dict, sep: str = "\n") -> str:

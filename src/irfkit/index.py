@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .corpus_io import STEMMERS, TermSequence, parse_number, read_text
+from .corpus_io import STEMMERS, TermSequence, not_one_field, parse_number, read_text, reject_repeats
 
 FORMAT_VERSION = 2
 # the collection statistics a manifest records, checked on load
@@ -196,7 +196,7 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
     for seq in docs:
         if seq.doc_id in seen:
             raise IndexDataError(f"duplicate doc_id {seq.doc_id!r}")
-        if seq.doc_id.split() != [seq.doc_id]:  # one field of a run line
+        if not_one_field(seq.doc_id):
             raise IndexDataError(f"doc_id {seq.doc_id!r} is empty or contains whitespace")
         seen.add(seq.doc_id)
         doc_ids.append(seq.doc_id)
@@ -296,12 +296,7 @@ def load_index(directory: str | Path) -> CollectionIndex:
     docs_path = directory / "docs.tsv"
     doc_rows = _read_rows(docs_path, "doc_id<TAB>length", _parse_doc_row)
     doc_ids = [doc_id for doc_id, _ in doc_rows]
-    first_line: dict[str, int] = {}
-    for lineno, doc_id in enumerate(doc_ids, 1):
-        if first_line.setdefault(doc_id, lineno) != lineno:
-            raise IndexDataError(
-                f"{docs_path}:{lineno}: doc {doc_id!r} is already on line {first_line[doc_id]}"
-            )
+    reject_repeats(docs_path, enumerate(doc_ids, 1), lambda doc_id: f"doc {doc_id!r}", IndexDataError)
     postings_path = directory / "postings.tsv"
     rows = _read_rows(postings_path, "term<TAB>doc:count ...", _parse_postings_row)
     terms = [term for term, _ in rows]
@@ -355,7 +350,7 @@ def load_index(directory: str | Path) -> CollectionIndex:
 
 def _parse_doc_row(line: str) -> tuple[str, int]:
     doc_id, length = line.split("\t")
-    if doc_id.split() != [doc_id]:  # as in build_index
+    if not_one_field(doc_id):  # as in build_index
         raise ValueError(doc_id)
     return doc_id, parse_number(length, int)
 

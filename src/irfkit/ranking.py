@@ -74,7 +74,6 @@ def query_count_vector(terms: Sequence[str]) -> QueryModel:
 
 @dataclass(frozen=True)
 class ScoredList:
-    query_id: str
     entries: tuple[tuple[str, float], ...]
 
     @property
@@ -137,7 +136,6 @@ def retrieve_kl(
     model: QueryModel,
     params: ModelParams,
     exclude: Iterable[str] = (),
-    query_id: str = "",
     depth: int = 1000,
 ) -> ScoredList:
     """Rank by negative KL divergence against Dirichlet-smoothed document
@@ -169,7 +167,7 @@ def retrieve_kl(
     candidates, partial = _accumulate(index, model, dirichlet_delta, exclude)
     lengths = index.doc_length_array[candidates]
     scores = partial + baseline - weight_sum * _log_each(lengths, params.mu)
-    return ScoredList(query_id, _rank(index, candidates, scores, depth))
+    return ScoredList(_rank(index, candidates, scores, depth))
 
 
 VECTORIZERS = ("bm25", "mle")
@@ -198,7 +196,6 @@ def retrieve_dot(
     vectorizer: str,
     params: ModelParams,
     exclude: Iterable[str] = (),
-    query_id: str = "",
     depth: int = 1000,
 ) -> ScoredList:
     """Dot product of the query vector with BM25-weighted or MLE document
@@ -207,4 +204,4 @@ def retrieve_dot(
         raise ValueError(f"retrieve_dot requires a vector query model, got {model.kind!r}")
     weighting = doc_weighting(index, vectorizer, params)
     candidates, scores = _accumulate(index, model, weighting, exclude)
-    return ScoredList(query_id, _rank(index, candidates, scores, depth))
+    return ScoredList(_rank(index, candidates, scores, depth))

@@ -10,10 +10,10 @@ relevance feedback.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, TextIO
 
-from .corpus_io import QrelSet, Topic
+from .corpus_io import QrelSet, Topic, not_one_field
 from .feedback import (  # the estimators are looked up by name in _retrieve
     MODELS,
     FeedbackPools,
@@ -43,6 +43,10 @@ class BudgetConfig:
     final_depth: int = 1000
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{f.name} must be int, got {value!r}")
         if self.docs_per_iter < 1 or self.iterations < 1:
             raise ValueError("docs_per_iter and iterations must be >= 1")
         if self.final_depth < self.docs_per_iter * self.iterations:
@@ -102,10 +106,10 @@ def _retrieve(
     estimate = globals()[spec.estimator](index, topic.terms, pools, params)
     model = estimate.model
     if spec.vectorizer is None:
-        scored = retrieve_kl(index, model, params, exclude, topic.query_id, depth)
+        scored = retrieve_kl(index, model, params, exclude, depth)
     else:
         vectorizer = "bm25" if estimate.fallback else spec.vectorizer
-        scored = retrieve_dot(index, model, vectorizer, params, exclude, topic.query_id, depth)
+        scored = retrieve_dot(index, model, vectorizer, params, exclude, depth)
     summary = {"model": model_kind, "fallback": estimate.fallback, "terms": len(model.weights)}
     return scored, summary
 
@@ -204,7 +208,7 @@ def term_snippet(index: CollectionIndex, doc_id: str, max_terms: int = 12) -> st
 
 def check_run_tag(run_tag: str) -> None:
     """A run tag is the last field of a whitespace-separated run line."""
-    if run_tag.split() != [run_tag]:
+    if not_one_field(run_tag):
         raise ValueError(f"run tag {run_tag!r} is empty or contains whitespace")
 
 

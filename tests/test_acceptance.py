@@ -58,11 +58,9 @@ def one_shot_topk_reference(index, topic, model_kind, params, k, final_depth, qr
     """Straight-line top-k feedback: retrieve once, judge the top k, rebuild
     the query model, retrieve the tail.  No session machinery."""
     if model_kind in ("rm3", "distill"):
-        first = retrieve_kl(index, query_language_model(topic.terms), params, (), topic.query_id, k)
+        first = retrieve_kl(index, query_language_model(topic.terms), params, (), k)
     else:
-        first = retrieve_dot(
-            index, query_count_vector(topic.terms), "bm25", params, (), topic.query_id, k
-        )
+        first = retrieve_dot(index, query_count_vector(topic.terms), "bm25", params, (), k)
     shown = first.doc_ids[:k]
     relevant = [d for d in shown if qrels.is_relevant(topic.query_id, d)]
     nonrelevant = [d for d in shown if not qrels.is_relevant(topic.query_id, d)]
@@ -71,20 +69,20 @@ def one_shot_topk_reference(index, topic, model_kind, params, k, final_depth, qr
     tail_depth = final_depth - len(shown)
     if model_kind == "rm3":
         model = estimate_rm3(index, topic.terms, pools, params).model
-        tail = retrieve_kl(index, model, params, shown, topic.query_id, tail_depth)
+        tail = retrieve_kl(index, model, params, shown, tail_depth)
     elif model_kind == "distill":
         model = estimate_distillation(index, topic.terms, pools, params).model
-        tail = retrieve_kl(index, model, params, shown, topic.query_id, tail_depth)
+        tail = retrieve_kl(index, model, params, shown, tail_depth)
     elif model_kind == "rocchio":
         model = estimate_rocchio(index, topic.terms, pools, params).model
-        tail = retrieve_dot(index, model, "bm25", params, shown, topic.query_id, tail_depth)
+        tail = retrieve_dot(index, model, "bm25", params, shown, tail_depth)
     else:
         if relevant:
             model = estimate_prob(index, topic.terms, pools, params).model
-            tail = retrieve_dot(index, model, "mle", params, shown, topic.query_id, tail_depth)
+            tail = retrieve_dot(index, model, "mle", params, shown, tail_depth)
         else:
             model = query_count_vector(topic.terms)
-            tail = retrieve_dot(index, model, "bm25", params, shown, topic.query_id, tail_depth)
+            tail = retrieve_dot(index, model, "bm25", params, shown, tail_depth)
     return FreezingRunList(topic.query_id, shown, tail.doc_ids)
 
 
@@ -310,7 +308,7 @@ def test_criterion_6_directional_feedback_benefit():
     for model_kind in MODEL_KINDS:
         initial = [initial_ranking(index, t, model_kind, params) for t in topics]
         initial_map = sum(
-            average_precision(s.doc_ids, qrels, s.query_id) for s in initial
+            average_precision(s.doc_ids, qrels, t.query_id) for s, t in zip(initial, topics)
         ) / len(initial)
         one_shot = mean_map(
             run_irf(index, t, model_kind, params, BudgetConfig(10, 1), judge) for t in topics

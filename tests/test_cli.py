@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from irfkit import cli
+from irfkit import cli, corpus_io
 from irfkit.feedback import ModelParams
 
 
@@ -135,6 +135,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"{params}:3:" in err and "'num_expansion_terms'" in err and "'2.5'" in err
 
+    def test_repeated_param_key_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        params.write_text("mu=100\nmu=200\n")
+        args = run_args(indexed, toy_paths, tmp_path, extra=("--params", str(params)))
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == f"error: {params}:2: key 'mu' is already on line 1\n"
+
+    def test_repeated_set_item_overrides_the_earlier(self, indexed, toy_paths, tmp_path):
+        # --set is a list of overrides, not a file: the last item for a key wins
+        assert cli.main(run_args(indexed, toy_paths, tmp_path, extra=("--set", "mu=2.0"))) == 0
+        assert "mu=2.0" in (tmp_path / "run.txt.config").read_text().splitlines()
+
     def test_non_finite_param_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
         args = run_args(indexed, toy_paths, tmp_path, extra=("--set", "lambda1=nan"))
         assert cli.main(args) == 1
@@ -241,7 +253,7 @@ class TestEvalCommand:
     def test_score_ties_broken_by_doc_id_descending(self, tmp_path):
         run_file = tmp_path / "r.txt"
         run_file.write_text("q1 Q0 d1 1 5.0 t\nq1 Q0 d3 2 5.0 t\nq1 Q0 d2 3 7.0 t\n")
-        assert cli.read_run(run_file) == {"q1": ["d2", "d3", "d1"]}
+        assert corpus_io.parse_run(run_file) == {"q1": ["d2", "d3", "d1"]}
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf", "high", "1_0.0", "\u0661.0"])
     def test_bad_score_is_data_error(self, tmp_path, toy_paths, capsys, score):
@@ -404,11 +416,12 @@ class TestSweepCommand:
         "text,message",
         [
             ("interp_lambda=0.5\nbeta=7,8\n", ":2: 'beta' is not a grid axis of rm3"),
+            ("mu=100\nmu=200\n", ":2: key 'mu' is already on line 1"),
             ("interp_lambda=0.5\nem_tol=0.1\n", ":2: 'em_tol' is not a grid axis of rm3"),
             ("mu=\n", ":1: no values for 'mu'"),
             ("mu= , ,\n", ":1: no values for 'mu'"),
         ],
-        ids=["other_model_axis", "field_not_an_axis", "no_values", "only_commas"],
+        ids=["other_model_axis", "repeated_axis", "field_not_an_axis", "no_values", "only_commas"],
     )
     def test_grid_line_the_model_cannot_use_names_file_and_line(
         self, indexed, toy_paths, tmp_path, capsys, text, message

@@ -345,7 +345,7 @@ class TestParseTopics:
     def test_duplicate_query_id_rejected(self, tmp_path, stoplist):
         path = tmp_path / "topics.tsv"
         path.write_text("q1\talpha\nq1\tbeta\n")
-        with pytest.raises(CorpusFormatError, match="duplicate"):
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:2: query id 'q1' is already on line 1$"):
             parse_topics(path, "tsv", stoplist)
 
     @pytest.mark.parametrize("query_id", ["q 1", "", "q\u00a01"])
@@ -360,6 +360,25 @@ class TestParseTopics:
         "<desc> Description:\nsomething else\n</top>\n"
         "<top>\n<num> Number: 302\n<title> Poliomyelitis vaccine\n</top>\n"
     )
+
+    @pytest.mark.parametrize(
+        "fmt,text,message",
+        [
+            ("tsv", "q1\talpha\n\nq2\tgamma\nq1\tbeta\n", ":4: query id 'q1' is already on line 1"),
+            ("tsv", "q1\talpha\n\nq2\tthe of and\n", ":3: topic 'q2' is empty after normalization"),
+            # a trec_title topic's line is the line of its <top> tag
+            ("trec_title", "\n\n" + TREC_TOPICS.replace("302", "301"), ":9: query id '301' is already on line 3"),
+            ("trec_title", TREC_TOPICS.replace("Poliomyelitis vaccine", "The Of"),
+             ":7: topic '302' is empty after normalization"),
+            ("trec_title", TREC_TOPICS.replace("<num> Number: 302", ""), ":7: topic block without <num>"),
+        ],
+        ids=["tsv_repeat", "tsv_empty", "trec_repeat", "trec_empty", "trec_no_num"],
+    )
+    def test_topic_error_names_file_and_line(self, tmp_path, stoplist, fmt, text, message):
+        path = tmp_path / "topics"
+        path.write_text(text)
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path) + message)}$"):
+            parse_topics(path, fmt, stoplist)
 
     def test_trec_title_format(self, tmp_path, stoplist):
         path = tmp_path / "topics.txt"

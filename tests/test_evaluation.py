@@ -240,6 +240,12 @@ class TestGridSpec:
         with pytest.raises(FeedbackError, match=f"^{re.escape(str(path))}:2: no values for 'mu'$"):
             load_grid(path, "rm3")
 
+    def test_repeated_axis_names_both_lines(self, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text("mu=100\nmu=200\n")
+        with pytest.raises(FeedbackError, match=f"^{re.escape(str(path))}:2: key 'mu' is already on line 1$"):
+            load_grid(path, "rm3")
+
     @pytest.mark.parametrize(
         "model,key", [("rm3", "beta"), ("rocchio", "mu"), ("distill", "em_tol"), ("prob", "warpfactor")]
     )

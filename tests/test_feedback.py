@@ -91,6 +91,13 @@ class TestModelParams:
         params = ModelParams(mu=50, beta=2)
         assert params.mu == 50 and params.beta == 2
 
+    @pytest.mark.parametrize("name", ["mu", "k1", "em_tol"])
+    def test_int_too_large_for_a_float_rejected(self, name):
+        # math.isfinite raises OverflowError on it, and a scorer would too
+        with pytest.raises(FeedbackError, match=f"^{name} must be finite, got an int too large for a float$"):
+            ModelParams(**{name: 10**400})
+        assert type(ModelParams(mu=10**300).mu) is int  # an int that fits is kept as it is
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "name", ["mu", "k1", "b", "interp_lambda", "lambda1", "lambda2", "beta", "gamma", "em_tol"]
@@ -127,6 +134,16 @@ class TestModelParams:
         path = tmp_path / "params.txt"
         path.write_text("mu=50\x85k1=1.3\n", "utf-8")
         with pytest.raises(FeedbackError, match=re.escape("params.txt:1: bad value '50\\x85k1=1.3' for parameter 'mu'")):
+            load_params(path)
+
+    @pytest.mark.parametrize(
+        "text,lineno", [("mu=100\nmu=200\n", 2), ("mu=100\n# tuned\nk1=1.3\n mu = 200\n", 4)]
+    )
+    def test_repeated_key_names_both_lines(self, tmp_path, text, lineno):
+        path = tmp_path / "params.txt"
+        path.write_text(text)
+        message = f"{path}:{lineno}: key 'mu' is already on line 1"
+        with pytest.raises(FeedbackError, match=f"^{re.escape(message)}$"):
             load_params(path)
 
     def test_overrides_win(self, tmp_path):

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 
 import pytest
 
@@ -51,6 +52,15 @@ class TestBudgetConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             BudgetConfig(0, 3)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("docs_per_iter", 1.5), ("docs_per_iter", True), ("iterations", 2.0), ("final_depth", "10")],
+    )
+    def test_field_that_is_not_an_int_rejected(self, name, value):
+        fields = {"docs_per_iter": 2, "iterations": 1, "final_depth": 10, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be int, got {re.escape(repr(value))}$"):
+            BudgetConfig(**fields)
 
 
 @pytest.fixture
