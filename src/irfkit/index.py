@@ -14,7 +14,6 @@ safe to share across threads.
 from __future__ import annotations
 
 import json
-import re
 from array import array
 from collections import defaultdict
 from collections.abc import Mapping
@@ -26,15 +25,9 @@ import numpy as np
 
 from .corpus_io import STEMMERS, TermSequence, not_one_field, parse_number, read_text, reject_repeats
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # the collection statistics a manifest records, checked on load
 _MANIFEST_COUNTS = ("num_docs", "vocab_size", "total_terms")
-
-# the snapshot separates fields and pairs by whitespace and rows by lines
-_has_whitespace = re.compile(r"\s").search
-# a postings row: a term without whitespace, a tab, doc:count pairs (18 digits fit an int64)
-_PAIR = r"-?[0-9]{1,18}:-?[0-9]{1,18}"
-_is_postings_row = re.compile(rf"\S*\t(?:{_PAIR}(?: {_PAIR})*)?").fullmatch
 
 
 class IndexDataError(ValueError):
@@ -215,9 +208,9 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
     )
     postings = Postings(terms, *columns)
     for row, term in enumerate(terms):
-        if _has_whitespace(term):
+        if not_one_field(term):  # as a terms.tsv row's name
             doc_id = doc_ids[postings.docs[postings.offsets[row]]]
-            raise IndexDataError(f"doc {doc_id!r} has a term with whitespace: {term!r}")
+            raise IndexDataError(f"doc {doc_id!r} has an empty term or one with whitespace: {term!r}")
     return CollectionIndex(doc_ids, postings, analysis)
 
 
@@ -248,33 +241,33 @@ def doc_vector(index: CollectionIndex, doc_id: str) -> dict[str, int]:
 
 
 def save_index(index: CollectionIndex, directory: str | Path) -> None:
-    """Write a snapshot: doc table, postings, manifest.  The old manifest goes
-    first, so ``load_index`` rejects a save that died midway, and with it the
-    two files only format 1 wrote."""
+    """Write a snapshot: doc and term tables, the postings entries as ``.npy``
+    columns, manifest.  The old manifest goes first, so ``load_index`` rejects a
+    save that died midway, and with it the files only formats 1 and 2 wrote."""
     _check_analysis(index.analysis, "analysis")  # json.dumps fails on a set, after the deletes
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / "manifest.json"
-    for name in ("manifest.json", "lexicon.tsv", "forward.tsv"):
+    for name in ("manifest.json", "lexicon.tsv", "forward.tsv", "postings.tsv"):
         (directory / name).unlink(missing_ok=True)
-    with open(directory / "docs.tsv", "w", encoding="utf-8") as handle:
-        for doc_id, length in zip(index.doc_ids, index.doc_lengths):
-            handle.write(f"{doc_id}\t{length}\n")
     postings = index.postings
-    docs, counts = postings.docs.tolist(), postings.counts.tolist()
-    offsets = postings.offsets.tolist()
-    with open(directory / "postings.tsv", "w", encoding="utf-8") as handle:
-        for term, start, end in zip(postings, offsets, offsets[1:]):
-            pairs = zip(docs[start:end], counts[start:end])
-            handle.write(f"{term}\t{' '.join([f'{doc}:{count}' for doc, count in pairs])}\n")
+    dfs = np.diff(postings.offsets).tolist()
+    tables = ("docs.tsv", index.doc_ids, index.doc_lengths), ("terms.tsv", postings.terms, dfs)
+    for name, keys, numbers in tables:
+        with open(directory / name, "w", encoding="utf-8") as handle:
+            handle.writelines(f"{key}\t{number}\n" for key, number in zip(keys, numbers))
+    for name, column in ("docs.npy", postings.docs), ("counts.npy", postings.counts):
+        with open(directory / name, "wb") as handle:
+            np.lib.format.write_array(handle, column.astype("<i4", copy=False), allow_pickle=False)
     manifest = {key: getattr(index.stats, key) for key in _MANIFEST_COUNTS}
     manifest.update(format_version=FORMAT_VERSION, analysis=index.analysis)
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
 def load_index(directory: str | Path) -> CollectionIndex:
-    """Read a snapshot: the doc table and postings, checked against each
-    other and against the manifest."""
+    """Read a snapshot whole or reject it: the postings checked against the doc
+    and term tables, and all against the manifest.  The ``.npy`` columns are
+    read, not mapped: a later save into the directory rewrites them in place."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -293,54 +286,53 @@ def load_index(directory: str | Path) -> CollectionIndex:
         )
     analysis = manifest.get("analysis", {})
     _check_analysis(analysis, f"{manifest_path}: analysis")
-    docs_path = directory / "docs.tsv"
-    doc_rows = _read_rows(docs_path, "doc_id<TAB>length", _parse_doc_row)
-    doc_ids = [doc_id for doc_id, _ in doc_rows]
+    docs_path, terms_path = directory / "docs.tsv", directory / "terms.tsv"
+    doc_ids, lengths = _read_rows(docs_path, "doc_id<TAB>length")
     reject_repeats(docs_path, enumerate(doc_ids, 1), lambda doc_id: f"doc {doc_id!r}", IndexDataError)
-    postings_path = directory / "postings.tsv"
-    rows = _read_rows(postings_path, "term<TAB>doc:count ...", _parse_postings_row)
-    terms = [term for term, _ in rows]
+    terms, dfs = _read_rows(terms_path, "term<TAB>df")
     for lineno, (before, term) in enumerate(zip(terms, terms[1:]), 2):
         if not before < term:
             raise IndexDataError(
-                f"{postings_path}:{lineno}: term {term!r} does not follow {before!r}; "
+                f"{terms_path}:{lineno}: term {term!r} does not follow {before!r}; "
                 "rows hold each term once, in sorted order"
             )
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([pairs.count(":") for _, pairs in rows], out=offsets[1:])
-    empty = np.flatnonzero(offsets[1:] == offsets[:-1])
-    if empty.size:
-        row = empty[0]
-        raise IndexDataError(f"{postings_path}:{row + 1}: term {terms[row]!r} has no postings")
-    numbers = " ".join([pairs for _, pairs in rows]).replace(":", " ")
-    flat = np.fromstring(numbers, dtype=np.int64, sep=" ").reshape(-1, 2)
     num_docs = len(doc_ids)
-    # int32 columns: a doc must be in the doc table, a count in [1, 2^31)
-    docs, counts = flat[:, 0], flat[:, 1]
-    for name, column, low, high in ("doc", docs, 0, num_docs), ("count", counts, 1, 2**31):
+    for lineno, (term, df) in enumerate(zip(terms, dfs), 1):
+        if not 1 <= df <= num_docs:  # which also keeps the offsets in int64
+            raise IndexDataError(
+                f"{terms_path}:{lineno}: df {df} of term {term!r} is outside [1, {num_docs}]"
+            )
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(dfs, dtype=np.int64, out=offsets[1:])
+    docs_npy, counts_npy = directory / "docs.npy", directory / "counts.npy"
+    docs, counts = (_read_column(path, offsets[-1]) for path in (docs_npy, counts_npy))
+
+    def at(path: Path, entry: int) -> str:  # the term that holds a postings entry
+        row = np.searchsorted(offsets, entry, side="right") - 1
+        return f"{path}: term {terms[row]!r} ({terms_path.name}:{row + 1})"
+
+    bounds = (docs_npy, "doc", docs, 0, num_docs), (counts_npy, "count", counts, 1, 2**31)
+    for path, name, column, low, high in bounds:
         outside = np.flatnonzero((column < low) | (column >= high))
         if outside.size:
-            lineno = np.searchsorted(offsets, outside[0], side="right")
             raise IndexDataError(
-                f"{postings_path}:{lineno}: {name} {column[outside[0]]} is outside [{low}, {high})"
+                f"{at(path, outside[0])}: {name} {column[outside[0]]} is outside [{low}, {high})"
             )
-    postings = Postings(terms, offsets, docs, counts)
-    repeated = np.flatnonzero(np.diff(postings.docs) <= 0) + 1
+    repeated = np.flatnonzero(np.diff(docs) <= 0) + 1
     repeated = repeated[~np.isin(repeated, offsets)]
     if repeated.size:
-        lineno = np.searchsorted(offsets, repeated[0], side="right")
         raise IndexDataError(
-            f"{postings_path}:{lineno}: doc {postings.docs[repeated[0]]} does not follow doc "
-            f"{postings.docs[repeated[0] - 1]}; a row holds each doc once, in ascending order"
+            f"{at(docs_npy, repeated[0])}: doc {docs[repeated[0]]} does not follow doc "
+            f"{docs[repeated[0] - 1]}; a row holds each doc once, in ascending order"
         )
-    index = CollectionIndex(doc_ids, postings, analysis)
+    index = CollectionIndex(doc_ids, Postings(terms, offsets, docs, counts), analysis)
     for key in _MANIFEST_COUNTS:
         if manifest.get(key) != getattr(index.stats, key):
             raise IndexDataError(
                 f"{manifest_path}: {key} is {manifest.get(key)} but the snapshot "
                 f"holds {getattr(index.stats, key)}"
             )
-    for lineno, ((_, length), held) in enumerate(zip(doc_rows, index.doc_lengths), 1):
+    for lineno, (length, held) in enumerate(zip(lengths, index.doc_lengths), 1):
         if length != held:
             raise IndexDataError(
                 f"{docs_path}:{lineno}: length is {length} but the postings hold {held} terms"
@@ -348,28 +340,36 @@ def load_index(directory: str | Path) -> CollectionIndex:
     return index
 
 
-def _parse_doc_row(line: str) -> tuple[str, int]:
-    doc_id, length = line.split("\t")
-    if not_one_field(doc_id):  # as in build_index
-        raise ValueError(doc_id)
-    return doc_id, parse_number(length, int)
-
-
-def _parse_postings_row(line: str) -> tuple[str, str]:
-    if not _is_postings_row(line):
-        raise ValueError(line)
-    term, pairs = line.split("\t")
-    return term, pairs
-
-
-def _read_rows(path: Path, layout: str, parse: Callable[[str], object]) -> list:
-    """Parse each line of a snapshot file; a malformed one is reported by
-    path and line number."""
-    rows = []
+def _read_rows(path: Path, layout: str) -> tuple[list[str], list[int]]:
+    """The names and numbers of a snapshot file's ``name<TAB>integer`` rows,
+    a name being one field as in ``build_index``; a malformed row is reported
+    by path and line number."""
+    names, numbers = [], []
     lines = read_text(path, IndexDataError).split("\n")
     for lineno, line in enumerate(lines[:-1] if lines[-1] == "" else lines, 1):
         try:
-            rows.append(parse(line))
+            name, number = line.split("\t")
+            if not_one_field(name):
+                raise ValueError(name)
+            numbers.append(parse_number(number, int))
         except ValueError:
             raise IndexDataError(f"{path}:{lineno}: expected {layout}") from None
-    return rows
+        names.append(name)
+    return names, numbers
+
+
+def _read_column(path: Path, length: int) -> np.ndarray:
+    """A postings column as ``save_index`` writes it: a whole ``.npy`` file of
+    ``length`` ``<i4`` entries and nothing after them, read without pickle."""
+    with open(path, "rb") as handle:
+        try:
+            column = np.lib.format.read_array(handle, allow_pickle=False)
+        except (ValueError, MemoryError) as exc:  # MemoryError: a header claims more entries than fit
+            raise IndexDataError(f"{path}: not a whole .npy array: {exc}") from None
+        if handle.read(1):
+            raise IndexDataError(f"{path}: bytes follow the array")
+    if column.dtype.str != "<i4" or column.shape != (length,):  # the length is the sum of the dfs
+        raise IndexDataError(
+            f"{path}: holds {column.dtype.str} of shape {column.shape}, expected <i4 of ({length},)"
+        )
+    return column

@@ -206,16 +206,19 @@ def term_snippet(index: CollectionIndex, doc_id: str, max_terms: int = 12) -> st
     return " ".join(term for term, _ in top)
 
 
-def check_run_tag(run_tag: str) -> None:
-    """A run tag is the last field of a whitespace-separated run line."""
-    if not_one_field(run_tag):
-        raise ValueError(f"run tag {run_tag!r} is empty or contains whitespace")
+def check_run_field(text: str, what: str) -> None:
+    """A run line is whitespace-separated fields: a query id first, a run tag last."""
+    if not_one_field(text):
+        raise ValueError(f"{what} {text!r} is empty or contains whitespace")
 
 
 def write_freezing_run(runs: Iterable[FreezingRunList], path, run_tag: str = "irfkit") -> None:
     """TREC run file: frozen prefix then tail, with synthetic strictly
     decreasing scores so score-sorting consumers preserve the list order."""
-    check_run_tag(run_tag)
+    check_run_field(run_tag, "run tag")
+    runs = list(runs)
+    for run in runs:  # before the file is opened
+        check_run_field(run.query_id, "query id")
     with open(path, "w", encoding="utf-8") as handle:
         for run in runs:
             docs = run.doc_ids

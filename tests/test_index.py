@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,9 @@ from irfkit.index import (
     load_index,
     save_index,
 )
+
+
+SNAPSHOT_FILES = ["counts.npy", "docs.npy", "docs.tsv", "manifest.json", "terms.tsv"]
 
 
 def make_docs(layout):
@@ -157,10 +162,11 @@ class TestSnapshot:
         save_index(idx, tmp_path / "snap")
         manifest_path = tmp_path / "snap" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 1
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(IndexDataError, match="version 1 .* version 2; re-index .*irfkit index"):
-            load_index(tmp_path / "snap")
+        for version in (1, 2):
+            manifest["format_version"] = version
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(IndexDataError, match=f"version {version} .* version 3; re-index .*irfkit index"):
+                load_index(tmp_path / "snap")
 
     def test_second_save_is_byte_identical(self, tmp_path):
         rng = random.Random(7)
@@ -172,7 +178,7 @@ class TestSnapshot:
         save_index(idx, tmp_path / "one")
         reloaded = load_index(tmp_path / "one")
         save_index(reloaded, tmp_path / "two")
-        names = ["docs.tsv", "manifest.json", "postings.tsv"]
+        names = SNAPSHOT_FILES
         for snapshot in ("one", "two"):
             assert sorted(path.name for path in (tmp_path / snapshot).iterdir()) == names
         for name in names:
@@ -184,9 +190,28 @@ class TestSnapshot:
         for name in ("lexicon.tsv", "forward.tsv", "docs.tsv"):
             (tmp_path / "snap" / name).write_text("left by format 1\n")
         save_index(idx, tmp_path / "snap")
-        names = sorted(path.name for path in (tmp_path / "snap").iterdir())
-        assert names == ["docs.tsv", "manifest.json", "postings.tsv"]
+        assert sorted(path.name for path in (tmp_path / "snap").iterdir()) == SNAPSHOT_FILES
         assert load_index(tmp_path / "snap") == idx
+
+    def test_save_over_format_2_snapshot_removes_its_postings_file(self, tmp_path):
+        idx = build_index(make_docs([("D1", "ab"), ("D2", "b")]))
+        (tmp_path / "snap").mkdir()
+        (tmp_path / "snap" / "docs.tsv").write_text("D1\t2\nD2\t1\n")
+        (tmp_path / "snap" / "postings.tsv").write_text("a\t0:1\nb\t0:1 1:1\n")
+        (tmp_path / "snap" / "manifest.json").write_text('{"format_version": 2}\n')
+        with pytest.raises(IndexDataError, match="version 2 .* version 3; re-index"):
+            load_index(tmp_path / "snap")
+        save_index(idx, tmp_path / "snap")
+        assert sorted(path.name for path in (tmp_path / "snap").iterdir()) == SNAPSHOT_FILES
+        assert load_index(tmp_path / "snap") == idx
+
+    def test_loaded_index_outlives_a_later_save_into_its_directory(self, tmp_path):
+        # the columns are read, not mapped: the second save truncates the files in place
+        big = build_index(make_docs([(f"D{i}", "abcdefgh"[: i % 8]) for i in range(200)]))
+        save_index(big, tmp_path / "snap")
+        loaded = load_index(tmp_path / "snap")
+        save_index(build_index(make_docs([("D1", "a")])), tmp_path / "snap")
+        assert loaded == big
 
     def test_loaded_forward_store_is_the_transposed_postings(self, tmp_path):
         built = build_index(make_docs([("D1", "cabca"), ("D2", "b"), ("D3", "")]))
@@ -204,12 +229,12 @@ class TestSnapshot:
     def test_interrupted_save_is_rejected(self, tmp_path, monkeypatch):
         save_index(build_index(make_docs([("D1", "ab"), ("D2", "b")])), tmp_path / "snap")
 
-        def open_until_postings(path, *args, **kwargs):
-            if Path(path).name == "postings.tsv":
+        def open_until_last_column(path, *args, **kwargs):
+            if Path(path).name == "counts.npy":
                 raise OSError("disk full")
             return open(path, *args, **kwargs)
 
-        monkeypatch.setattr(index_module, "open", open_until_postings, raising=False)
+        monkeypatch.setattr(index_module, "open", open_until_last_column, raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_index(build_index(make_docs([("D1", "ba"), ("D2", "b")])), tmp_path / "snap")
         monkeypatch.undo()
@@ -289,6 +314,11 @@ class TestUnstorableInput:
         with pytest.raises(IndexDataError, match="D2"):
             build_index([TermSequence("D1", ("ok",)), TermSequence("D2", ("ok", term))])
 
+    def test_empty_term_rejected_naming_the_doc(self):
+        # a terms.tsv row could hold it, but not one the loader reads back as a name
+        with pytest.raises(IndexDataError, match="doc 'D2' has an empty term or one with whitespace: ''"):
+            build_index([TermSequence("D1", ("ok",)), TermSequence("D2", ("ok", ""))])
+
     @pytest.mark.parametrize("doc_id", ["D 1", "D\t1", "D1\n", ""])
     def test_doc_id_with_whitespace_rejected(self, doc_id):
         with pytest.raises(IndexDataError, match="whitespace"):
@@ -304,7 +334,7 @@ class TestUnstorableInput:
 @settings(max_examples=100, deadline=None)
 def test_snapshot_round_trips_any_term_text_or_rejects_it_at_build(tmp_path_factory, term_lists):
     docs = [TermSequence(f"D{i}", tuple(terms)) for i, terms in enumerate(term_lists)]
-    if any(ch.isspace() for terms in term_lists for term in terms for ch in term):
+    if any(term == "" or any(ch.isspace() for ch in term) for terms in term_lists for term in terms):
         with pytest.raises(IndexDataError):
             build_index(docs)
         return
@@ -327,27 +357,121 @@ def replace_line(path, lineno, text):
     path.write_text("\n".join(lines))
 
 
+# saved_toy's postings, a row per term in the ``term<TAB>doc:count ...`` layout
+TOY_POSTINGS = ["a\t0:2", "b\t0:1 1:1", "c\t1:1"]
+
+
+def write_postings(snapshot, rows):
+    """Rewrite a snapshot's terms.tsv, docs.npy and counts.npy to hold the
+    postings ``rows``, each ``term<TAB>doc:count ...``."""
+    terms, docs, counts = [], [], []
+    for row in rows:
+        term, pairs = row.split("\t")
+        entries = [tuple(map(int, pair.split(":"))) for pair in pairs.split()]
+        terms.append(f"{term}\t{len(entries)}\n")
+        docs += [doc for doc, _ in entries]
+        counts += [count for _, count in entries]
+    (snapshot / "terms.tsv").write_text("".join(terms))
+    for name, column in ("docs.npy", docs), ("counts.npy", counts):
+        np.save(snapshot / name, np.array(column, dtype="<i4"))
+
+
+def replace_postings_row(snapshot, lineno, row):
+    """saved_toy with its postings row ``lineno`` replaced, or one appended after the last."""
+    rows = list(TOY_POSTINGS)
+    rows[lineno - 1 : lineno] = [row]
+    write_postings(snapshot, rows)
+
+
+def test_write_postings_writes_what_save_index_writes(saved_toy, tmp_path):
+    (tmp_path / "copy").mkdir()
+    write_postings(tmp_path / "copy", TOY_POSTINGS)
+    for name in ("terms.tsv", "docs.npy", "counts.npy"):
+        assert (tmp_path / "copy" / name).read_bytes() == (saved_toy / name).read_bytes()
+
+
+def npz_of(data):
+    """The bytes of an .npz archive holding the .npy array ``data``."""
+    archive = io.BytesIO()
+    np.savez(archive, np.lib.format.read_array(io.BytesIO(data)))
+    return archive.getvalue()
+
+
+# saved_toy's columns hold 4 entries; each edit of a column file's bytes
+# makes something save_index never writes, with the message that rejects it
+NOT_WHOLE = "not a whole .npy array"
+BAD_COLUMN_BYTES = {
+    "magic": (lambda data: b"NOTNUMPY" + data[8:], NOT_WHOLE),
+    "header_keys": (lambda data: data.replace(b"'descr'", b"'descx'"), NOT_WHOLE),
+    "truncated_header": (lambda data: data[:20], NOT_WHOLE),
+    "truncated_data": (lambda data: data[:-1], NOT_WHOLE),
+    "header_claims_2^40_entries": (
+        lambda data: data.replace(b"(4,), }" + b" " * 12, b"(1099511627776,), }"), NOT_WHOLE
+    ),
+    "empty_file": (lambda data: b"", NOT_WHOLE),
+    "npz": (npz_of, NOT_WHOLE),
+    "trailing_bytes": (lambda data: data + b"\0\0\0\0", "bytes follow the array"),
+}
+# each re-saves a column's values as an array save_index never writes
+BAD_COLUMN_ARRAYS = {
+    "int64": (lambda values: values.astype("<i8"), "holds <i8 of shape (4,)"),
+    "big_endian": (lambda values: values.astype(">i4"), "holds >i4 of shape (4,)"),
+    "float32": (lambda values: values.astype("<f4"), "holds <f4 of shape (4,)"),
+    "short": (lambda values: values[:-1], "holds <i4 of shape (3,), expected <i4 of (4,)"),
+    "long": (lambda values: np.append(values, values[-1]), "holds <i4 of shape (5,), expected <i4 of (4,)"),
+    "two_dimensional": (lambda values: values.reshape(4, 1), "holds <i4 of shape (4, 1)"),
+    "scalar": (lambda values: values[0], "holds <i4 of shape ()"),
+    "pickled": (lambda values: values.astype(object), f"{NOT_WHOLE}: Object arrays cannot be loaded"),
+}
+
+
 class TestCorruptSnapshot:
     @pytest.mark.parametrize(
         "name,lineno,bad",
         [
             ("docs.tsv", 2, "D2"),
             ("docs.tsv", 1, "D1\tthree"),
-            ("postings.tsv", 3, "c\t1"),
-            ("postings.tsv", 1, "a\t0:2\textra"),
-            ("postings.tsv", 3, "c\t1:1:1"),
-            ("postings.tsv", 2, "b\t0:1  1:1"),
-            ("postings.tsv", 1, "a\t0:99999999999999999999"),
+            ("terms.tsv", 3, "c"),
+            ("terms.tsv", 1, "a\t1\t1"),
+            ("terms.tsv", 3, "c\t1:1"),
+            ("terms.tsv", 2, "b\t"),
+            ("terms.tsv", 2, "b 2"),
             ("docs.tsv", 1, "D 1\t3"),
-            ("postings.tsv", 1, "a z\t0:2"),
-            # int() alone reads each of these lengths as 3, D1's
+            ("terms.tsv", 1, "a z\t1"),
+            ("terms.tsv", 1, "\t1"),
+            # int() alone reads each of these lengths as 3, D1's, and these dfs as 2, b's
             ("docs.tsv", 1, "D1\t0_3"),
             ("docs.tsv", 1, "D1\t\u0663"),
+            ("terms.tsv", 2, "b\t0_2"),
+            ("terms.tsv", 2, "b\t\u0662"),
         ],
     )
     def test_malformed_line_reports_path_and_line(self, saved_toy, name, lineno, bad):
         replace_line(saved_toy / name, lineno, bad)
         with pytest.raises(IndexDataError, match=f"{name}:{lineno}: expected"):
+            load_index(saved_toy)
+
+    @pytest.mark.parametrize("df", [0, -1, 4, 2**70])
+    def test_df_outside_one_to_num_docs_reports_path_and_line(self, saved_toy, df):
+        replace_line(saved_toy / "terms.tsv", 2, f"b\t{df}")
+        message = f"{saved_toy / 'terms.tsv'}:2: df {df} of term 'b' is outside [1, 3]"
+        with pytest.raises(IndexDataError, match="^" + re.escape(message)):
+            load_index(saved_toy)
+
+    @pytest.mark.parametrize("name", ["docs.npy", "counts.npy"])
+    @pytest.mark.parametrize("edit,message", BAD_COLUMN_BYTES.values(), ids=BAD_COLUMN_BYTES)
+    def test_column_file_that_is_not_one_whole_npy_array_reports_path(self, saved_toy, name, edit, message):
+        path = saved_toy / name
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(IndexDataError, match="^" + re.escape(f"{path}: {message}")):
+            load_index(saved_toy)
+
+    @pytest.mark.parametrize("name", ["docs.npy", "counts.npy"])
+    @pytest.mark.parametrize("resave,message", BAD_COLUMN_ARRAYS.values(), ids=BAD_COLUMN_ARRAYS)
+    def test_column_array_save_index_never_writes_reports_path(self, saved_toy, name, resave, message):
+        path = saved_toy / name
+        np.save(path, resave(np.load(path)), allow_pickle=True)
+        with pytest.raises(IndexDataError, match="^" + re.escape(f"{path}: {message}")):
             load_index(saved_toy)
 
     @pytest.mark.parametrize("key", ["num_docs", "total_terms", "vocab_size"])
@@ -361,31 +485,33 @@ class TestCorruptSnapshot:
 
     @pytest.mark.parametrize("bad,doc", [("c\t3:1", 3), ("c\t0:1 -1:1", -1)])
     def test_postings_doc_outside_doc_table_reports_path_and_line(self, saved_toy, bad, doc):
-        replace_line(saved_toy / "postings.tsv", 3, bad)
-        with pytest.raises(IndexDataError, match=rf"postings.tsv:3: doc {doc} is outside \[0, 3\)"):
+        replace_postings_row(saved_toy, 3, bad)
+        message = f"{saved_toy / 'docs.npy'}: term 'c' (terms.tsv:3): doc {doc} is outside [0, 3)"
+        with pytest.raises(IndexDataError, match="^" + re.escape(message)):
             load_index(saved_toy)
 
     @pytest.mark.parametrize(
         "lineno,bad,message",
         [
-            (3, "c\t1:0", r"postings.tsv:3: count 0 is outside \[1, 2147483648\)"),
-            (2, "b\t1:1 0:1", "postings.tsv:2: doc 0 does not follow doc 1"),
-            (2, "b\t0:1 0:1", "postings.tsv:2: doc 0 does not follow doc 0"),
-            (3, "b\t1:1", "postings.tsv:3: term 'b' does not follow 'b'"),
-            (2, "0\t0:1 1:1", "postings.tsv:2: term '0' does not follow 'a'"),
-            (4, "zz\t", "postings.tsv:4: term 'zz' has no postings"),
+            (3, "c\t1:0", "counts.npy: term 'c' (terms.tsv:3): count 0 is outside [1, 2147483648)"),
+            (3, "c\t1:-1", "counts.npy: term 'c' (terms.tsv:3): count -1 is outside [1, 2147483648)"),
+            (2, "b\t1:1 0:1", "docs.npy: term 'b' (terms.tsv:2): doc 0 does not follow doc 1"),
+            (2, "b\t0:1 0:1", "docs.npy: term 'b' (terms.tsv:2): doc 0 does not follow doc 0"),
+            (3, "b\t1:1", "terms.tsv:3: term 'b' does not follow 'b'"),
+            (2, "0\t0:1 1:1", "terms.tsv:2: term '0' does not follow 'a'"),
+            (4, "zz\t", "terms.tsv:4: df 0 of term 'zz' is outside [1, 3]"),
         ],
     )
     def test_postings_row_out_of_order_or_range_reports_path_and_line(
         self, saved_toy, lineno, bad, message
     ):
-        replace_line(saved_toy / "postings.tsv", lineno, bad)
-        with pytest.raises(IndexDataError, match=message):
+        replace_postings_row(saved_toy, lineno, bad)
+        with pytest.raises(IndexDataError, match=re.escape(message)):
             load_index(saved_toy)
 
     def test_length_disagreeing_with_postings_reports_path_and_line(self, saved_toy):
         # moving c from D2 to D3 keeps every manifest count
-        replace_line(saved_toy / "postings.tsv", 3, "c\t2:1")
+        replace_postings_row(saved_toy, 3, "c\t2:1")
         with pytest.raises(IndexDataError, match="docs.tsv:2: length is 2 but the postings hold 1"):
             load_index(saved_toy)
 
@@ -396,8 +522,8 @@ class TestCorruptSnapshot:
             load_index(saved_toy)
 
     def test_dropped_postings_row_caught_by_vocab_size(self, saved_toy):
-        path = saved_toy / "postings.tsv"
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        # a whole row: the term, its df and its entries
+        write_postings(saved_toy, TOY_POSTINGS[:-1])
         with pytest.raises(IndexDataError, match="vocab_size"):
             load_index(saved_toy)
 

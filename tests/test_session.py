@@ -5,12 +5,13 @@ import re
 
 import pytest
 
-from irfkit.corpus_io import QrelSet, TermSequence, Topic
+from irfkit.corpus_io import QrelSet, TermSequence, Topic, parse_run
 from irfkit.feedback import ModelParams
 from irfkit.index import build_index
 from irfkit.session import (
     MODEL_KINDS,
     BudgetConfig,
+    FreezingRunList,
     initial_ranking,
     interactive_judge,
     make_qrels_judge,
@@ -210,6 +211,20 @@ class TestOutputs:
         with pytest.raises(ValueError, match="run tag .* is empty or contains whitespace"):
             write_freezing_run([run], path, tag)
         assert not path.exists()
+
+    @pytest.mark.parametrize("query_id", ["q 1", "", "q\t1"])
+    def test_query_id_a_run_line_cannot_hold_rejected_before_writing(self, tmp_path, query_id):
+        # written, each gave lines of 5 or 7 fields that parse_run rejects
+        runs = [FreezingRunList("q0", ["D1"], ["D2"]), FreezingRunList(query_id, ["D1"], ["D2"])]
+        path = tmp_path / "run.txt"
+        with pytest.raises(ValueError, match="query id .* is empty or contains whitespace"):
+            write_freezing_run(runs, path)
+        assert not path.exists()
+
+    def test_freezing_run_reads_back(self, tmp_path):
+        runs = (FreezingRunList(query_id, ["D1"], ["D2", "D3"]) for query_id in ("q1", "q2"))
+        write_freezing_run(runs, tmp_path / "run.txt")
+        assert parse_run(tmp_path / "run.txt") == {"q1": ["D1", "D2", "D3"], "q2": ["D1", "D2", "D3"]}
 
     def test_session_log_is_json_lines(self, small_setup, tmp_path):
         idx, topic, qrels = small_setup
