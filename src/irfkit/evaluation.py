@@ -91,8 +91,73 @@ class SigTestResult:
         return self.p_value < 0.05
 
 
-# sign patterns the exact test enumerates at a time, which bounds its memory
-_EXACT_BLOCK = 2**12
+# the most sign patterns one matrix product holds: the Monte Carlo branch draws
+# this many at a time, and the exact branch decides its window this many at a time
+_CHUNK = 100_000
+
+
+def _pattern_bits(patterns: np.ndarray, n: int) -> np.ndarray:
+    """One 0/1 row per sign pattern index: bit j flips ``diffs[j]``."""
+    return (patterns[:, None] >> np.arange(n)) & 1
+
+
+def _extreme(bits: np.ndarray, diffs: np.ndarray, threshold: float, rows: int | None = None) -> int:
+    """How many sign patterns (the first ``rows`` rows of ``bits``) have an
+    |mean| of at least ``threshold``."""
+    means = (bits * 2.0 - 1.0) @ diffs / len(diffs)
+    return int((np.abs(means[:rows]) >= threshold).sum())
+
+
+def _signed_sums(diffs: np.ndarray) -> np.ndarray:
+    """The signed sum of ``diffs`` under every sign pattern, pattern p at index p."""
+    return (_pattern_bits(np.arange(2 ** len(diffs)), len(diffs)) * 2.0 - 1.0) @ diffs
+
+
+def _count_exact(diffs: np.ndarray, threshold: float) -> int:
+    """How many of the 2^n sign patterns ``_extreme`` counts, by meet in the
+    middle (two-list subset sums, Horowitz & Sahni, JACM 1974).
+
+    A pattern's sum is l + r: l over the low half of ``diffs``, r over the
+    high half.  With the r sorted, the pairs with |l + r| clear of the cut
+    n * threshold by more than ``slack`` are counted by binary search; the
+    pairs within ``slack`` of the cut are rebuilt as pattern indices and
+    decided by ``_extreme`` itself.
+    """
+    n = len(diffs)
+    if threshold <= 0:  # every |mean| reaches it; the two tails below would overlap
+        return 2**n
+    h = n // 2
+    left = _signed_sums(diffs[:h])
+    right = _signed_sums(diffs[h:])
+    order = np.argsort(right)
+    right = right[order]
+    cut = n * threshold
+    # The slack bounds the rounding.  With D = sum |d| and u = eps / 2, any
+    # order of summing n signed terms (FMA or not) lands within n*u*D of the
+    # exact sum, so ``_extreme``'s sum and l + r differ by at most 2n*u*D.  The
+    # other roundings (its division by n, cut = n * threshold, cut + slack
+    # and the subtraction of l below) add at most u * (2D + 3cut + 2slack).
+    # slack = 8n*u*(D + cut) exceeds the total for every n >= 1, so a pair
+    # outside the window gets the decision ``_extreme`` would give it.
+    slack = 4 * n * np.finfo(float).eps * (float(np.abs(diffs).sum()) + cut)
+    above = np.searchsorted(right, cut + slack - left, "left")  # r from here: surely in
+    below = np.searchsorted(right, -cut - slack - left, "right")  # r before here: surely in
+    count = int((len(right) - above).sum() + below.sum())
+    # r in [upper, above) and [below, lower) are the window; [lower, upper)
+    # is surely out, and empty when the two windows meet
+    upper = np.searchsorted(right, cut - slack - left, "right")
+    lower = np.minimum(np.searchsorted(right, slack - cut - left, "left"), upper)
+    starts = np.concatenate([below, upper])
+    lengths = np.concatenate([lower - below, above - upper])
+    offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+    window = np.tile(np.arange(len(left)), 2).repeat(lengths) | (order[offsets] << h)
+    for start in range(0, len(window), _CHUNK):
+        patterns = window[start : start + _CHUNK]
+        # BLAS kernels take rows four at a time and round a leftover row
+        # another way; the enumeration's blocks were whole fours, so pad to them
+        padded = np.concatenate([patterns, np.zeros(-len(patterns) % 4, patterns.dtype)])
+        count += _extreme(_pattern_bits(padded, n), diffs, threshold, len(patterns))
+    return count
 
 
 def fisher_randomization(
@@ -104,7 +169,7 @@ def fisher_randomization(
 ) -> SigTestResult:
     """Two-sided paired sign-flip randomization test on per-query differences.
 
-    Up to ``exact_limit`` queries all 2^n sign patterns are enumerated;
+    Up to ``exact_limit`` queries all 2^n sign patterns are counted exactly;
     beyond that, Monte Carlo sampling with add-one smoothing of the p-value.
     """
     if set(per_query_a) != set(per_query_b):
@@ -118,23 +183,27 @@ def fisher_randomization(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     query_ids = sorted(per_query_a)
-    diffs = np.array([per_query_a[q] - per_query_b[q] for q in query_ids])
+    a = np.array([per_query_a[q] for q in query_ids], dtype=float)
+    b = np.array([per_query_b[q] for q in query_ids], dtype=float)
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not finite.all():
+        q = query_ids[int(np.argmin(finite))]
+        raise ValueError(
+            f"per-query values must be finite, got {per_query_a[q]!r} in A and "
+            f"{per_query_b[q]!r} in B for query {q!r}"
+        )
+    diffs = a - b
     n = len(diffs)
     observed = float(diffs.mean())
     threshold = abs(observed) - 1e-12
-    exact = n <= exact_limit
-    total, block, add_one = (2**n, _EXACT_BLOCK, 0) if exact else (samples, 100_000, 1)
+    if n <= exact_limit:
+        return SigTestResult(_count_exact(diffs, threshold) / 2**n, observed, 2**n, seed)
     rng = np.random.default_rng(seed)
-    count = 0
-    for start in range(0, total, block):
-        size = min(total - start, block)
-        if exact:
-            bits = (np.arange(start, start + size, dtype=np.uint32)[:, None] >> np.arange(n)) & 1
-        else:
-            bits = rng.integers(0, 2, size=(size, n))
-        means = (bits * 2.0 - 1.0) @ diffs / n
-        count += int((np.abs(means) >= threshold).sum())
-    return SigTestResult((count + add_one) / (total + add_one), observed, total, seed)
+    count = sum(
+        _extreme(rng.integers(0, 2, size=(min(samples - start, _CHUNK), n)), diffs, threshold)
+        for start in range(0, samples, _CHUNK)
+    )
+    return SigTestResult((count + 1) / (samples + 1), observed, samples, seed)
 
 
 @dataclass

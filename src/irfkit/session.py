@@ -219,6 +219,9 @@ def write_freezing_run(runs: Iterable[FreezingRunList], path, run_tag: str = "ir
     runs = list(runs)
     for run in runs:  # before the file is opened
         check_run_field(run.query_id, "query id")
+        docs = run.doc_ids
+        if " ".join(docs).split() != docs:  # one pass in C; only then find the culprit
+            check_run_field(next(doc for doc in docs if not_one_field(doc)), "doc id")
     with open(path, "w", encoding="utf-8") as handle:
         for run in runs:
             docs = run.doc_ids

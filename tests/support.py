@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from irfkit.corpus_io import QrelSet, TermSequence, Topic
+from irfkit.evaluation import SigTestResult
 from irfkit.feedback import ModelParams
 from irfkit.index import CollectionIndex, forward_sum
 from irfkit.ranking import doc_weighting
@@ -61,3 +64,22 @@ def random_qrels(
 def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: ModelParams) -> float:
     """Okapi weight of a term in one document, as the Rocchio centroid reads it."""
     return forward_sum(index, [doc_id], doc_weighting(index, "bm25", params)).get(term, 0.0)
+
+
+def fisher_exact_by_blocks(per_query_a: Mapping[str, float], per_query_b: Mapping[str, float]) -> SigTestResult:
+    """The exact sign-flip test as first written: every one of the 2^n sign
+    patterns' means is a row of a (4096 x n) matrix product, and the row is
+    counted when its absolute value reaches the observed one."""
+    block = 2**12
+    query_ids = sorted(per_query_a)
+    diffs = np.array([per_query_a[q] - per_query_b[q] for q in query_ids])
+    n = len(diffs)
+    observed = float(diffs.mean())
+    threshold = abs(observed) - 1e-12
+    count = 0
+    for start in range(0, 2**n, block):
+        size = min(2**n - start, block)
+        bits = (np.arange(start, start + size, dtype=np.uint32)[:, None] >> np.arange(n)) & 1
+        means = (bits * 2.0 - 1.0) @ diffs / n
+        count += int((np.abs(means) >= threshold).sum())
+    return SigTestResult(count / 2**n, observed, 2**n, 0)

@@ -4,8 +4,9 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irfkit import evaluation
 from irfkit.corpus_io import QrelSet
 from irfkit.evaluation import (
     assign_folds,
@@ -17,12 +18,100 @@ from irfkit.evaluation import (
 )
 from irfkit.feedback import GRID, MODELS, FeedbackError, ModelParams, load_grid
 
+from support import fisher_exact_by_blocks
+
 
 def make_qrels(entries):
     qrels = QrelSet()
     for query_id, doc_id, grade in entries:
         qrels.set(query_id, doc_id, grade)
     return qrels
+
+
+# Exact p-values recorded with the block enumeration that counted every sign
+# pattern's mean as one row of a (patterns x n) matrix product.  Meet-in-the-middle
+# counting must give the same floats.
+PINNED_P_VALUES = [
+    ("n20_continuous",
+     [0.3238, 0.1508, 0.6509, 0.0724, 0.5359, 0.3657, 0.058, 0.5074, 0.0375, 0.4336,
+      0.0699, 0.0907, 0.4245, 0.8269, 0.1238, 0.2232, 0.6274, 0.9477, 0.5771, 0.3967],
+     [0.781, 0.0373, 0.6868, 0.2317, 0.1154, 0.0942, 0.2468, 0.6529, 0.1446, 0.4653,
+      0.5111, 0.2979, 0.4382, 0.0502, 0.0477, 0.1648, 0.5443, 0.3421, 0.2513, 0.4684],
+     0.5451393127441406),
+    ("n20_continuous_2",
+     [0.4532, 0.2998, 0.7944, 0.699, 0.2441, 0.5744, 0.5252, 0.8751, 0.7294, 0.2879,
+      0.9802, 0.1181, 0.4181, 0.7571, 0.152, 0.489, 0.0392, 0.6682, 0.7646, 0.573],
+     [0.7879, 0.2824, 0.6258, 0.5349, 0.5219, 0.4106, 0.756, 0.8502, 0.4267, 0.5977,
+      0.0546, 0.6313, 0.5824, 0.8938, 0.7397, 0.2561, 0.3472, 0.6018, 0.0203, 0.4155],
+     0.9518280029296875),
+    ("n20_tenths",
+     [0.2, 0.9, 0.1, 0.7, 0.0, 0.3, 0.4, 0.2, 0.3, 0.6, 0.6, 0.7, 0.1, 0.2, 0.7, 0.6, 0.8, 0.4, 0.2, 0.6],
+     [0.8, 0.4, 0.6, 0.5, 0.6, 0.3, 0.2, 0.1, 0.2, 0.2, 0.3, 0.3, 0.0, 0.7, 0.2, 0.4, 0.4, 0.0, 0.2, 0.6],
+     0.3602294921875),
+    ("n20_fortieths",
+     [0.85, 0.575, 0.975, 0.9, 0.5, 0.2, 0.8, 0.975, 0.075, 0.725,
+      0.875, 0.625, 0.625, 0.625, 0.625, 0.15, 0.75, 1.0, 0.625, 0.075],
+     [0.3, 0.1, 0.325, 0.7, 0.25, 0.175, 0.525, 0.075, 0.15, 0.0,
+      0.9, 0.225, 0.85, 0.15, 0.575, 0.025, 0.1, 0.325, 0.6, 0.225],
+     0.000827789306640625),
+    ("n19_zeros",
+     [0.634, 0.955, 0.602, 0.474, 0.115, 0.488, 0.978, 0.48, 0.312, 0.144,
+      0.75, 0.74, 0.479, 0.692, 0.516, 0.205, 0.952, 0.362, 0.69],
+     [0.634, 0.914, 0.758, 0.474, 0.298, 0.643, 0.978, 0.091, 0.845, 0.144,
+      0.518, 0.908, 0.479, 0.356, 0.223, 0.205, 0.542, 0.503, 0.69],
+     0.72900390625),
+    ("n16_quarters",
+     [0.0, 0.5, 0.0, 0.0, 0.75, 0.75, 0.0, 0.75, 0.0, 0.0, 0.25, 0.25, 0.0, 0.25, 0.0, 0.0],
+     [0.0, 0.25, 0.0, 0.75, 0.0, 0.25, 0.0, 0.75, 0.0, 0.5, 0.0, 0.25, 0.0, 0.25, 0.0, 0.0],
+     0.84375),
+    ("n10_ties_every_sum_at_the_cut",
+     [0.25, 0.25, 0.25, 0.55, 0.25, 0.25, 0.55, 0.4, 0.1, 0.1],
+     [0.25, 0.25, 0.25, 0.1, 0.4, 0.4, 0.25, 0.25, 0.4, 0.25],
+     1.0),
+    ("n10_tenths_mean_zero",
+     [0.5, 0.1, 0.3, 0.1, 0.3, 0.7, 0.3, 0.5, 0.3, 0.7],
+     [0.0, 0.7, 0.5, 0.1, 0.1, 0.6, 0.3, 0.7, 0.2, 0.6],
+     1.0),
+    ("n10_tenths",
+     [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.6, 0.7, 0.8, 0.9],
+     [0.5, 0.5, 0.6, 0.6, 0.3, 0.5, 0.2, 0.4, 0.5, 0.4],
+     0.01171875),
+    ("n10_tenths_2",
+     [0.3, 0.2, 0.1, 0.6, 0.5, 0.4, 0.2, 0.7, 0.3, 0.1],
+     [0.1, 0.2, 0.4, 0.3, 0.3, 0.2, 0.4, 0.3, 0.2, 0.2],
+     0.34765625),
+    ("n2_tied", [0.6, 0.6], [0.5, 0.5], 0.5),
+    ("n2_opposite", [0.6, 0.4], [0.5, 0.5], 1.0),
+    ("n1_nonzero", [0.3], [0.1], 1.0),
+    ("n1_zero", [0.3], [0.3], 1.0),
+]
+
+
+def by_query(values):
+    return {f"q{i:02d}": value for i, value in enumerate(values)}
+
+
+# per-query values: continuous, on the grids a metric over 10 or 40 documents
+# takes, metric-like values full of zeros and ties, and large integers.  The
+# integers sum exactly in any order, and their float error bound is wide
+# enough that their ties and near ties fall in the window that the exact
+# count decides pattern by pattern
+VALUES = st.sampled_from([
+    st.floats(0.0, 1.0),
+    st.integers(0, 10).map(lambda k: k / 10),
+    st.integers(0, 40).map(lambda k: k / 40),
+    st.sampled_from([0.0, 0.0, 0.25, 0.5, 1 / 3]),
+    st.tuples(st.integers(-1, 1), st.integers(-20, 20)).map(lambda mk: mk[0] * 1e14 + mk[1]),
+])
+
+
+@st.composite
+def paired_systems(draw, max_queries=16):
+    n = draw(st.integers(1, max_queries))
+    value = draw(VALUES)
+    a = draw(st.one_of(st.lists(value, min_size=n, max_size=n), value.map(lambda v: [v] * n)))
+    b = draw(st.one_of(st.lists(value, min_size=n, max_size=n), value.map(lambda v: [v] * n), st.just(a)))
+    return by_query(a), by_query(b)
 
 
 class TestAveragePrecision:
@@ -146,11 +235,9 @@ class TestFisherRandomization:
         tol = 3 * math.sqrt(exact.p_value * (1 - exact.p_value) / samples) + 2 / samples
         assert abs(mc.p_value - exact.p_value) <= tol
 
-    @pytest.mark.parametrize("block", [2**4, evaluation._EXACT_BLOCK])
-    def test_exact_enumeration_matches_brute_force(self, monkeypatch, block):
-        """At n = 10 every one of the 2^10 sign patterns is tried, whether in
-        one block or in 64; the differences hold ties."""
-        monkeypatch.setattr(evaluation, "_EXACT_BLOCK", block)
+    def test_exact_enumeration_matches_brute_force(self):
+        """At n = 10 every one of the 2^10 sign patterns is tried; the
+        differences hold ties."""
         rng = random.Random(13)
         a = {f"q{i}": rng.choice([0.1, 0.25, 0.4, 0.55]) for i in range(10)}
         b = {f"q{i}": rng.choice([0.1, 0.25, 0.4]) for i in range(10)}
@@ -163,6 +250,50 @@ class TestFisherRandomization:
         result = fisher_randomization(a, b)
         assert result.samples == 1024
         assert result.p_value == extreme / 1024
+
+    @pytest.mark.parametrize("name, a, b, p_value", PINNED_P_VALUES, ids=[c[0] for c in PINNED_P_VALUES])
+    def test_exact_p_value_pinned(self, name, a, b, p_value):
+        result = fisher_randomization(by_query(a), by_query(b))
+        assert result.samples == 2 ** len(a)
+        assert result.p_value == p_value
+
+    @settings(max_examples=300, deadline=None)
+    @given(paired_systems())
+    def test_exact_count_matches_the_block_enumeration(self, systems):
+        a, b = systems
+        for first, second in ((a, b), (b, a)):
+            result = fisher_randomization(first, second)
+            reference = fisher_exact_by_blocks(first, second)
+            assert (result.p_value, result.samples) == (reference.p_value, reference.samples)
+
+    @pytest.mark.parametrize("n, grid, seed", [(19, None, 1), (19, 40, 2), (20, None, 3), (20, 10, 4)])
+    def test_exact_count_matches_the_block_enumeration_at_full_size(self, n, grid, seed):
+        rng = random.Random(seed)
+        draw = (lambda: rng.randint(0, grid) / grid) if grid else rng.random
+        a, b = by_query([draw() for _ in range(n)]), by_query([draw() for _ in range(n)])
+        result, reference = fisher_randomization(a, b), fisher_exact_by_blocks(a, b)
+        assert (result.p_value, result.samples) == (reference.p_value, reference.samples)
+
+    @pytest.mark.parametrize("n, seed", [(8, 1), (16, 2), (20, 3)])
+    def test_exact_count_matches_the_block_enumeration_when_the_windows_meet(self, n, seed):
+        """Large values that cancel leave a mean far below their float error
+        bound, so the window around +cut and the one around -cut overlap."""
+        rng = random.Random(seed)
+        a = by_query([(-1) ** i * 1e14 + rng.randint(-3, 3) for i in range(n)])
+        b = by_query([0.0] * n)
+        result, reference = fisher_randomization(a, b), fisher_exact_by_blocks(a, b)
+        assert 0 < abs(result.observed_mean_diff) < 1
+        assert (result.p_value, result.samples) == (reference.p_value, reference.samples)
+
+    @pytest.mark.parametrize("exact_limit", [20, 1])  # exact enumeration and sampling
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad, side, exact_limit):
+        # a NaN difference counted no pattern (p = 0.0) and an infinite one every pattern
+        a, b = {"q1": 0.1, "q2": 0.2}, {"q1": 0.1, "q2": 0.1}
+        (a if side == "A" else b)["q2"] = bad
+        with pytest.raises(ValueError, match=r"must be finite, got .* for query 'q2'"):
+            fisher_randomization(a, b, exact_limit=exact_limit)
 
     def test_monte_carlo_reproducible_given_seed(self):
         rng = random.Random(8)

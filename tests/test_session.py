@@ -221,6 +221,17 @@ class TestOutputs:
             write_freezing_run(runs, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("frozen, tail, bad", [
+        (["D1"], ["D 2", "D3"], "D 2"), (["D1", ""], ["D2"], ""), (["D\t1"], ["D 2"], "D\t1"),
+    ])
+    def test_doc_id_a_run_line_cannot_hold_rejected_before_writing(self, tmp_path, frozen, tail, bad):
+        # written, "D 2" gave a 7-field line and "" a 5-field one, which parse_run rejects
+        runs = [FreezingRunList("q0", ["D1"], ["D2"]), FreezingRunList("q1", frozen, tail)]
+        path = tmp_path / "run.txt"
+        with pytest.raises(ValueError, match=re.escape(f"doc id {bad!r} is empty or contains whitespace")):
+            write_freezing_run(runs, path)
+        assert not path.exists()
+
     def test_freezing_run_reads_back(self, tmp_path):
         runs = (FreezingRunList(query_id, ["D1"], ["D2", "D3"]) for query_id in ("q1", "q2"))
         write_freezing_run(runs, tmp_path / "run.txt")
