@@ -393,7 +393,7 @@ def estimate_rocchio(
     kept = _top_terms(expansion, params.num_expansion_terms, abs)
     vector = {t: w for t, w in vector.items() if t in query_term_set or t in kept}
     fallback = not pools.relevant and not pools.nonrelevant
-    return Estimate(QueryModel.vector(vector), fallback, {})
+    return Estimate(QueryModel.vector(vector, "bm25"), fallback, {})
 
 
 def estimate_prob(
@@ -443,35 +443,28 @@ def estimate_prob(
         original[term] = math.log((num_docs - df_all) / df_all)
 
     combined = _interpolate(original, feedback, params.interp_lambda)
-    return Estimate(QueryModel.vector(combined), False, {"excluded": excluded})
+    return Estimate(QueryModel.vector(combined, "mle"), False, {"excluded": excluded})
 
 
 class ModelSpec(NamedTuple):
-    """How a feedback model estimates, scores and is tuned.
+    """How a feedback model estimates and is tuned.
 
-    ``estimator`` names its ``estimate_*`` function in this module.
-    ``vectorizer`` is the ``retrieve_dot`` document weighting of a vector
-    model, or None for KL scoring of an lm model; a fallback estimate is
-    scored with BM25.  ``axes`` are the ModelParams fields cross-validation
-    tunes, in grid order.
+    ``estimator`` names its ``estimate_*`` function in this module, whose
+    query model names the document weighting it is scored with.  ``axes``
+    are the ModelParams fields cross-validation tunes, in grid order.
     """
 
     estimator: str
-    vectorizer: str | None
     axes: tuple[str, ...]
 
 
 MODELS = {
-    "rm3": ModelSpec("estimate_rm3", None, ("mu", "interp_lambda", "num_expansion_terms")),
+    "rm3": ModelSpec("estimate_rm3", ("mu", "interp_lambda", "num_expansion_terms")),
     "distill": ModelSpec(
-        "estimate_distillation",
-        None,
-        ("mu", "lambda1", "lambda2", "interp_lambda", "num_expansion_terms"),
+        "estimate_distillation", ("mu", "lambda1", "lambda2", "interp_lambda", "num_expansion_terms")
     ),
-    "rocchio": ModelSpec(
-        "estimate_rocchio", "bm25", ("k1", "b", "beta", "gamma", "num_expansion_terms")
-    ),
-    "prob": ModelSpec("estimate_prob", "mle", ("k1", "b", "interp_lambda", "num_expansion_terms")),
+    "rocchio": ModelSpec("estimate_rocchio", ("k1", "b", "beta", "gamma", "num_expansion_terms")),
+    "prob": ModelSpec("estimate_prob", ("k1", "b", "interp_lambda", "num_expansion_terms")),
 }
 
 # the built-in candidate values of each axis for cross-validation

@@ -38,8 +38,9 @@ def ordered_sum(values: Iterable[float]) -> float:
 
 @dataclass(frozen=True)
 class QueryModel:
-    """Weighted term map: a probability distribution (lm) or a free-weight
-    vector.  Zero-weight entries are dropped at construction."""
+    """Weighted term map, scored by KL if ``kind`` is ``lm`` (a probability
+    distribution), else by a dot product with document vectors under the
+    weighting ``kind`` names.  Zero weights are dropped; the rest must be finite."""
 
     kind: str
     weights: dict[str, float]
@@ -50,13 +51,22 @@ class QueryModel:
         if any(w < 0 for w in cleaned.values()):
             raise ValueError("language-model weights must be non-negative")
         total = ordered_sum(cleaned.values())
+        if not math.isfinite(total):  # a nan or inf weight, unless the sum overflowed
+            _check_finite(cleaned)
         if cleaned and abs(total - 1.0) > 1e-9:
             raise ValueError(f"language-model weights must sum to 1, got {total}")
         return cls("lm", cleaned)
 
     @classmethod
-    def vector(cls, weights: Mapping[str, float]) -> "QueryModel":
-        return cls("vector", {t: float(w) for t, w in weights.items() if w != 0.0})
+    def vector(cls, weights: Mapping[str, float], weighting: str) -> "QueryModel":
+        return cls(weighting, _check_finite({t: float(w) for t, w in weights.items() if w != 0.0}))
+
+
+def _check_finite(weights: dict[str, float]) -> dict[str, float]:
+    for term, weight in weights.items():
+        if not math.isfinite(weight):
+            raise ValueError(f"query weight of {term!r} must be finite, got {weight}")
+    return weights
 
 
 def query_language_model(terms: Sequence[str]) -> QueryModel:
@@ -66,10 +76,11 @@ def query_language_model(terms: Sequence[str]) -> QueryModel:
 
 
 def query_count_vector(terms: Sequence[str]) -> QueryModel:
+    """Term counts as a BM25 vector: the vector models' initial query."""
     counts: dict[str, float] = {}
     for term in terms:
         counts[term] = counts.get(term, 0.0) + 1.0
-    return QueryModel.vector(counts)
+    return QueryModel.vector(counts, "bm25")
 
 
 @dataclass(frozen=True)
@@ -193,15 +204,12 @@ def doc_weighting(index: CollectionIndex, vectorizer: str, params: ModelParams) 
 def retrieve_dot(
     index: CollectionIndex,
     model: QueryModel,
-    vectorizer: str,
     params: ModelParams,
     exclude: Iterable[str] = (),
     depth: int = 1000,
 ) -> ScoredList:
-    """Dot product of the query vector with BM25-weighted or MLE document
-    vectors; the top ``depth`` documents."""
-    if model.kind != "vector":
-        raise ValueError(f"retrieve_dot requires a vector query model, got {model.kind!r}")
-    weighting = doc_weighting(index, vectorizer, params)
+    """Dot product of the query vector with document vectors under the
+    model's weighting, BM25 or MLE; the top ``depth`` documents."""
+    weighting = doc_weighting(index, model.kind, params)
     candidates, scores = _accumulate(index, model, weighting, exclude)
     return ScoredList(_rank(index, candidates, scores, depth))

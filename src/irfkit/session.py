@@ -96,20 +96,16 @@ def _retrieve(
     exclude: set[str],
     depth: int,
 ) -> tuple[ScoredList, dict]:
-    """One retrieval under the model re-estimated from the current pools.
-
-    With empty pools every model degenerates to its initial ranker: QL for
-    the language-model estimators, BM25 for the vector ones.
+    """One retrieval under the model re-estimated from the current pools, by
+    the scorer its kind names.  With empty pools every model degenerates to
+    its initial ranker: QL for the language-model estimators, BM25 for the
+    vector ones.
     """
-    spec = model_spec(model_kind)
-    # resolved at call time, not bound in MODELS, so perfbench's tracer can wrap it
-    estimate = globals()[spec.estimator](index, topic.terms, pools, params)
+    # looked up at call time so perfbench's tracer can wrap the estimator and the scorers
+    estimate = globals()[model_spec(model_kind).estimator](index, topic.terms, pools, params)
     model = estimate.model
-    if spec.vectorizer is None:
-        scored = retrieve_kl(index, model, params, exclude, depth)
-    else:
-        vectorizer = "bm25" if estimate.fallback else spec.vectorizer
-        scored = retrieve_dot(index, model, vectorizer, params, exclude, depth)
+    retrieve = retrieve_kl if model.kind == "lm" else retrieve_dot
+    scored = retrieve(index, model, params, exclude, depth)
     summary = {"model": model_kind, "fallback": estimate.fallback, "terms": len(model.weights)}
     return scored, summary
 

@@ -34,7 +34,13 @@ from irfkit.feedback import (
     load_grid,
 )
 from irfkit.index import build_index
-from irfkit.ranking import query_count_vector, query_language_model, retrieve_dot, retrieve_kl
+from irfkit.ranking import (
+    QueryModel,
+    query_count_vector,
+    query_language_model,
+    retrieve_dot,
+    retrieve_kl,
+)
 from irfkit.session import (
     MODEL_KINDS,
     BudgetConfig,
@@ -56,11 +62,18 @@ from support import random_corpus, random_qrels, random_topics
 
 def one_shot_topk_reference(index, topic, model_kind, params, k, final_depth, qrels):
     """Straight-line top-k feedback: retrieve once, judge the top k, rebuild
-    the query model, retrieve the tail.  No session machinery."""
+    the query model, retrieve the tail.  No session machinery.  It names
+    each vector's document weighting itself: it re-tags the weights that
+    ranking and the estimators return, so a wrong weighting there fails."""
+
+    def vector(model, weighting):
+        return QueryModel.vector(model.weights, weighting)
+
+    bm25_query = vector(query_count_vector(topic.terms), "bm25")
     if model_kind in ("rm3", "distill"):
         first = retrieve_kl(index, query_language_model(topic.terms), params, (), k)
     else:
-        first = retrieve_dot(index, query_count_vector(topic.terms), "bm25", params, (), k)
+        first = retrieve_dot(index, bm25_query, params, (), k)
     shown = first.doc_ids[:k]
     relevant = [d for d in shown if qrels.is_relevant(topic.query_id, d)]
     nonrelevant = [d for d in shown if not qrels.is_relevant(topic.query_id, d)]
@@ -75,14 +88,13 @@ def one_shot_topk_reference(index, topic, model_kind, params, k, final_depth, qr
         tail = retrieve_kl(index, model, params, shown, tail_depth)
     elif model_kind == "rocchio":
         model = estimate_rocchio(index, topic.terms, pools, params).model
-        tail = retrieve_dot(index, model, "bm25", params, shown, tail_depth)
+        tail = retrieve_dot(index, vector(model, "bm25"), params, shown, tail_depth)
     else:
         if relevant:
             model = estimate_prob(index, topic.terms, pools, params).model
-            tail = retrieve_dot(index, model, "mle", params, shown, tail_depth)
+            tail = retrieve_dot(index, vector(model, "mle"), params, shown, tail_depth)
         else:
-            model = query_count_vector(topic.terms)
-            tail = retrieve_dot(index, model, "bm25", params, shown, tail_depth)
+            tail = retrieve_dot(index, bm25_query, params, shown, tail_depth)
     return FreezingRunList(topic.query_id, shown, tail.doc_ids)
 
 

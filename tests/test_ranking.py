@@ -41,6 +41,25 @@ class TestQueryModel:
         model = query_language_model(["x", "y", "x"])
         assert model.weights == {"x": 2 / 3, "y": 1 / 3}
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_lm_rejects_non_finite_weight_by_term(self, bad):
+        # nan once passed the sum check, since abs(nan - 1) > 1e-9 is False
+        with pytest.raises(ValueError, match=f"weight of 'a' must be finite, got {bad}"):
+            QueryModel.lm({"a": bad, "b": 0.5})
+
+    def test_lm_sum_that_overflows_is_a_bad_sum(self):
+        with pytest.raises(ValueError, match="sum to 1, got inf"):
+            QueryModel.lm({"a": 1e308, "b": 1e308})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_vector_rejects_non_finite_weight_by_term(self, bad):
+        with pytest.raises(ValueError, match=f"weight of 'b' must be finite, got {bad}"):
+            QueryModel.vector({"a": 1.0, "b": bad}, "bm25")
+
+    def test_vector_names_its_weighting(self):
+        assert QueryModel.vector({"a": 2.0, "b": 0.0}, "mle") == QueryModel("mle", {"a": 2.0})
+        assert query_count_vector(["a", "b", "a"]) == QueryModel("bm25", {"a": 2.0, "b": 1.0})
+
 
 def test_ordered_sum_adds_in_iteration_order():
     # a compensated sum (sum() from Python 3.12) gives 1.3
@@ -110,7 +129,7 @@ class TestRetrieveKL:
 
     def test_requires_lm_model(self, two_doc_index):
         with pytest.raises(ValueError, match="lm"):
-            retrieve_kl(two_doc_index, QueryModel.vector({"a": 1.0}), ModelParams())
+            retrieve_kl(two_doc_index, QueryModel.vector({"a": 1.0}, "bm25"), ModelParams())
 
 
 SCORERS = {
@@ -118,7 +137,7 @@ SCORERS = {
         index, query_language_model(terms), ModelParams(), depth=depth
     ),
     "dot": lambda index, terms, depth: retrieve_dot(
-        index, query_count_vector(terms), "bm25", ModelParams(), depth=depth
+        index, query_count_vector(terms), ModelParams(), depth=depth
     ),
 }
 
@@ -156,7 +175,7 @@ class TestRetrieveDot:
     def test_bm25_vectorizer_matches_standalone_bm25(self):
         idx = make_index([("D1", "abb"), ("D2", "ab"), ("D3", "ccc"), ("D4", "a")])
         params = ModelParams(k1=1.4, b=0.6)
-        res = retrieve_dot(idx, query_count_vector(["b"]), "bm25", params)
+        res = retrieve_dot(idx, query_count_vector(["b"]), params)
         expected = {
             doc: bm25_weight(idx, "b", doc, params)
             for doc in ("D1", "D2")
@@ -173,7 +192,7 @@ class TestRetrieveDot:
         }
         idx = make_index(docs.items())
         query_terms = rng.sample("abcdef", rng.randint(1, 4))  # f is in no document
-        model = QueryModel.vector({t: rng.uniform(-2.0, 3.0) for t in query_terms})
+        weights = {t: rng.uniform(-2.0, 3.0) for t in query_terms}
         exclude = set(rng.sample(sorted(docs), rng.randint(0, len(docs) - 1))) | {"unknown"}
         params = ModelParams(k1=rng.uniform(0.5, 2.0), b=rng.uniform(0.0, 1.0))
         k1, b = params.k1, params.b
@@ -189,7 +208,8 @@ class TestRetrieveDot:
             return terms.count(term) / len(terms)
 
         for vectorizer, weight in (("bm25", okapi), ("mle", mle)):
-            res = retrieve_dot(idx, model, vectorizer, params, exclude)
+            model = QueryModel.vector(weights, vectorizer)
+            res = retrieve_dot(idx, model, params, exclude)
             expected = {
                 doc: sum(q * weight(t, terms) for t, q in model.weights.items() if t in terms)
                 for doc, terms in docs.items()
@@ -201,25 +221,25 @@ class TestRetrieveDot:
 
     def test_mle_vectorizer_hand_value(self):
         idx = make_index([("D1", "aba")])
-        res = retrieve_dot(idx, query_count_vector(["a"]), "mle", ModelParams(), depth=5)
+        res = retrieve_dot(idx, QueryModel.vector({"a": 1.0}, "mle"), ModelParams(), depth=5)
         assert dict(res.entries) == {"D1": pytest.approx(2 / 3)}
 
     def test_empty_query_returns_empty(self, two_doc_index):
-        res = retrieve_dot(two_doc_index, QueryModel.vector({}), "bm25", ModelParams())
+        res = retrieve_dot(two_doc_index, QueryModel.vector({}, "bm25"), ModelParams())
         assert res.entries == ()
 
     def test_requires_vector_model(self, two_doc_index):
-        with pytest.raises(ValueError, match="vector"):
-            retrieve_dot(two_doc_index, QueryModel.lm({"a": 1.0}), "bm25", ModelParams())
+        with pytest.raises(ValueError, match="unknown vectorizer 'lm'"):
+            retrieve_dot(two_doc_index, QueryModel.lm({"a": 1.0}), ModelParams())
 
     def test_unknown_vectorizer(self, two_doc_index):
         with pytest.raises(ValueError, match="vectorizer"):
-            retrieve_dot(two_doc_index, QueryModel.vector({"a": 1.0}), "tfidf", ModelParams())
+            retrieve_dot(two_doc_index, QueryModel.vector({"a": 1.0}, "tfidf"), ModelParams())
 
     def test_negative_weights_push_docs_down(self):
         idx = make_index([("D1", "ab"), ("D2", "a")])
         res = retrieve_dot(
-            idx, QueryModel.vector({"a": 1.0, "b": -5.0}), "bm25", ModelParams(), depth=5
+            idx, QueryModel.vector({"a": 1.0, "b": -5.0}, "bm25"), ModelParams(), depth=5
         )
         assert res.doc_ids == ["D2", "D1"]
 
@@ -326,7 +346,7 @@ def reference_kl(index, model, params, exclude, depth=1000):
     return reference_rank(index, scores, depth)
 
 
-def reference_dot(index, model, vectorizer, params, exclude, depth=1000):
+def reference_dot(index, model, params, exclude, depth=1000):
     lengths = index.doc_lengths
     k1, b, avgdl, num_docs = params.k1, params.b, index.stats.avg_doc_len, index.stats.num_docs
 
@@ -337,7 +357,7 @@ def reference_dot(index, model, vectorizer, params, exclude, depth=1000):
     def mle(term):
         return lambda x, c: c / lengths[x]
 
-    weight = okapi if vectorizer == "bm25" else mle
+    weight = okapi if model.kind == "bm25" else mle
     return reference_rank(index, reference_scores(index, model, weight, exclude), depth)
 
 
@@ -358,9 +378,7 @@ def scoring_cases(draw):
     query_terms = draw(st.lists(st.sampled_from("abcdez"), min_size=1, max_size=6, unique=True))
     raw = [draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) for _ in query_terms]
     lm = QueryModel.lm({t: w / sum(raw) for t, w in zip(query_terms, raw)})
-    vector = QueryModel.vector(
-        {t: draw(st.sampled_from([-1.5, -1.0, 0.25, 1.0, 2.0])) for t in query_terms}
-    )
+    vector = {t: draw(st.sampled_from([-1.5, -1.0, 0.25, 1.0, 2.0])) for t in query_terms}
     doc_ids = [doc_id for doc_id, _ in docs]
     exclude = set(draw(st.lists(st.sampled_from(doc_ids), max_size=len(doc_ids)))) | {"unknown"}
     params = ModelParams(
@@ -380,16 +398,18 @@ class TestMatchesReferenceScorer:
             index, lm, params, exclude, depth
         )
         for vectorizer in ("bm25", "mle"):
-            assert retrieve_dot(index, vector, vectorizer, params, exclude, depth=depth).entries == (
-                reference_dot(index, vector, vectorizer, params, exclude, depth)
+            model = QueryModel.vector(vector, vectorizer)
+            assert retrieve_dot(index, model, params, exclude, depth=depth).entries == (
+                reference_dot(index, model, params, exclude, depth)
             )
 
     def test_ties_at_the_cut_resolved_by_doc_id_not_internal_order(self):
         # d9, d10 and d100 score the same; lexically d10 < d100 < d9
         idx = make_index([("d9", "a"), ("d10", "a"), ("d100", "a"), ("d2", "aa")])
-        res = retrieve_dot(idx, query_count_vector(["a"]), "mle", ModelParams(), depth=3)
+        model = QueryModel.vector({"a": 1.0}, "mle")
+        res = retrieve_dot(idx, model, ModelParams(), depth=3)
         assert res.doc_ids == ["d10", "d100", "d2"]
-        assert res.entries == reference_dot(idx, query_count_vector(["a"]), "mle", ModelParams(), (), 3)
+        assert res.entries == reference_dot(idx, model, ModelParams(), (), 3)
 
     def test_kl_delta_takes_math_log(self):
         # np.log is not correctly rounded for every input; find a mu at which
@@ -418,6 +438,6 @@ class TestMatchesReferenceScorer:
         assert got.tolist() == [math.log(v + 2.5) for v in values]
 
     def test_scores_are_python_floats(self, two_doc_index):
-        res = retrieve_dot(two_doc_index, query_count_vector(["a", "b"]), "bm25", ModelParams())
+        res = retrieve_dot(two_doc_index, query_count_vector(["a", "b"]), ModelParams())
         assert all(type(score) is float for _, score in res.entries)
         assert type(bm25_weight(two_doc_index, "a", "D1", ModelParams())) is float

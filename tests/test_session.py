@@ -5,8 +5,9 @@ import re
 
 import pytest
 
+from irfkit import feedback, session
 from irfkit.corpus_io import QrelSet, TermSequence, Topic, parse_run
-from irfkit.feedback import ModelParams
+from irfkit.feedback import MODELS, FeedbackPools, ModelParams
 from irfkit.index import build_index
 from irfkit.session import (
     MODEL_KINDS,
@@ -77,6 +78,39 @@ def small_setup():
     topic = Topic("q", ("x",))
     qrels = make_qrels([("q", "d1", 1), ("q", "d3", 1)])
     return idx, topic, qrels
+
+
+# each model's (document weighting, scorer): with empty pools, then with a relevant document
+ROUTES = {
+    "rm3": [("lm", "retrieve_kl"), ("lm", "retrieve_kl")],
+    "distill": [("lm", "retrieve_kl"), ("lm", "retrieve_kl")],
+    "rocchio": [("bm25", "retrieve_dot"), ("bm25", "retrieve_dot")],
+    "prob": [("bm25", "retrieve_dot"), ("mle", "retrieve_dot")],
+}
+
+
+@pytest.mark.parametrize("model_kind", MODEL_KINDS)
+def test_estimate_names_the_weighting_and_the_session_its_scorer(monkeypatch, model_kind):
+    idx = make_index([("D1", "ab"), ("D2", "bc"), ("D3", "ca")])
+    estimator = getattr(feedback, MODELS[model_kind].estimator)
+    kinds = [
+        estimator(idx, ("a",), pools, ModelParams()).model.kind
+        for pools in (FeedbackPools(), FeedbackPools(["D1"], ["D2"]))
+    ]
+    assert kinds == [kind for kind, _ in ROUTES[model_kind]]
+
+    calls = []
+
+    def recording(name, scorer):
+        def record(index, model, *args):
+            calls.append((model.kind, name))
+            return scorer(index, model, *args)
+        return record
+
+    for name in ("retrieve_kl", "retrieve_dot"):  # the names perfbench's tracer wraps
+        monkeypatch.setattr(session, name, recording(name, getattr(session, name)))
+    run_irf(idx, Topic("q", ("a",)), model_kind, ModelParams(), BudgetConfig(1, 1, 3), lambda q, d: True)
+    assert calls == ROUTES[model_kind]
 
 
 class TestRunIrf:
