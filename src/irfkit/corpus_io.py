@@ -135,24 +135,37 @@ def load_stoplist(path: str | Path | None = None) -> frozenset[str]:
     return frozenset(w.casefold() for w in words if w)
 
 
-def normalize(text: str, stoplist: frozenset[str] = frozenset(), stemmer: str = "krovetz") -> list[str]:
-    """Tokenize on non-alphanumeric runs, casefold, stop, stem.
+class _TermMemo(dict):
+    """Raw token -> its term, or ``""`` for a stopped token, filled on first lookup.
 
-    The stopword filter runs again after stemming so that no emitted term is
-    ever in the active stoplist (stems such as use or go can land on one).
+    A token is casefolded, stopped, stemmed and stopped again: the second
+    filter keeps every emitted term out of the active stoplist (stems such as
+    use or go can land on one).
     """
-    if stemmer not in STEMMERS:
-        raise ValueError(f"unknown stemmer {stemmer!r}; expected one of {STEMMERS}")
-    stem = krovetz.stem if stemmer == "krovetz" else lambda w: w
-    out = []
-    for token in _TOKEN_RE.findall(text):
-        token = token.casefold()
-        if token in stoplist:
-            continue
-        token = stem(token)
-        if token and token not in stoplist:
-            out.append(token)
-    return out
+
+    def __init__(self, stoplist: frozenset[str], stemmer: str) -> None:
+        if stemmer not in STEMMERS:
+            raise ValueError(f"unknown stemmer {stemmer!r}; expected one of {STEMMERS}")
+        super().__init__()
+        self.stoplist = stoplist
+        # looked up now, not at import, so a wrapper installed on krovetz.stem is seen
+        self.stem = krovetz.stem if stemmer == "krovetz" else lambda w: w
+
+    def __missing__(self, token: str) -> str:
+        term = token.casefold()
+        if term not in self.stoplist:
+            term = self.stem(term)
+        self[token] = term = "" if term in self.stoplist else term
+        return term
+
+    def terms(self, text: str) -> tuple[str, ...]:
+        """Tokenize ``text`` on non-alphanumeric runs and map each token to its term."""
+        return tuple(filter(None, map(self.__getitem__, _TOKEN_RE.findall(text))))
+
+
+def normalize(text: str, stoplist: frozenset[str] = frozenset(), stemmer: str = "krovetz") -> list[str]:
+    """Tokenize on non-alphanumeric runs, casefold, stop, stem, stop again."""
+    return list(_TermMemo(stoplist, stemmer).terms(text))
 
 
 def _block_text(block: bytes, fmt: str, blank: bytes | Callable[[re.Match], bytes] = b" ") -> bytes:
@@ -210,8 +223,13 @@ def parse_trec_collection(path: str | Path, fmt: str = "trectext") -> Iterator[R
 def normalize_collection(
     docs: Iterable[RawDocument], stoplist: frozenset[str], stemmer: str = "krovetz"
 ) -> Iterator[TermSequence]:
+    """Each document's terms, as ``normalize`` gives them.  One call normalizes
+    each distinct raw token once: its memo lives as long as the call and holds
+    one entry per distinct token seen, so it is bounded by the collection's
+    raw vocabulary, and equal terms share one string."""
+    memo = _TermMemo(stoplist, stemmer)
     for doc in docs:
-        yield TermSequence(doc.doc_id, tuple(normalize(doc.text, stoplist, stemmer)))
+        yield TermSequence(doc.doc_id, memo.terms(doc.text))
 
 
 def parse_qrels(path: str | Path) -> QrelSet:
@@ -306,10 +324,11 @@ def parse_topics(
             raw.append((lineno, num.group(1).strip(), m.group(1)))
             lineno += block.count("\n")
     reject_repeats(path, ((lineno, query_id) for lineno, query_id, _ in raw), lambda q: f"query id {q!r}")
+    memo = _TermMemo(stoplist, stemmer)
     topics = []
     for lineno, query_id, query_text in raw:
-        terms = normalize(query_text, stoplist, stemmer)
+        terms = memo.terms(query_text)
         if not terms:
             raise CorpusFormatError(f"{path}:{lineno}: topic {query_id!r} is empty after normalization")
-        topics.append(Topic(query_id, tuple(terms)))
+        topics.append(Topic(query_id, terms))
     return topics

@@ -91,9 +91,10 @@ class SigTestResult:
         return self.p_value < 0.05
 
 
-# the most sign patterns one matrix product holds: the Monte Carlo branch draws
-# this many at a time, and the exact branch decides its window this many at a time
+# the most sign patterns the exact branch decides in one matrix product
 _CHUNK = 100_000
+# the most sign entries (patterns x queries) the Monte Carlo branch draws at a time
+_DRAW_ENTRIES = 2**20
 
 
 def _pattern_bits(patterns: np.ndarray, n: int) -> np.ndarray:
@@ -199,9 +200,13 @@ def fisher_randomization(
     if n <= exact_limit:
         return SigTestResult(_count_exact(diffs, threshold) / 2**n, observed, 2**n, seed)
     rng = np.random.default_rng(seed)
+    # Blocks of draws concatenate to the bits of one draw.  A block is whole
+    # fours of rows, as BLAS takes them, so only the last samples % 4 rows are
+    # rounded as leftovers, wherever the blocks are cut.
+    rows = max(4, _DRAW_ENTRIES // n // 4 * 4)
     count = sum(
-        _extreme(rng.integers(0, 2, size=(min(samples - start, _CHUNK), n)), diffs, threshold)
-        for start in range(0, samples, _CHUNK)
+        _extreme(rng.integers(0, 2, size=(min(samples - start, rows), n)), diffs, threshold)
+        for start in range(0, samples, rows)
     )
     return SigTestResult((count + 1) / (samples + 1), observed, samples, seed)
 

@@ -59,6 +59,8 @@ class QueryModel:
 
     @classmethod
     def vector(cls, weights: Mapping[str, float], weighting: str) -> "QueryModel":
+        if weighting == "lm":  # KL scoring needs the distribution QueryModel.lm checks
+            raise ValueError("a language model is built by QueryModel.lm, not QueryModel.vector")
         return cls(weighting, _check_finite({t: float(w) for t, w in weights.items() if w != 0.0}))
 
 

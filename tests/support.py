@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import re
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from irfkit import krovetz
 from irfkit.corpus_io import QrelSet, TermSequence, Topic
 from irfkit.evaluation import SigTestResult
 from irfkit.feedback import ModelParams
@@ -59,6 +61,21 @@ def random_qrels(
             elif rng.random() < 0.1:
                 qrels.set(topic.query_id, doc.doc_id, 0)
     return qrels
+
+
+def normalize_per_token(text: str, stoplist: frozenset[str] = frozenset(), stemmer: str = "krovetz") -> list[str]:
+    """Normalization as first written: every token, repeated or not, is
+    casefolded, stopped, stemmed and stopped again."""
+    stem = krovetz.stem if stemmer == "krovetz" else lambda w: w
+    out = []
+    for token in re.findall(r"[^\W_]+", text):
+        token = token.casefold()
+        if token in stoplist:
+            continue
+        token = stem(token)
+        if token and token not in stoplist:
+            out.append(token)
+    return out
 
 
 def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: ModelParams) -> float:

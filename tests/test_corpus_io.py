@@ -4,12 +4,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irfkit import corpus_io
+from irfkit import corpus_io, krovetz
 from irfkit.corpus_io import (
     CorpusFormatError,
     QrelSet,
     RawDocument,
+    TermSequence,
+    Topic,
     normalize,
+    normalize_collection,
     parse_qrels,
     parse_topics,
     parse_trec_collection,
@@ -17,6 +20,8 @@ from irfkit.corpus_io import (
 )
 from irfkit.feedback import load_params
 from irfkit.krovetz import _EXCEPTIONS, stem
+
+from support import normalize_per_token
 
 
 def judgments(qrels):
@@ -172,6 +177,77 @@ class TestNormalize:
         once = normalize(word, stoplist)
         again = normalize(" ".join(once), stoplist)
         assert again == once
+
+
+# Words that exercise each step of normalization: case variants of one word,
+# INQUERY stopwords, words stopped only once stemmed (goes -> go, uses -> use),
+# non-ASCII letters (a ligature and sharp s casefold to two letters, dotted
+# capital I to two code points), digits, and _ inside a would-be token.
+WORDS = [
+    "running", "Running", "RUNNING", "runs", "dogs", "Dogs", "the", "The", "THE", "of", "and",
+    "goes", "Goes", "going", "uses", "having", "organized", "organizations", "fled",
+    "café", "Straße", "\ufb01les", "İstanbul", "ΣΊΣΥΦΟΣ", "naïve", "2019", "v2", "x_y", "_", "__a",
+]
+SEPARATORS = [" ", "  ", "-", "_", ", ", ". ", "\u00a0", "'"]
+STOPLISTS = [frozenset(), corpus_io.default_stoplist(), frozenset({"go", "run", "dog"})]
+
+texts = st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(SEPARATORS)), max_size=12).map(
+    lambda pairs: "".join(word + sep for word, sep in pairs)
+) | st.text(max_size=40)
+
+
+class TestNormalizeMatchesPerToken:
+    """Normalization memoized per call gives the terms of the per-token loop."""
+
+    @given(texts, st.sampled_from(STOPLISTS), st.sampled_from(corpus_io.STEMMERS))
+    def test_normalize(self, text, stoplist, stemmer):
+        assert normalize(text, stoplist, stemmer) == normalize_per_token(text, stoplist, stemmer)
+
+    @given(st.lists(texts, max_size=5), st.sampled_from(STOPLISTS), st.sampled_from(corpus_io.STEMMERS))
+    def test_normalize_collection(self, docs, stoplist, stemmer):
+        raw = [RawDocument(f"d{i}", text) for i, text in enumerate(docs)]
+        expected = [TermSequence(d.doc_id, tuple(normalize_per_token(d.text, stoplist, stemmer))) for d in raw]
+        assert list(normalize_collection(raw, stoplist, stemmer)) == expected
+
+    @given(
+        st.lists(texts.map(lambda t: " ".join(t.split())), min_size=1, max_size=5),
+        st.sampled_from(STOPLISTS), st.sampled_from(corpus_io.STEMMERS),
+    )
+    def test_parse_topics(self, tmp_path_factory, queries, stoplist, stemmer):
+        path = tmp_path_factory.mktemp("topics") / "topics.tsv"
+        path.write_text("".join(f"q{i}\t{text}\n" for i, text in enumerate(queries)), "utf-8")
+        expected = [Topic(f"q{i}", tuple(normalize_per_token(t, stoplist, stemmer))) for i, t in enumerate(queries)]
+        if all(topic.terms for topic in expected):
+            assert parse_topics(path, "tsv", stoplist, stemmer) == expected
+        else:
+            with pytest.raises(CorpusFormatError, match="empty after normalization"):
+                parse_topics(path, "tsv", stoplist, stemmer)
+
+
+def test_normalize_collection_stems_each_distinct_token_once_per_call(monkeypatch, stoplist):
+    calls = []
+
+    def counting_stem(word):
+        calls.append(word)
+        return stem(word)
+
+    monkeypatch.setattr(krovetz, "stem", counting_stem)
+    docs = [RawDocument("d1", "The dogs ran; the Dogs ran on"), RawDocument("d2", "dogs ran and goes"),
+            RawDocument("d3", "ran ran DOGS dogs")]
+    raw_tokens = {"The", "the", "dogs", "Dogs", "DOGS", "ran", "on", "and", "goes"}
+
+    def stemmed(stops):
+        return sorted(token.casefold() for token in raw_tokens if token.casefold() not in stops)
+
+    sequences = list(normalize_collection(docs, stoplist))
+    assert sorted(calls) == stemmed(stoplist) == ["dogs", "dogs", "dogs", "goes", "ran"]
+    assert [s.terms for s in sequences] == [("dog", "ran", "dog", "ran"), ("dog", "ran"), ("ran", "ran", "dog", "dog")]
+    assert sequences[0].terms[0] is sequences[2].terms[3]  # one string per term
+    # a second call, with another stoplist, starts from an empty memo
+    calls.clear()
+    sequences = list(normalize_collection(docs, frozenset({"dogs"})))
+    assert sorted(calls) == stemmed({"dogs"}) == ["and", "goes", "on", "ran", "the", "the"]
+    assert sequences[1].terms == ("ran", "and", "go")
 
 
 class TestKrovetzStemmer:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +313,38 @@ class TestFisherRandomization:
         result = fisher_randomization(a, {q: 0.0 for q in a}, samples=150_000, seed=0)
         assert result.samples == 150_000
         assert result.p_value == (50_362 + 1) / (150_000 + 1)
+
+    # Monte Carlo counts recorded when each 100,000-draw chunk was one
+    # (rows x n) matrix: (n, seed, samples, extreme draws).  10,003 leaves
+    # three rows past the last whole four.
+    PINNED_MONTE_CARLO = [
+        (21, 0, 100_000, 38_057), (21, 0, 10_003, 3_854), (21, 7, 100_000, 37_913), (21, 7, 10_003, 3_748),
+        (50, 0, 100_000, 36_661), (50, 0, 10_003, 3_670), (50, 7, 100_000, 36_583), (50, 7, 10_003, 3_673),
+        (249, 0, 100_000, 50_014), (249, 0, 10_003, 5_069), (249, 7, 100_000, 50_145), (249, 7, 10_003, 5_040),
+    ]
+
+    @staticmethod
+    def monte_carlo_pair(n):
+        rng = random.Random(1000 + n)
+        a = {f"q{i:03d}": round(rng.random(), 4) for i in range(n)}
+        return a, {q: round(v + rng.uniform(-0.12, 0.125), 4) for q, v in a.items()}
+
+    @pytest.mark.parametrize("n, seed, samples, extreme", PINNED_MONTE_CARLO)
+    def test_monte_carlo_p_value_pinned(self, n, seed, samples, extreme):
+        result = fisher_randomization(*self.monte_carlo_pair(n), samples=samples, seed=seed)
+        assert result.p_value == (extreme + 1) / (samples + 1)
+
+    def test_monte_carlo_memory_is_bounded(self):
+        """249 queries (Robust04's topics): one 100,000 x 249 int64 draw alone
+        would be 199 MB; the draws are made and decided in blocks."""
+        a, b = self.monte_carlo_pair(249)
+        tracemalloc.start()
+        try:
+            fisher_randomization(a, b, samples=100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestGridSpec:

@@ -60,6 +60,11 @@ class TestQueryModel:
         assert QueryModel.vector({"a": 2.0, "b": 0.0}, "mle") == QueryModel("mle", {"a": 2.0})
         assert query_count_vector(["a", "b", "a"]) == QueryModel("bm25", {"a": 2.0, "b": 1.0})
 
+    def test_vector_refuses_lm(self):
+        # an lm model is a distribution, and KL scores it as one: vector would skip lm's checks
+        with pytest.raises(ValueError, match="QueryModel.lm"):
+            QueryModel.vector({"a": 5.0, "b": 3.0}, "lm")
+
 
 def test_ordered_sum_adds_in_iteration_order():
     # a compensated sum (sum() from Python 3.12) gives 1.3
