@@ -58,12 +58,6 @@ def cmd_index(args) -> int:
     return 0
 
 
-_RUN_ECHO = (
-    "index", "topics", "topics_format", "qrels", "model", "docs_per_iter",
-    "iterations", "final_depth", "output", "interactive", "run_tag",
-)
-
-
 def cmd_run(args) -> int:
     if not args.interactive and args.qrels is None:
         print("error: --qrels is required unless --interactive", file=sys.stderr)
@@ -85,7 +79,8 @@ def cmd_run(args) -> int:
     output.parent.mkdir(parents=True, exist_ok=True)
     session.write_freezing_run(runs, output, args.run_tag)
     session.write_session_log(runs, output.with_name(output.name + ".sessions.jsonl"))
-    echo = {key: getattr(args, key) for key in _RUN_ECHO}
+    # every run option; --params and --set are echoed as the parameters they resolve to
+    echo = {key: value for key, value in vars(args).items() if key not in ("command", "func", "params", "set")}
     echo["qrels"] = args.qrels or ""
     _write_echo(output.with_name(output.name + ".config"), {**echo, **params.to_dict()})
     judged = sum(len(r.judgments) for run in runs for r in run.records)
@@ -177,9 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--topics", required=True)
     shared.add_argument("--topics-format", choices=corpus_io.TOPIC_FORMATS, default="tsv")
     shared.add_argument("--model", required=True, choices=session.MODEL_KINDS)
-    shared.add_argument("--docs-per-iter", type=int, required=True)
-    shared.add_argument("--iterations", type=int, required=True)
-    shared.add_argument("--final-depth", type=int, default=1000)
+    shared.add_argument("--docs-per-iter", type=corpus_io.parse_number, required=True)
+    shared.add_argument("--iterations", type=corpus_io.parse_number, required=True)
+    shared.add_argument("--final-depth", type=corpus_io.parse_number, default=1000)
+    report = argparse.ArgumentParser(add_help=False)  # the options of eval, compare and sweep
+    report.add_argument("--qrels", required=True)
+    report.add_argument("--output", default=None)
     metrics = tuple(evaluation.METRICS)
 
     p_run = sub.add_parser("run", parents=[shared], help="run feedback sessions and write a freezing run file")
@@ -191,29 +189,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--run-tag", default="irfkit")
     p_run.set_defaults(func=cmd_run)
 
-    p_eval = sub.add_parser("eval", help="score a run file against qrels")
+    p_eval = sub.add_parser("eval", parents=[report], help="score a run file against qrels")
     p_eval.add_argument("--run", required=True)
-    p_eval.add_argument("--qrels", required=True)
     p_eval.add_argument("--metric", choices=(*metrics, "all"), default="all")
-    p_eval.add_argument("--output", default=None)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_cmp = sub.add_parser("compare", help="randomization significance test between two runs")
+    p_cmp = sub.add_parser("compare", parents=[report], help="randomization significance test between two runs")
     p_cmp.add_argument("--run-a", required=True)
     p_cmp.add_argument("--run-b", required=True)
-    p_cmp.add_argument("--qrels", required=True)
     p_cmp.add_argument("--metric", choices=metrics, default="map")
-    p_cmp.add_argument("--samples", type=int, default=100_000)
-    p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--output", default=None)
+    p_cmp.add_argument("--samples", type=corpus_io.parse_number, default=100_000)
+    p_cmp.add_argument("--seed", type=corpus_io.parse_number, default=0)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_sweep = sub.add_parser("sweep", parents=[shared], help="cross-validated grid search")
-    p_sweep.add_argument("--qrels", required=True)
+    p_sweep = sub.add_parser("sweep", parents=[shared, report], help="cross-validated grid search")
     p_sweep.add_argument("--grid", default=None, help="key=v1,v2,... file; default: built-in grids")
     p_sweep.add_argument("--metric", choices=metrics, default="map")
-    p_sweep.add_argument("--folds", type=int, default=5)
-    p_sweep.add_argument("--output", default=None)
+    p_sweep.add_argument("--folds", type=corpus_io.parse_number, default=5)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

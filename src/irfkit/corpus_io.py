@@ -37,7 +37,7 @@ def read_text(path: str | Path, error: type[ValueError] = CorpusFormatError) -> 
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def parse_number(text: str, kind: type[int] | type[float]) -> int | float:
+def parse_number(text: str, kind: type[int] | type[float] = int) -> int | float:
     """``kind(text)`` for ASCII text without ``_``; ``ValueError`` otherwise.
     ``int`` and ``float`` alone also read other scripts' digits and ``_``
     digit groups."""

@@ -279,7 +279,7 @@ def load_index(directory: str | Path) -> CollectionIndex:
     if not isinstance(manifest, dict):
         raise IndexDataError(f"{manifest_path}: expected a JSON object")
     version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # JSON 3.0 and true are not integers
         raise IndexDataError(
             f"snapshot format version {version} does not match supported version "
             f"{FORMAT_VERSION}; re-index the collection with `irfkit index`"
@@ -327,7 +327,7 @@ def load_index(directory: str | Path) -> CollectionIndex:
         )
     index = CollectionIndex(doc_ids, Postings(terms, offsets, docs, counts), analysis)
     for key in _MANIFEST_COUNTS:
-        if manifest.get(key) != getattr(index.stats, key):
+        if type(manifest.get(key)) is not int or manifest[key] != getattr(index.stats, key):
             raise IndexDataError(
                 f"{manifest_path}: {key} is {manifest.get(key)} but the snapshot "
                 f"holds {getattr(index.stats, key)}"

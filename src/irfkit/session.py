@@ -93,7 +93,7 @@ def _retrieve(
     model_kind: str,
     params: ModelParams,
     pools: FeedbackPools,
-    exclude: set[str],
+    exclude: Iterable[str],
     depth: int,
 ) -> tuple[ScoredList, dict]:
     """One retrieval under the model re-estimated from the current pools, by
@@ -114,7 +114,7 @@ def initial_ranking(
     index: CollectionIndex, topic: Topic, model_kind: str, params: ModelParams, depth: int = 1000
 ) -> ScoredList:
     """The ranking a session starts from, before any feedback."""
-    scored, _ = _retrieve(index, topic, model_kind, params, FeedbackPools(), set(), depth)
+    scored, _ = _retrieve(index, topic, model_kind, params, FeedbackPools(), (), depth)
     return scored
 
 
@@ -135,15 +135,12 @@ def run_irf(
     """
     pools = FeedbackPools()
     shown: list[str] = []
-    shown_set: set[str] = set()
     records: list[IterationRecord] = []
     aborted = False
 
     for iteration in range(1, budget.iterations + 1):
-        scored, summary = _retrieve(
-            index, topic, model_kind, params, pools, shown_set, budget.docs_per_iter
-        )
-        page = scored.doc_ids[: budget.docs_per_iter]
+        scored, summary = _retrieve(index, topic, model_kind, params, pools, shown, budget.docs_per_iter)
+        page = scored.doc_ids
         if not page:
             records.append(IterationRecord(iteration, [], [], summary))
             break
@@ -154,7 +151,6 @@ def run_irf(
         except SessionAborted:
             aborted = True
         shown.extend(page)
-        shown_set.update(page)
         for doc_id, is_relevant in judgments:
             pools.add(doc_id, is_relevant)
         records.append(IterationRecord(iteration, page, judgments, summary))
@@ -164,7 +160,7 @@ def run_irf(
     tail: list[str] = []
     tail_depth = budget.final_depth - len(shown)
     if tail_depth > 0:
-        scored, _ = _retrieve(index, topic, model_kind, params, pools, shown_set, tail_depth)
+        scored, _ = _retrieve(index, topic, model_kind, params, pools, shown, tail_depth)
         tail = scored.doc_ids
     return FreezingRunList(topic.query_id, shown, tail, records, aborted)
 

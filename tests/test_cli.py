@@ -37,6 +37,24 @@ def run_args(indexed, toy_paths, tmp_path, model="rm3", k="1", n="3", extra=()):
     ]
 
 
+def sweep_args(indexed, toy_paths, extra=()):
+    return [
+        "sweep",
+        "--index", str(indexed),
+        "--topics", str(toy_paths["topics"]),
+        "--qrels", str(toy_paths["qrels"]),
+        "--model", "rm3",
+        "--docs-per-iter", "1",
+        "--iterations", "1",
+        *extra,
+    ]
+
+
+def compare_args(toy_paths, tmp_path):
+    run = str(tmp_path / "run.txt")
+    return ["compare", "--run-a", run, "--run-b", run, "--qrels", str(toy_paths["qrels"])]
+
+
 class TestIndexCommand:
     def test_bundled_fixture_stats(self, tmp_path, toy_paths, capsys):
         rc = cli.main(
@@ -111,8 +129,13 @@ class TestRunCommand:
         assert (tmp_path / "run.txt").read_bytes() == first
         assert (tmp_path / "run.txt.config").read_bytes() == first_echo
 
-    def test_config_echo_keys(self, indexed, toy_paths, tmp_path):
-        cli.main(run_args(indexed, toy_paths, tmp_path))
+    @pytest.mark.parametrize("with_params_file", [False, True])
+    def test_config_echo_keys(self, indexed, toy_paths, tmp_path, with_params_file):
+        # the echo is every run option, with --params and --set echoed as the parameters
+        # they resolve to: a new run option changes this list only on purpose
+        (tmp_path / "params.txt").write_text("mu=2.0\n")
+        extra = ("--params", str(tmp_path / "params.txt")) if with_params_file else ()
+        cli.main(run_args(indexed, toy_paths, tmp_path, extra=extra))
         lines = (tmp_path / "run.txt.config").read_text().splitlines()
         keys = [line.split("=", 1)[0] for line in lines]
         run_keys = ["index", "topics", "topics_format", "qrels", "model", "docs_per_iter",
@@ -378,18 +401,7 @@ class TestSweepCommand:
     def test_bad_grid_value_names_file_line_and_key(self, indexed, toy_paths, tmp_path, capsys):
         grid = tmp_path / "grid.txt"
         grid.write_text("interp_lambda=0.5\nmu=50,5o\n")
-        rc = cli.main(
-            [
-                "sweep",
-                "--index", str(indexed),
-                "--topics", str(toy_paths["topics"]),
-                "--qrels", str(toy_paths["qrels"]),
-                "--model", "rm3",
-                "--docs-per-iter", "1",
-                "--iterations", "1",
-                "--grid", str(grid),
-            ]
-        )
+        rc = cli.main(sweep_args(indexed, toy_paths, extra=("--grid", str(grid))))
         assert rc == 1
         err = capsys.readouterr().err
         assert f"{grid}:2:" in err and "'mu'" in err and "'5o'" in err
@@ -397,18 +409,7 @@ class TestSweepCommand:
     def test_unknown_grid_key_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
         grid = tmp_path / "grid.txt"
         grid.write_text("warpfactor=2\n")
-        rc = cli.main(
-            [
-                "sweep",
-                "--index", str(indexed),
-                "--topics", str(toy_paths["topics"]),
-                "--qrels", str(toy_paths["qrels"]),
-                "--model", "rm3",
-                "--docs-per-iter", "1",
-                "--iterations", "1",
-                "--grid", str(grid),
-            ]
-        )
+        rc = cli.main(sweep_args(indexed, toy_paths, extra=("--grid", str(grid))))
         assert rc == 1
         assert "warpfactor" in capsys.readouterr().err
 
@@ -428,54 +429,60 @@ class TestSweepCommand:
     ):
         grid = tmp_path / "grid.txt"
         grid.write_text(text)
-        rc = cli.main(
-            [
-                "sweep",
-                "--index", str(indexed),
-                "--topics", str(toy_paths["topics"]),
-                "--qrels", str(toy_paths["qrels"]),
-                "--model", "rm3",
-                "--docs-per-iter", "1",
-                "--iterations", "1",
-                "--grid", str(grid),
-            ]
-        )
+        rc = cli.main(sweep_args(indexed, toy_paths, extra=("--grid", str(grid))))
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {grid}{message}") and captured.out == ""
 
     def test_too_few_topics_for_folds_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
-        rc = cli.main(
-            [
-                "sweep",
-                "--index", str(indexed),
-                "--topics", str(toy_paths["topics"]),
-                "--qrels", str(toy_paths["qrels"]),
-                "--model", "rm3",
-                "--docs-per-iter", "1",
-                "--iterations", "1",
-                "--folds", "5",
-            ]
-        )
+        rc = cli.main(sweep_args(indexed, toy_paths, extra=("--folds", "5")))
         assert rc == 1
 
     def test_zero_folds_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
-        rc = cli.main(
-            [
-                "sweep",
-                "--index", str(indexed),
-                "--topics", str(toy_paths["topics"]),
-                "--qrels", str(toy_paths["qrels"]),
-                "--model", "rm3",
-                "--docs-per-iter", "1",
-                "--iterations", "1",
-                "--folds", "0",
-            ]
-        )
+        rc = cli.main(sweep_args(indexed, toy_paths, extra=("--folds", "0")))
         assert rc == 1
         captured = capsys.readouterr()
         assert "folds must be >= 1, got 0" in captured.err and captured.out == ""
 
+
+# the integer options of each command; a later occurrence of an option overrides the earlier
+INTEGER_OPTIONS = [
+    *(("run", option) for option in ("--docs-per-iter", "--iterations", "--final-depth")),
+    *(("sweep", option) for option in ("--docs-per-iter", "--iterations", "--final-depth", "--folds")),
+    ("compare", "--samples"),
+    ("compare", "--seed"),
+]
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "\uff11"], ids=["underscore", "arabic_indic", "fullwidth"])
+@pytest.mark.parametrize("command,option", INTEGER_OPTIONS)
+def test_integer_option_is_an_ascii_number(toy_paths, tmp_path, capsys, command, option, text):
+    index = tmp_path / "index"  # the parser rejects the value before any file is read
+    argv = {
+        "run": run_args(index, toy_paths, tmp_path),
+        "sweep": sweep_args(index, toy_paths),
+        "compare": compare_args(toy_paths, tmp_path),
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, option, text])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: " in err and repr(text) in err
+
+
+@pytest.mark.parametrize("command", ["eval", "compare", "sweep"])
+def test_report_command_without_qrels_exits_2(toy_paths, tmp_path, capsys, command):
+    argv = {
+        "eval": ["eval", "--run", str(tmp_path / "run.txt"), "--qrels", str(toy_paths["qrels"])],
+        "sweep": sweep_args(tmp_path / "index", toy_paths),
+        "compare": compare_args(toy_paths, tmp_path),
+    }[command]
+    at = argv.index("--qrels")
+    del argv[at : at + 2]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert "--qrels" in capsys.readouterr().err
 
 
 # each text input with a byte that is not UTF-8, the line it is on, and the
@@ -507,16 +514,7 @@ def test_non_utf8_input_reports_path_and_line(indexed, toy_paths, tmp_path, caps
     elif command == "eval":
         argv = ["eval", *reads_bad, "--qrels", str(toy_paths["qrels"])]
     elif command == "sweep":
-        argv = [
-            "sweep",
-            "--index", str(indexed),
-            "--topics", str(toy_paths["topics"]),
-            "--qrels", str(toy_paths["qrels"]),
-            "--model", "rm3",
-            "--docs-per-iter", "1",
-            "--iterations", "1",
-            *reads_bad,
-        ]
+        argv = sweep_args(indexed, toy_paths, extra=reads_bad)
     else:
         argv = ["index", "--corpus", str(toy_paths["corpus"]), "--output", str(tmp_path / "x"), *reads_bad]
     assert cli.main(argv) == 1

@@ -483,6 +483,17 @@ class TestCorruptSnapshot:
         with pytest.raises(IndexDataError, match=key):
             load_index(saved_toy)
 
+    @pytest.mark.parametrize("as_json", [float, bool], ids=["float", "bool"])
+    @pytest.mark.parametrize("key", ["format_version", "num_docs", "total_terms", "vocab_size"])
+    def test_manifest_integer_that_is_a_json_float_or_bool_is_rejected(self, tmp_path, key, as_json):
+        save_index(build_index(make_docs([("D1", "a")])), tmp_path / "snap")  # every count is 1
+        manifest_path = tmp_path / "snap" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = as_json(manifest[key])
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(IndexDataError, match=key.replace("_", ".")):  # "format version", "num_docs"
+            load_index(tmp_path / "snap")
+
     @pytest.mark.parametrize("bad,doc", [("c\t3:1", 3), ("c\t0:1 -1:1", -1)])
     def test_postings_doc_outside_doc_table_reports_path_and_line(self, saved_toy, bad, doc):
         replace_postings_row(saved_toy, 3, bad)
