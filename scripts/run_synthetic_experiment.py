@@ -14,6 +14,7 @@ import argparse
 import sys
 import time
 
+from irfkit.corpus_io import parse_number
 from irfkit.evaluation import evaluate_run, fisher_randomization
 from irfkit.feedback import ModelParams
 from irfkit.index import build_index
@@ -25,10 +26,10 @@ BUDGETS = [(10, 1), (5, 2), (2, 5), (1, 10)]
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--queries", type=int, default=25)
-    parser.add_argument("--passages", type=int, default=5000)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=20_000, help="randomization samples")
+    parser.add_argument("--queries", type=parse_number, default=25)
+    parser.add_argument("--passages", type=parse_number, default=5000)
+    parser.add_argument("--seed", type=parse_number, default=0)
+    parser.add_argument("--samples", type=parse_number, default=20_000, help="randomization samples")
     args = parser.parse_args(argv)
 
     start = time.time()

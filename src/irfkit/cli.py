@@ -126,15 +126,13 @@ def cmd_sweep(args) -> int:
     qrels = corpus_io.parse_qrels(args.qrels)
     judge = session.make_qrels_judge(qrels)
     points = feedback.load_grid(args.grid, args.model)
-    scorer = evaluation.METRICS[args.metric]
     eligible = [t for t in topics if qrels.num_relevant(t.query_id) > 0]
 
     def score_point(params: feedback.ModelParams) -> dict[str, float]:
-        scores = {}
-        for topic in eligible:
-            run = session.run_irf(index, topic, args.model, params, budget, judge)
-            scores[topic.query_id] = scorer(run.doc_ids, qrels, topic.query_id)
-        return scores
+        runs = {
+            t.query_id: session.run_irf(index, t, args.model, params, budget, judge).doc_ids for t in eligible
+        }
+        return evaluation.evaluate_run(runs, qrels, args.metric).per_query
 
     result = evaluation.cross_validate(
         score_point, [t.query_id for t in eligible], points, folds=args.folds

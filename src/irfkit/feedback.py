@@ -195,7 +195,8 @@ def load_grid(path: str | Path | None, model_kind: str) -> list[ModelParams]:
         if not values[key]:
             raise FeedbackError(f"{where}: no values for {key!r}")
     points = (dict(zip(axes, point)) for point in itertools.product(*values.values()))
-    return [ModelParams(**p) for p in points if p.get("lambda1", 0.0) + p.get("lambda2", 0.0) < 1.0]
+    lambda1, lambda2 = ModelParams.lambda1, ModelParams.lambda2
+    return [ModelParams(**p) for p in points if p.get("lambda1", lambda1) + p.get("lambda2", lambda2) < 1.0]
 
 
 def _centroid(index: CollectionIndex, doc_ids: Sequence[str], weighting: Weighting) -> dict[str, float]:
@@ -232,15 +233,6 @@ def _top_terms(
     return dict(sorted(weights.items(), key=lambda kv: (-key(kv[1]), kv[0]))[:m])
 
 
-def _truncate_distribution(dist: dict[str, float], m: int) -> dict[str, float]:
-    """Keep the top-m terms by weight; renormalize only if terms dropped."""
-    if len(dist) <= m:
-        return dist
-    top = _top_terms(dist, m)
-    total = ordered_sum(top.values())
-    return {t: w / total for t, w in top.items()}
-
-
 def _interpolate(
     original: dict[str, float], expansion: dict[str, float], interp_lambda: float
 ) -> dict[str, float]:
@@ -265,6 +257,17 @@ class Estimate(NamedTuple):
     diagnostics: dict
 
 
+def _lm_update(original: QueryModel, relevance: dict[str, float], params: ModelParams) -> Estimate:
+    """The update rm3 and distillation share: keep the feedback model's top
+    num_expansion_terms terms, renormalized only if terms dropped, and
+    interpolate it with the original query model by interp_lambda."""
+    if len(relevance) > params.num_expansion_terms:
+        relevance = _top_terms(relevance, params.num_expansion_terms)
+        total = ordered_sum(relevance.values())
+        relevance = {t: w / total for t, w in relevance.items()}
+    return Estimate(QueryModel.lm(_interpolate(original.weights, relevance, params.interp_lambda)), False, {})
+
+
 def estimate_rm3(
     index: CollectionIndex,
     query_terms: Sequence[str],
@@ -280,10 +283,7 @@ def estimate_rm3(
     original = query_language_model(query_terms)
     if not pools.relevant:
         return Estimate(original, True, {})
-    relevance = mle(index, pools.relevant, mode="averaged")
-    relevance = _truncate_distribution(relevance, params.num_expansion_terms)
-    model = QueryModel.lm(_interpolate(original.weights, relevance, params.interp_lambda))
-    return Estimate(model, False, {})
+    return _lm_update(original, mle(index, pools.relevant, mode="averaged"), params)
 
 
 def distill_relevance_model(
@@ -360,10 +360,7 @@ def estimate_distillation(
     relevance, _ = distill_relevance_model(
         pool_counts, p_nonrel, p_corpus, lambda1, lambda2, params.em_max_iters, params.em_tol
     )
-    relevance = {t: p for t, p in relevance.items() if p > 0.0}
-    relevance = _truncate_distribution(relevance, params.num_expansion_terms)
-    model = QueryModel.lm(_interpolate(original.weights, relevance, params.interp_lambda))
-    return Estimate(model, False, {})
+    return _lm_update(original, {t: p for t, p in relevance.items() if p > 0.0}, params)
 
 
 def estimate_rocchio(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -193,9 +193,7 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
             raise IndexDataError(f"doc_id {seq.doc_id!r} is empty or contains whitespace")
         seen.add(seq.doc_id)
         doc_ids.append(seq.doc_id)
-        counts: dict[str, int] = {}
-        for term in seq.terms:
-            counts[term] = counts.get(term, 0) + 1
+        counts = Counter(seq.terms)
         term_column.extend(map(term_ids.__getitem__, counts))
         count_column.extend(counts.values())
         ends.append(len(term_column))
@@ -251,8 +249,7 @@ def save_index(index: CollectionIndex, directory: str | Path) -> None:
     for name in ("manifest.json", "lexicon.tsv", "forward.tsv", "postings.tsv"):
         (directory / name).unlink(missing_ok=True)
     postings = index.postings
-    dfs = np.diff(postings.offsets).tolist()
-    tables = ("docs.tsv", index.doc_ids, index.doc_lengths), ("terms.tsv", postings.terms, dfs)
+    tables = ("docs.tsv", index.doc_ids, index.doc_lengths), ("terms.tsv", postings.terms, index._df)
     for name, keys, numbers in tables:
         with open(directory / name, "w", encoding="utf-8") as handle:
             handle.writelines(f"{key}\t{number}\n" for key, number in zip(keys, numbers))

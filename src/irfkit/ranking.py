@@ -16,6 +16,7 @@ ascending doc_id so every ranking is deterministic.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -74,15 +75,12 @@ def _check_finite(weights: dict[str, float]) -> dict[str, float]:
 def query_language_model(terms: Sequence[str]) -> QueryModel:
     """Maximum-likelihood unigram model of a term sequence."""
     n = len(terms)
-    return QueryModel.lm({t: c / n for t, c in query_count_vector(terms).weights.items()})
+    return QueryModel.lm({t: c / n for t, c in Counter(terms).items()})
 
 
 def query_count_vector(terms: Sequence[str]) -> QueryModel:
     """Term counts as a BM25 vector: the vector models' initial query."""
-    counts: dict[str, float] = {}
-    for term in terms:
-        counts[term] = counts.get(term, 0.0) + 1.0
-    return QueryModel.vector(counts, "bm25")
+    return QueryModel.vector(Counter(terms), "bm25")
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,8 @@ class ScoredList:
 
     @property
     def doc_ids(self) -> list[str]:
-        return [doc_id for doc_id, _ in self.entries]
+        # a run keeps every page and tail: list() of a list is exact-size, a comprehension is not
+        return list([doc_id for doc_id, _ in self.entries])
 
 
 def _rank(

@@ -17,7 +17,7 @@ from irfkit.evaluation import (
     fisher_randomization,
     ndcg_at_20,
 )
-from irfkit.feedback import GRID, MODELS, FeedbackError, ModelParams, load_grid
+from irfkit.feedback import GRID, MODELS, FeedbackError, ModelParams, ModelSpec, load_grid
 
 from support import fisher_exact_by_blocks
 
@@ -391,6 +391,13 @@ class TestGridSpec:
         assert load_grid(path, "distill") == []
         with pytest.raises(ValueError, match="empty parameter grid"):
             cross_validate(lambda params: {}, ["q1"], load_grid(path, "distill"), folds=1)
+
+    def test_lambda_left_out_of_the_axes_takes_its_default(self, tmp_path, monkeypatch):
+        # lambda2 keeps ModelParams' 0.2, so lambda1=0.8 reaches 1 and is dropped
+        monkeypatch.setitem(MODELS, "rm3", ModelSpec("estimate_rm3", ("lambda1",)))
+        path = tmp_path / "grid.txt"
+        path.write_text("lambda1=0.6,0.8\n")
+        assert [p.lambda1 for p in load_grid(path, "rm3")] == [0.6]
 
     def test_expand_rejects_out_of_range_value(self, tmp_path):
         path = tmp_path / "grid.txt"

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from irfkit.session import MODEL_KINDS
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_synthetic_experiment.py"
@@ -26,3 +28,12 @@ def test_budget_split_table(capsys):
         # may carry the significance marks * and +
         values = [float(cell.rstrip("*+")) for cell in row[2:]]
         assert len(values) == 5 and all(0.0 <= value <= 1.0 for value in values)
+
+
+def test_integer_option_is_an_ascii_number(capsys):
+    # the number rule of irfkit's own options: 1_0 is not 10
+    script = load_script()
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--seed", "1_0"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err

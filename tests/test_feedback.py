@@ -227,10 +227,13 @@ class TestRM3:
         }
         assert model.weights == expected  # exact, no renormalization drift
 
-    def test_truncation_keeps_top_terms_and_renormalizes(self):
+    # rm3 and distillation share one update; with no mixture weight left on
+    # the other components, distillation's EM keeps the pool's MLE too
+    @pytest.mark.parametrize("estimate", [estimate_rm3, estimate_distillation], ids=lambda f: f.__name__)
+    def test_truncation_keeps_top_terms_and_renormalizes(self, estimate):
         idx = make_index([("D1", "aaabbc")])
-        params = ModelParams(interp_lambda=0.0, num_expansion_terms=2)
-        model, _, _ = estimate_rm3(idx, ["a"], FeedbackPools(["D1"]), params)
+        params = ModelParams(interp_lambda=0.0, num_expansion_terms=2, lambda1=0.0, lambda2=0.0)
+        model, _, _ = estimate(idx, ["a"], FeedbackPools(["D1"]), params)
         # top 2 of {a: 1/2, b: 1/3, c: 1/6} renormalized
         assert model.weights == pytest.approx({"a": 0.6, "b": 0.4})
         assert sum(model.weights.values()) == pytest.approx(1.0)

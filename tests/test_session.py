@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -163,6 +164,15 @@ class TestRunIrf:
         run = run_irf(idx, Topic("q", ("a",)), model_kind, ModelParams(), BudgetConfig(1, 4, 4), judge)
         assert sorted(run.frozen) == idx.doc_ids and run.tail == []
         assert [len(record.shown) for record in run.records] == [1, 1, 1, 0]
+
+    def test_pages_and_tail_are_exact_size_lists(self):
+        # a run keeps these lists for every topic, so they hold no spare slots
+        idx = make_index([(f"d{i:02d}", ("xz", "xy", "yy")[i % 3]) for i in range(30)])
+        judge = make_qrels_judge(make_qrels([("q", "d01", 1), ("q", "d05", 1)]))
+        run = run_irf(idx, Topic("q", ("x", "y")), "rm3", ModelParams(), BudgetConfig(1, 10, 25), judge)
+        assert len(run.tail) == 15
+        for ids in [run.tail, *(record.shown for record in run.records)]:
+            assert sys.getsizeof(ids) == sys.getsizeof(list(tuple(ids)))
 
     def test_unknown_model_rejected(self, small_setup):
         idx, topic, qrels = small_setup
