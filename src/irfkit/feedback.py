@@ -23,6 +23,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from .corpus_io import parse_number, read_text, reject_repeats
 from .index import CollectionIndex, Weighting, forward_sum
 from .ranking import (
@@ -249,7 +251,10 @@ class Estimate(NamedTuple):
 
     ``fallback`` is set when the pools held nothing to estimate from and
     ``model`` is the initial ranker's query model; ``diagnostics`` holds
-    estimator-specific figures (``excluded`` terms for ``prob``).
+    estimator-specific figures: ``excluded`` terms for ``prob``, and for
+    ``distill`` its EM's ``em_iterations``, final ``log_likelihood`` and
+    ``converged``, true only when the last EM step gained less than
+    ``em_tol``.  A fallback carries none.
     """
 
     model: QueryModel
@@ -286,6 +291,12 @@ def estimate_rm3(
     return _lm_update(original, mle(index, pools.relevant, mode="averaged"), params)
 
 
+def _in_order_sum(values: np.ndarray) -> float:
+    """``ordered_sum`` of an array: ``np.add.accumulate`` adds left to right,
+    where ``np.sum`` adds pairwise."""
+    return np.add.accumulate(values)[-1].item()
+
+
 def distill_relevance_model(
     pool_counts: dict[str, int],
     p_nonrel: dict[str, float],
@@ -298,37 +309,49 @@ def distill_relevance_model(
     """EM fit of the relevance topic in the three-way mixture
     (1-l1-l2)*p_rel + l1*p_nonrel + l2*p_corpus against pooled term counts.
 
-    Returns the fitted distribution and the log-likelihood trace, which is
-    non-decreasing.
+    Returns the fitted distribution, in sorted term order, and the
+    log-likelihood trace, which is non-decreasing up to rounding.  The fit
+    runs on float64 arrays with the arithmetic of a loop over terms: the
+    same operation order, sums added in order and every log ``math.log``,
+    so it gives the loop's floats bit for bit.
     """
     if lambda1 + lambda2 >= 1.0:
         raise FeedbackError(f"lambda1 + lambda2 must be < 1, got {lambda1} + {lambda2}")
     terms = sorted(t for t, c in pool_counts.items() if c > 0)
     if not terms:
         raise FeedbackError("distillation requires a non-empty relevant pool")
-    counts = [pool_counts[t] for t in terms]
-    total = sum(counts)
+    # every count and their total are below 2^53, so float64 holds them exactly
+    counts = np.array([pool_counts[t] for t in terms], dtype=float)
+    p_rel = counts / _in_order_sum(counts)
+
+    def at_terms(model: dict[str, float]) -> np.ndarray:
+        return np.array([model.get(t, 0.0) for t in terms], dtype=float)
+
     rel_weight = 1.0 - lambda1 - lambda2
-    fixed = [lambda1 * p_nonrel.get(t, 0.0) + lambda2 * p_corpus.get(t, 0.0) for t in terms]
-    p_rel = [c / total for c in counts]
+    fixed = lambda1 * at_terms(p_nonrel) + lambda2 * at_terms(p_corpus)
 
-    def log_likelihood(p: list[float]) -> float:
-        return ordered_sum(c * math.log(rel_weight * pw + fw) for c, pw, fw in zip(counts, p, fixed))
+    def log_likelihood(mixture: np.ndarray) -> float:
+        # math.log, not np.log, whose SIMD kernels round differently
+        logs = np.fromiter(map(math.log, mixture.tolist()), float, counts.size)
+        return _in_order_sum(counts * logs)
 
-    trace = [log_likelihood(p_rel)]
+    # the mixture at p_rel is both its log-likelihood's argument and the
+    # denominator of the next E step
+    weighted = rel_weight * p_rel
+    mixture = weighted + fixed
+    trace = [log_likelihood(mixture)]
     for _ in range(max_iters):
-        expected = [
-            c * (rel_weight * pw) / (rel_weight * pw + fw)
-            for c, pw, fw in zip(counts, p_rel, fixed)
-        ]
-        mass = ordered_sum(expected)
+        expected = counts * weighted / mixture
+        mass = _in_order_sum(expected)
         if mass == 0.0:
             break
-        p_rel = [e / mass for e in expected]
-        trace.append(log_likelihood(p_rel))
+        p_rel = expected / mass
+        weighted = rel_weight * p_rel
+        mixture = weighted + fixed
+        trace.append(log_likelihood(mixture))
         if trace[-1] - trace[-2] < tol:
             break
-    return dict(zip(terms, p_rel)), trace
+    return dict(zip(terms, p_rel.tolist())), trace
 
 
 def estimate_distillation(
@@ -357,10 +380,16 @@ def estimate_distillation(
     total_terms = index.stats.total_terms
     pool_counts = forward_sum(index, pools.relevant, lambda term, length, count: count)
     p_corpus = {t: index.cf(t) / total_terms for t in pool_counts}
-    relevance, _ = distill_relevance_model(
+    relevance, trace = distill_relevance_model(
         pool_counts, p_nonrel, p_corpus, lambda1, lambda2, params.em_max_iters, params.em_tol
     )
-    return _lm_update(original, {t: p for t, p in relevance.items() if p > 0.0}, params)
+    diagnostics = {
+        "em_iterations": len(trace) - 1,
+        "log_likelihood": trace[-1],
+        "converged": len(trace) > 1 and trace[-1] - trace[-2] < params.em_tol,
+    }
+    estimate = _lm_update(original, {t: p for t, p in relevance.items() if p > 0.0}, params)
+    return estimate._replace(diagnostics=diagnostics)
 
 
 def estimate_rocchio(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from typing import Mapping, Sequence
@@ -13,7 +14,7 @@ from irfkit.corpus_io import QrelSet, TermSequence, Topic
 from irfkit.evaluation import SigTestResult
 from irfkit.feedback import ModelParams
 from irfkit.index import CollectionIndex, forward_sum
-from irfkit.ranking import doc_weighting
+from irfkit.ranking import doc_weighting, ordered_sum
 
 
 def random_corpus(
@@ -100,3 +101,41 @@ def fisher_exact_by_blocks(per_query_a: Mapping[str, float], per_query_b: Mappin
         means = (bits * 2.0 - 1.0) @ diffs / n
         count += int((np.abs(means) >= threshold).sum())
     return SigTestResult(count / 2**n, observed, 2**n, 0)
+
+
+def reference_distill(
+    pool_counts: Mapping[str, int],
+    p_nonrel: Mapping[str, float],
+    p_corpus: Mapping[str, float],
+    lambda1: float,
+    lambda2: float,
+    max_iters: int = 50,
+    tol: float = 1e-6,
+) -> tuple[dict[str, float], list[float]]:
+    """The distillation EM as first written, one term at a time in every
+    iteration: ``feedback.distill_relevance_model`` without its argument
+    checks, which must return the same floats."""
+    terms = sorted(t for t, c in pool_counts.items() if c > 0)
+    counts = [pool_counts[t] for t in terms]
+    total = sum(counts)
+    rel_weight = 1.0 - lambda1 - lambda2
+    fixed = [lambda1 * p_nonrel.get(t, 0.0) + lambda2 * p_corpus.get(t, 0.0) for t in terms]
+    p_rel = [c / total for c in counts]
+
+    def log_likelihood(p: list[float]) -> float:
+        return ordered_sum(c * math.log(rel_weight * pw + fw) for c, pw, fw in zip(counts, p, fixed))
+
+    trace = [log_likelihood(p_rel)]
+    for _ in range(max_iters):
+        expected = [
+            c * (rel_weight * pw) / (rel_weight * pw + fw)
+            for c, pw, fw in zip(counts, p_rel, fixed)
+        ]
+        mass = ordered_sum(expected)
+        if mass == 0.0:
+            break
+        p_rel = [e / mass for e in expected]
+        trace.append(log_likelihood(p_rel))
+        if trace[-1] - trace[-2] < tol:
+            break
+    return dict(zip(terms, p_rel)), trace

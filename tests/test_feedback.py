@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irfkit import feedback
 from irfkit.corpus_io import TermSequence
 from irfkit.feedback import (
     FeedbackError,
@@ -25,7 +26,9 @@ from irfkit.feedback import (
 )
 from irfkit.index import build_index, forward_sum
 from irfkit.ranking import doc_weighting, query_count_vector
-from support import bm25_weight
+from irfkit.session import BudgetConfig, make_qrels_judge, run_irf
+from irfkit.synthetic import topical_corpus
+from support import bm25_weight, reference_distill
 
 
 def make_index(layout):
@@ -300,6 +303,32 @@ class TestDistillation:
         assert sum(model.weights.values()) == pytest.approx(1.0)
         assert all(w >= 0 for w in model.weights.values())
 
+    def test_diagnostics_report_the_em_fit(self, toy_index, toy_topic):
+        pools = FeedbackPools(["d1"])
+        estimate = estimate_distillation(toy_index, toy_topic.terms, pools, ModelParams())
+        # with no non-relevant pool, lambda2 takes lambda1's share of the mixture
+        counts = forward_sum(toy_index, ["d1"], lambda term, length, count: count)
+        p_corpus = {t: toy_index.cf(t) / toy_index.stats.total_terms for t in counts}
+        _, trace = distill_relevance_model(counts, {}, p_corpus, 0.0, 0.2 / (1.0 - 0.2))
+        assert estimate.diagnostics == {
+            "em_iterations": len(trace) - 1,
+            "log_likelihood": trace[-1],
+            "converged": True,
+        }
+        assert 1 < len(trace) - 1 < ModelParams().em_max_iters
+        assert type(estimate.diagnostics["log_likelihood"]) is float
+
+    def test_diagnostics_flag_a_fit_cut_at_em_max_iters(self, toy_index, toy_topic):
+        pools = FeedbackPools(["d1", "d3", "d5"], ["d2", "d4", "d6"])
+        cut = estimate_distillation(toy_index, toy_topic.terms, pools, ModelParams(em_max_iters=1))
+        assert cut.diagnostics["em_iterations"] == 1
+        assert cut.diagnostics["converged"] is False
+        longer = estimate_distillation(toy_index, toy_topic.terms, pools, ModelParams(em_max_iters=2))
+        assert longer.diagnostics["log_likelihood"] > cut.diagnostics["log_likelihood"]
+
+    def test_fallback_has_no_diagnostics(self, ab_index):
+        assert estimate_distillation(ab_index, ["a"], FeedbackPools(), ModelParams()).diagnostics == {}
+
 
 class TestRocchio:
     def test_no_feedback_endpoint(self, ab_index):
@@ -481,6 +510,91 @@ class TestEMMonotonicityRandomized:
                 counts, p_n, p_c, lambda1, lambda2, max_iters=60, tol=1e-12
             )
             assert all(b - a >= -1e-9 for a, b in zip(trace, trace[1:]))
+
+
+@st.composite
+def em_cases(draw):
+    """Inputs of the distillation EM: 1 to 300 terms with counts up to 10^4
+    (some 0, so dropped), a non-relevant model that misses some terms, zero
+    and nonzero lambdas, and both ends of the iteration limit and tolerance.
+    The per-term values come from a drawn seed: drawing hundreds of floats
+    one by one would make each example slow."""
+    n = draw(st.integers(1, 300))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    terms = [f"t{i:03d}" for i in range(n)]
+    top = draw(st.sampled_from([1, 10, 10**4]))
+    counts = {t: rng.randint(0, top) for t in terms}
+    counts[rng.choice(terms)] = rng.randint(1, top)
+    missing = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    nonrel = {t: rng.random() for t in terms if rng.random() >= missing}
+    corpus = {t: rng.uniform(1e-7, 0.1) for t in terms}
+    weight = st.one_of(st.just(0.0), st.sampled_from([0.2, 0.4]), st.floats(0.0, 0.49))
+    return (
+        counts,
+        nonrel,
+        corpus,
+        draw(weight),
+        draw(weight),
+        draw(st.sampled_from([1, 2, 50, 500])),
+        draw(st.sampled_from([0.0, 1e-12, 1e-6])),
+    )
+
+
+class TestArrayEMMatchesLoop:
+    """``distill_relevance_model`` runs on arrays; ``support.reference_distill``
+    is the per-term loop it replaced.  The two must give the same floats."""
+
+    @staticmethod
+    def assert_same_fit(got, want):
+        (fit, trace), (want_fit, want_trace) = got, want
+        assert [v.hex() for v in trace] == [v.hex() for v in want_trace]
+        assert [(t, v.hex()) for t, v in fit.items()] == [(t, v.hex()) for t, v in want_fit.items()]
+        # no numpy scalar may reach a QueryModel or a JSON record
+        assert all(type(v) is float for v in [*fit.values(), *trace])
+
+    @given(em_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_random_fits_equal_the_loop(self, case):
+        self.assert_same_fit(distill_relevance_model(*case), reference_distill(*case))
+
+    def test_small_fits_equal_the_loop(self):
+        # in a fit of one to three terms the last bit of each log reaches the
+        # trace, so a log that rounds differently from math.log shows here
+        rng = random.Random(7)
+        for _ in range(1000):
+            terms = [f"t{i}" for i in range(rng.randint(1, 3))]
+            case = (
+                {t: rng.randint(1, 10) for t in terms},
+                {t: rng.random() for t in terms},
+                {t: rng.random() for t in terms},
+                rng.uniform(0.0, 0.49),
+                rng.uniform(0.0, 0.49),
+                50,
+                1e-12,
+            )
+            self.assert_same_fit(distill_relevance_model(*case), reference_distill(*case))
+
+    def test_session_fits_equal_the_loop(self, monkeypatch):
+        # the sessions benchmark's corpus shape and distill parameters, with
+        # a smaller background: pools of up to 10 passages of 45 terms
+        docs, topics, qrels = topical_corpus(background_docs=1000, seed=3)
+        idx = build_index(docs)
+        params = ModelParams(mu=50.0, interp_lambda=0.5, lambda1=0.2, lambda2=0.4)
+        fits = []
+
+        def recording(*args):
+            fits.append((args, distill_relevance_model(*args)))
+            return fits[-1][1]
+
+        monkeypatch.setattr(feedback, "distill_relevance_model", recording)
+        for topic in topics[:4]:
+            for docs_per_iter, iterations in ((1, 10), (5, 2)):
+                budget = BudgetConfig(docs_per_iter, iterations)
+                run_irf(idx, topic, "distill", params, budget, make_qrels_judge(qrels))
+        assert len(fits) > 40
+        assert max(len(args[0]) for args, _ in fits) > 100
+        for args, got in fits:
+            self.assert_same_fit(got, reference_distill(*args))
 
 
 # The pool reads as they were before ``index.forward_sum``: a dict loop over
