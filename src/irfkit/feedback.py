@@ -68,6 +68,13 @@ class FeedbackPools:
         (self.relevant if is_relevant else self.nonrelevant).append(doc_id)
 
 
+def _check_lambdas(lambda1: float, lambda2: float) -> None:
+    """The distillation mixture's weights: each at least 0, and together
+    below 1, so the relevance topic keeps a positive share.  NaN fails."""
+    if not (0 <= lambda1 and 0 <= lambda2 and lambda1 + lambda2 < 1):
+        raise FeedbackError(f"lambda1 + lambda2 must be in [0, 1), got {lambda1} + {lambda2}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Every tunable knob of the pipeline, the scorers' mu, k1 and b among
@@ -109,10 +116,7 @@ class ModelParams:
             raise FeedbackError(f"interp_lambda must be in [0, 1], got {self.interp_lambda}")
         if self.num_expansion_terms < 1:
             raise FeedbackError(f"num_expansion_terms must be >= 1, got {self.num_expansion_terms}")
-        if self.lambda1 < 0 or self.lambda2 < 0 or self.lambda1 + self.lambda2 >= 1.0:
-            raise FeedbackError(
-                f"lambda1 + lambda2 must be in [0, 1), got {self.lambda1} + {self.lambda2}"
-            )
+        _check_lambdas(self.lambda1, self.lambda2)
         if self.beta < 0 or self.gamma < 0:
             raise FeedbackError("beta and gamma must be non-negative")
         if self.em_max_iters < 1:
@@ -297,6 +301,32 @@ def _in_order_sum(values: np.ndarray) -> float:
     return np.add.accumulate(values)[-1].item()
 
 
+class _LogLikelihoods(Sequence[float]):
+    """The trace of a distillation fit: each kept iterate's log-likelihood,
+    ``math.log`` per term and the products added in order.  An entry holds
+    its iterate's mixture until it is first read, and its value after."""
+
+    def __init__(self, counts: np.ndarray) -> None:
+        self._counts = counts
+        self._entries: list[np.ndarray | float] = []
+
+    def append(self, mixture: np.ndarray) -> None:
+        self._entries.append(mixture)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, i: int | slice) -> float | list[float]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        entry = self._entries[i]
+        if isinstance(entry, np.ndarray):
+            # math.log, not np.log, whose SIMD kernels round differently
+            logs = np.fromiter(map(math.log, entry.tolist()), float, entry.size)
+            entry = self._entries[i] = _in_order_sum(self._counts * logs)
+        return entry
+
+
 def distill_relevance_model(
     pool_counts: dict[str, int],
     p_nonrel: dict[str, float],
@@ -305,18 +335,39 @@ def distill_relevance_model(
     lambda2: float,
     max_iters: int = 50,
     tol: float = 1e-6,
-) -> tuple[dict[str, float], list[float]]:
+) -> tuple[dict[str, float], Sequence[float]]:
     """EM fit of the relevance topic in the three-way mixture
     (1-l1-l2)*p_rel + l1*p_nonrel + l2*p_corpus against pooled term counts.
 
     Returns the fitted distribution, in sorted term order, and the
     log-likelihood trace, which is non-decreasing up to rounding.  The fit
     runs on float64 arrays with the arithmetic of a loop over terms: the
-    same operation order, sums added in order and every log ``math.log``,
-    so it gives the loop's floats bit for bit.
+    same operation order and sums added in order.  Every float it returns
+    is the loop's, bit for bit, trace entries included: they take
+    ``math.log`` per term, because ``np.log``'s SIMD kernels round some
+    inputs differently by CPU.  The trace computes an entry when it is
+    first read, so until then it keeps the iterates' mixtures: (iterations
+    + 1) x terms floats.
+
+    The stop test reads ``np.log`` within a proven bound.  With u = 2^-53
+    and n terms, let A be an iterate's log-likelihood from ``np.log``
+    summed in any order, L the exact one, and S the sum of |count * log|
+    from ``np.log``.  Taking each of ``np.log`` and ``math.log`` within 2
+    ulps of the logarithm (numpy's tests hold ``np.log`` to 1), two logs
+    of one value differ by at most 8u|log|.  Each product rounds by at
+    most u, and a sum of n terms in any order is within (n-1)u(1 + O(nu))
+    sum |x_i| of exact (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, ch. 4).  So |A - L| <= (2n + 10)u S to first order,
+    and B = (8n + 64)u S, at least 4 times that, also covers the
+    second-order terms and the rounding of S and B.  The approximate gain
+    d = A_t - A_{t-1} is within B_t + B_{t-1} of the exact one, and
+    4u(|d| + |tol|) more covers the rounding of both subtractions and of
+    d - tol.  Past that margin d < tol decides; within it, or when a bound
+    is not finite, the exact values do.  A bound is not finite when a
+    mixture entry is inf, nan or <= 0, and on the last the exact log
+    raises ``math.log``'s ValueError, as the loop did.
     """
-    if lambda1 + lambda2 >= 1.0:
-        raise FeedbackError(f"lambda1 + lambda2 must be < 1, got {lambda1} + {lambda2}")
+    _check_lambdas(lambda1, lambda2)
     terms = sorted(t for t, c in pool_counts.items() if c > 0)
     if not terms:
         raise FeedbackError("distillation requires a non-empty relevant pool")
@@ -329,17 +380,26 @@ def distill_relevance_model(
 
     rel_weight = 1.0 - lambda1 - lambda2
     fixed = lambda1 * at_terms(p_nonrel) + lambda2 * at_terms(p_corpus)
+    trace = _LogLikelihoods(counts)
+    bound_per_unit = (counts.size + 8) * 2.0**-50
 
-    def log_likelihood(mixture: np.ndarray) -> float:
-        # math.log, not np.log, whose SIMD kernels round differently
-        logs = np.fromiter(map(math.log, mixture.tolist()), float, counts.size)
-        return _in_order_sum(counts * logs)
+    def keep(mixture: np.ndarray) -> tuple[float, float]:
+        """Append an iterate to the trace; its approximate log-likelihood
+        and the bound on that value's distance from the exact one."""
+        trace.append(mixture)
+        with np.errstate(all="ignore"):  # np.log of an entry <= 0 is -inf or nan
+            weighted_logs = counts * np.log(mixture)
+            approx = weighted_logs.sum().item()
+            bound = bound_per_unit * np.abs(weighted_logs).sum().item()
+        if not math.isfinite(bound):
+            trace[-1]  # math.log raises on an entry <= 0, as the loop did
+        return approx, bound
 
     # the mixture at p_rel is both its log-likelihood's argument and the
     # denominator of the next E step
     weighted = rel_weight * p_rel
     mixture = weighted + fixed
-    trace = [log_likelihood(mixture)]
+    last, last_bound = keep(mixture)
     for _ in range(max_iters):
         expected = counts * weighted / mixture
         mass = _in_order_sum(expected)
@@ -348,9 +408,16 @@ def distill_relevance_model(
         p_rel = expected / mass
         weighted = rel_weight * p_rel
         mixture = weighted + fixed
-        trace.append(log_likelihood(mixture))
-        if trace[-1] - trace[-2] < tol:
+        approx, bound = keep(mixture)
+        gain = approx - last
+        margin = bound + last_bound + 2.0**-50 * (abs(gain) + abs(tol))
+        if math.isfinite(margin) and abs(gain - tol) > margin:
+            converged = gain < tol
+        else:
+            converged = trace[-1] - trace[-2] < tol
+        if converged:
             break
+        last, last_bound = approx, bound
     return dict(zip(terms, p_rel.tolist())), trace
 
 

@@ -1,9 +1,11 @@
 import math
 import random
 import re
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irfkit import feedback
@@ -272,6 +274,15 @@ class TestDistillation:
     def test_invalid_lambdas_rejected(self):
         with pytest.raises(FeedbackError, match="lambda"):
             distill_relevance_model({"a": 1}, {}, {"a": 1.0}, 0.7, 0.3)
+
+    @pytest.mark.parametrize("lambdas", [(0.7, 0.3), (-0.3, 0.2), (0.2, -0.1), (math.nan, 0.2), (0.2, math.nan)])
+    def test_lambdas_checked_as_model_params_checks_them(self, lambdas):
+        with pytest.raises(FeedbackError) as fit_error:
+            distill_relevance_model({"a": 1, "b": 1}, {}, {"a": 0.5, "b": 0.5}, *lambdas)
+        assert str(fit_error.value) == f"lambda1 + lambda2 must be in [0, 1), got {lambdas[0]} + {lambdas[1]}"
+        if not any(map(math.isnan, lambdas)):  # ModelParams rejects nan as not finite first
+            with pytest.raises(FeedbackError, match=re.escape(str(fit_error.value))):
+                ModelParams(lambda1=lambdas[0], lambda2=lambdas[1])
 
     def test_lambda1_zero_equals_two_component_mixture(self, ab_index):
         # with an empty non-relevant pool the lambda1 component is dropped
@@ -595,6 +606,79 @@ class TestArrayEMMatchesLoop:
         assert max(len(args[0]) for args, _ in fits) > 100
         for args, got in fits:
             self.assert_same_fit(got, reference_distill(*args))
+
+
+class TestStopDecision:
+    """The EM decides whether to stop on an ``np.log`` log-likelihood within
+    a proven bound, and on the exact values when the bound cannot decide;
+    either way it must stop where ``support.reference_distill`` stops."""
+
+    assert_same_fit = staticmethod(TestArrayEMMatchesLoop.assert_same_fit)
+
+    @given(em_cases(), st.integers(min_value=1))
+    @settings(max_examples=100, deadline=None)
+    def test_a_tol_on_an_exact_step_stops_where_the_loop_stops(self, case, pick):
+        # a tol equal to an exact gain, or one float off it, is within any
+        # bound of the approximate gain, so the exact values decide
+        _, want_trace = reference_distill(*case)
+        assume(len(want_trace) > 1)
+        j = 1 + pick % (len(want_trace) - 1)
+        step = want_trace[j] - want_trace[j - 1]
+        for tol in (np.nextafter(step, -math.inf), step, np.nextafter(step, math.inf)):
+            args = (*case[:-1], float(tol))
+            self.assert_same_fit(distill_relevance_model(*args), reference_distill(*args))
+
+    def test_a_fit_takes_few_math_logs_before_its_trace_is_read(self, monkeypatch):
+        rng = random.Random(11)
+        terms = [f"t{i:03d}" for i in range(300)]
+        case = (
+            {t: rng.randint(1, 10) for t in terms},
+            {t: rng.random() / 150 for t in terms},
+            {t: rng.uniform(1e-5, 0.01) for t in terms},
+            0.2,
+            0.4,
+            50,
+            1e-6,
+        )
+        logs = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def log(self, x):
+                logs.append(x)
+                return math.log(x)
+
+        monkeypatch.setattr(feedback, "math", CountingMath())
+        fit, trace = distill_relevance_model(*case)
+        assert len(trace) - 1 >= 10
+        # at most one step falls within its bound, and it reads two exact values
+        assert len(logs) <= 2 * len(terms)
+        reads = len(logs)
+        trace[-1], trace[-1]
+        assert len(logs) - reads <= len(terms)  # an entry is computed once, then kept
+        self.assert_same_fit((fit, trace), reference_distill(*case))
+
+    @pytest.mark.parametrize("p_corpus_b", [-0.5, -1.0], ids=["zero", "negative"])
+    def test_a_mixture_entry_not_above_zero_raises_as_the_loop_does(self, p_corpus_b):
+        # the mixture of b is 0.5 * 0.5 + 0.5 * p_corpus_b
+        case = ({"a": 1, "b": 1}, {}, {"a": 0.5, "b": p_corpus_b}, 0.0, 0.5)
+        with pytest.raises(ValueError) as want:
+            reference_distill(*case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as got:
+                distill_relevance_model(*case)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_non_finite_mixture_stops_where_the_loop_stops(self, value):
+        case = ({"a": 3, "b": 1}, {}, {"a": value, "b": 0.5}, 0.0, 0.5, 5, 1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = distill_relevance_model(*case)
+        self.assert_same_fit(got, reference_distill(*case))
 
 
 # The pool reads as they were before ``index.forward_sum``: a dict loop over
