@@ -58,19 +58,10 @@ class Postings(Mapping):
         self.docs = _frozen(docs.astype(np.int32, copy=False))
         self.counts = _frozen(counts.astype(np.int32, copy=False))
 
-    def columns(self, term: str) -> tuple[np.ndarray, np.ndarray]:
-        """The doc ids and counts of a term, empty for a term in no document."""
-        row = self.rows.get(term)
-        if row is None:
-            return self.docs[:0], self.counts[:0]
-        start, end = self.offsets[row], self.offsets[row + 1]
-        return self.docs[start:end], self.counts[start:end]
-
     def __getitem__(self, term: str) -> list[tuple[int, int]]:
-        if term not in self.rows:
-            raise KeyError(term)
-        docs, counts = self.columns(term)
-        return list(zip(docs.tolist(), counts.tolist()))
+        row = self.rows[term]
+        start, end = self.offsets[row], self.offsets[row + 1]
+        return list(zip(self.docs[start:end].tolist(), self.counts[start:end].tolist()))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.rows)
@@ -212,8 +203,8 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
     return CollectionIndex(doc_ids, postings, analysis)
 
 
-# a document weighting: the weight of count c of a term in a document of
-# length |x|, elementwise over arrays or on two numbers
+# a document weighting: the weight of count c of a term in a document of length |x|, on two
+# numbers; ranking.doc_weighting's also carry a per-term factor and an elementwise entry
 Weighting = Callable[[str, Any, Any], Any]
 
 

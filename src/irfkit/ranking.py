@@ -1,12 +1,14 @@
 """Retrieval scorers: KL re-ranking, Dirichlet query likelihood under a
 ``query_language_model``, and dot products over BM25 or MLE document vectors.
 
-Every scorer sums q_w * weight(w, |x|, c(w,x)) in one postings loop, a term's
-postings slice at a time into a float64 accumulator: KL weighs by its
-Dirichlet delta, the dot product by one of the two document weightings of
-``doc_weighting`` (Okapi BM25, MLE c/|x|), which the feedback centroids share.
-Array arithmetic keeps the operation order, and every log is ``math.log``, so
-the scores are the same floats a loop over single postings would give.
+Every scorer sums q_w * weight(w, |x|, c(w,x)) over the postings of the model's
+terms, gathered a block of whole terms at a time and weighed a block at once,
+into a float64 accumulator: KL weighs by its Dirichlet delta, from a table of
+one ``math.log`` pair per distinct (term, count), the dot product by one of the
+two document weightings of ``doc_weighting`` (Okapi BM25 with its idf taken once
+per term, MLE c/|x|), which the feedback centroids share.  ``np.add.at`` adds in
+entry order and every log is ``math.log``, so the scores are the same floats a
+loop over single postings would give.
 
 All scorers are pure functions over an immutable index.  Only documents
 containing at least one query-model term are scored; ties break by
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -98,6 +100,8 @@ def _rank(
 ) -> tuple[tuple[str, float], ...]:
     """The top ``depth`` candidates by (score desc, doc_id asc): a partition
     keeps every candidate tied at the cut, then a sort orders what it kept."""
+    if isinstance(depth, bool) or not isinstance(depth, int):  # BudgetConfig's rule
+        raise ValueError(f"depth must be int, got {depth!r}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if len(candidates) > depth:
@@ -109,38 +113,60 @@ def _rank(
     return tuple(zip([doc_ids[x] for x in candidates[order].tolist()], scores[order].tolist()))
 
 
+_BLOCK = 2**20  # postings entries gathered at once: a retrieval's arrays stay O(block + docs)
+
+
 def _accumulate(
-    index: CollectionIndex, model: QueryModel, weighting: Weighting, exclude: Iterable[str]
+    index: CollectionIndex, terms: list[str], weigh: Callable[..., np.ndarray], exclude: Iterable[str]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sum_w q_w * weighting(w, |x|, c(w,x)) per document x outside ``exclude``,
-    w sorted: the candidates' internal ids, ascending, and their scores."""
+    """sum_w q_w * weight(w, x) per document x outside ``exclude`` over
+    ``terms``, the model's terms in the collection in sorted order: the
+    candidates' internal ids, ascending, and their scores.  A block of whole
+    terms, at most _BLOCK entries unless one term holds more, is gathered at
+    once; ``weigh(spread, docs, counts)`` gives its entries' q_w * weight,
+    ``spread`` repeating a per-term array over them.  ``np.add.at`` adds in
+    entry order, so a score is the same additions in term order, whatever the blocks."""
+    if isinstance(exclude, str):  # its characters are not doc ids
+        raise ValueError(f"exclude must be a collection of doc ids, not the str {exclude!r}")
     postings = index.postings
-    scores = np.zeros(index.num_docs)
-    scored = np.zeros(index.num_docs, dtype=bool)
-    for term, q_weight in sorted(model.weights.items()):
-        docs, counts = postings.columns(term)
-        if not docs.size:
-            continue
-        scores[docs] += q_weight * weighting(term, index.doc_length_array[docs], counts)
+    scores, scored = np.zeros(index.num_docs), np.zeros(index.num_docs, dtype=bool)
+    rows = np.array([postings.rows[term] for term in terms], dtype=np.int64)
+    starts, ends = postings.offsets[rows], postings.offsets[rows + 1]
+    sizes = ends - starts
+    placed = np.concatenate(([0], np.cumsum(sizes)))  # where each term's entries start in one gather of all
+    cuts = [0]  # block i is terms cuts[i] to cuts[i + 1]: as many whole terms as fit, or one
+    while cuts[-1] < len(terms):
+        cuts.append(max(cuts[-1] + 1, int(np.searchsorted(placed, placed[cuts[-1]] + _BLOCK, "right")) - 1))
+    for first, last in zip(cuts, cuts[1:]):
+        spans = list(zip(starts[first:last].tolist(), ends[first:last].tolist()))
+        docs = np.concatenate([postings.docs[start:end] for start, end in spans], dtype=np.intp)
+        counts = np.concatenate([postings.counts[start:end] for start, end in spans])
+        spread = lambda per_term: np.repeat(per_term[first:last], sizes[first:last])
+        np.add.at(scores, docs, weigh(spread, docs, counts))
         scored[docs] = True
     scored[[index.internal_id(d) for d in exclude if index.has_doc(d)]] = False
     candidates = np.flatnonzero(scored)
     return candidates, scores[candidates]
 
 
-def _log_each(values: np.ndarray, offset: float) -> np.ndarray:
-    """math.log(v + offset) of every value, one call per distinct value.  The
-    values are non-negative integers (counts or lengths): small ones index a
-    table, and a sort finds the distinct ones when a table would be large."""
-    values = values.astype(np.int64, copy=False)
-    if values.size and values.max() > 2 * values.size + 1024:
-        distinct, where = np.unique(values, return_inverse=True)
-        return np.array([math.log(v + offset) for v in distinct.tolist()])[where]
-    present = np.bincount(values)
-    logs = np.zeros(present.size)
+def _each(keys: np.ndarray, function: Callable[[int], float]) -> np.ndarray:
+    """function(k) of every key, one call per distinct key.  The keys are
+    non-negative integers: small ones index a table, and a sort finds the
+    distinct ones when a table would be large."""
+    keys = keys.astype(np.int64, copy=False)
+    if keys.size and keys.max() > 2 * keys.size + 1024:
+        distinct, where = np.unique(keys, return_inverse=True)
+        return np.array([function(k) for k in distinct.tolist()])[where]
+    present = np.bincount(keys)
+    table = np.zeros(present.size)
     distinct = np.flatnonzero(present)
-    logs[distinct] = [math.log(v + offset) for v in distinct.tolist()]
-    return logs[values]
+    table[distinct] = [function(k) for k in distinct.tolist()]
+    return table[keys]
+
+
+def _log_each(values: np.ndarray, offset: float) -> np.ndarray:
+    """math.log(v + offset) of every count or length, one call per distinct value."""
+    return _each(values, lambda v: math.log(v + offset))
 
 
 def retrieve_kl(
@@ -161,9 +187,7 @@ def retrieve_kl(
     if model.kind != "lm":
         raise ValueError(f"retrieve_kl requires an lm query model, got {model.kind!r}")
     total_terms = index.stats.total_terms
-    backgrounds = {
-        t: params.mu * index.cf(t) / total_terms for t in sorted(model.weights) if index.cf(t) > 0
-    }
+    backgrounds = {t: params.mu * cf / total_terms for t in sorted(model.weights) if (cf := index.cf(t))}
     # score(x) = sum_w q_w * log(c(w,x) + mu*bg_w) - (sum_w q_w) * log(|x| + mu)
     # accumulated as a delta over the all-background baseline so only
     # postings entries are touched.
@@ -171,12 +195,19 @@ def retrieve_kl(
     for term, background in backgrounds.items():
         baseline += model.weights[term] * math.log(background)
         weight_sum += model.weights[term]
+    per_term = [(model.weights[term], background) for term, background in backgrounds.items()]
 
-    def dirichlet_delta(term: str, lengths: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        background = backgrounds[term]
-        return _log_each(counts, background) - math.log(background)
+    def dirichlet_delta(spread: Callable, docs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        width = int(counts.max()) + 1  # one math.log pair per distinct (term, count)
 
-    candidates, partial = _accumulate(index, model, dirichlet_delta, exclude)
+        def weighted(key: int) -> float:
+            term, count = divmod(key, width)
+            q_weight, background = per_term[term]
+            return q_weight * (math.log(count + background) - math.log(background))
+
+        return _each(spread(np.arange(len(per_term))) * width + counts, weighted)
+
+    candidates, partial = _accumulate(index, list(backgrounds), dirichlet_delta, exclude)
     lengths = index.doc_length_array[candidates]
     scores = partial + baseline - weight_sum * _log_each(lengths, params.mu)
     return ScoredList(_rank(index, candidates, scores, depth))
@@ -188,18 +219,22 @@ VECTORIZERS = ("bm25", "mle")
 def doc_weighting(index: CollectionIndex, vectorizer: str, params: ModelParams) -> Weighting:
     """weight(term, |x|, c), the weight of count c of a term in a document of
     length |x|: Okapi BM25 ((k1+1)c / (k1(1-b+b|x|/avgdl) + c)) * idf with idf
-    log((N+1)/df), or MLE c/|x|.  On Python numbers it returns a Python float."""
+    log((N+1)/df), or MLE c/|x|.  On Python numbers it returns a Python float.
+    Its ``factor(term)`` and ``entry(factor, |x|, c)`` split it so that the dot
+    product takes BM25's idf once per term: weight is entry(factor(term), ...),
+    elementwise over arrays or on numbers, and MLE has no factor to take."""
     if vectorizer not in VECTORIZERS:
         raise ValueError(f"unknown vectorizer {vectorizer!r}; expected one of {VECTORIZERS}")
-    if vectorizer == "mle":
-        return lambda term, length, c: c / length
-    k1, b, avgdl, num_docs = params.k1, params.b, index.stats.avg_doc_len, index.stats.num_docs
-
-    def bm25(term: str, length, c):
-        idf = math.log((num_docs + 1) / index.df(term))
-        return (k1 + 1.0) * c / (k1 * (1.0 - b + b * length / avgdl) + c) * idf
-
-    return bm25
+    if vectorizer == "mle":  # no per-term factor
+        weight = entry = lambda _, length, c: c / length
+        factor = lambda term: 1.0
+    else:
+        k1, b, avgdl, num_docs = params.k1, params.b, index.stats.avg_doc_len, index.stats.num_docs
+        factor = lambda term: math.log((num_docs + 1) / index.df(term))
+        entry = lambda idf, length, c: (k1 + 1.0) * c / (k1 * (1.0 - b + b * length / avgdl) + c) * idf
+        weight = lambda term, length, c: entry(factor(term), length, c)
+    weight.factor, weight.entry = factor, entry
+    return weight
 
 
 def retrieve_dot(
@@ -212,5 +247,12 @@ def retrieve_dot(
     """Dot product of the query vector with document vectors under the
     model's weighting, BM25 or MLE; the top ``depth`` documents."""
     weighting = doc_weighting(index, model.kind, params)
-    candidates, scores = _accumulate(index, model, weighting, exclude)
+    terms = [term for term in sorted(model.weights) if term in index.postings.rows]
+    q = np.array([model.weights[term] for term in terms])
+    factors = np.array([weighting.factor(term) for term in terms])
+
+    def weigh(spread: Callable, docs: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        return spread(q) * weighting.entry(spread(factors), index.doc_length_array[docs], counts)
+
+    candidates, scores = _accumulate(index, terms, weigh, exclude)
     return ScoredList(_rank(index, candidates, scores, depth))

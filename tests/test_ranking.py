@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +156,29 @@ def test_depth_below_one_rejected(two_doc_index, scorer, terms):
     with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
         SCORERS[scorer](two_doc_index, terms, 0)
     assert len(SCORERS[scorer](two_doc_index, terms, 1).entries) == (terms == ["a"])
+
+
+@pytest.mark.parametrize("depth", [True, False, 2.0, 1.5, "2"])
+@pytest.mark.parametrize("scorer", SCORERS)
+def test_depth_follows_the_integer_rule(two_doc_index, scorer, depth):
+    # BudgetConfig's rule: True is not one document, nor 2.0 a slicing TypeError
+    with pytest.raises(ValueError, match=f"depth must be int, got {re.escape(repr(depth))}"):
+        SCORERS[scorer](two_doc_index, ["a"], depth)
+
+
+@pytest.mark.parametrize(
+    "retrieve, model",
+    [
+        (retrieve_kl, QueryModel.lm({"a": 1.0})),
+        (retrieve_dot, QueryModel.vector({"a": 1.0}, "bm25")),
+        (retrieve_dot, QueryModel.vector({"a": 1.0}, "mle")),
+    ],
+)
+def test_exclude_as_a_str_rejected(two_doc_index, retrieve, model):
+    # "D1" would be read as the ids "D" and "1": nothing excluded, no error
+    with pytest.raises(ValueError, match="exclude must be a collection of doc ids, not the str 'D1'"):
+        retrieve(two_doc_index, model, ModelParams(), exclude="D1")
+    assert retrieve(two_doc_index, model, ModelParams(), exclude=["D1"]).doc_ids == []
 
 
 class TestBM25Weight:
@@ -446,3 +471,68 @@ class TestMatchesReferenceScorer:
         res = retrieve_dot(two_doc_index, query_count_vector(["a", "b"]), ModelParams())
         assert all(type(score) is float for _, score in res.entries)
         assert type(bm25_weight(two_doc_index, "a", "D1", ModelParams())) is float
+
+
+class TestBlocks:
+    """The scorers gather postings in blocks of whole terms; the blocks bound
+    the transient memory and change no float."""
+
+    @given(scoring_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_any_block_size_gives_the_posting_loops_floats(self, case):
+        # at block 1 and 3 most terms hold more entries than a block
+        index, lm, vector, exclude, params, depth = case
+
+        def exact(entries):
+            return [(doc_id, score.hex()) for doc_id, score in entries]
+
+        for block in (1, 3, ranking._BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ranking, "_BLOCK", block)
+                got = retrieve_kl(index, lm, params, exclude, depth=depth).entries
+                assert exact(got) == exact(reference_kl(index, lm, params, exclude, depth))
+                for vectorizer in ("bm25", "mle"):
+                    model = QueryModel.vector(vector, vectorizer)
+                    got = retrieve_dot(index, model, params, exclude, depth=depth).entries
+                    assert exact(got) == exact(reference_dot(index, model, params, exclude, depth))
+
+    def test_blocks_are_whole_terms_up_to_the_block_size(self, monkeypatch):
+        # terms a..f hold 1, 2, 10, 3, 1 and 1 entries; c alone exceeds the block
+        holders = {"a": 1, "b": 2, "c": 10, "d": 3, "e": 1, "f": 1}
+        index = make_index(
+            [(f"d{i:02d}", [t for t, n in holders.items() if i < n]) for i in range(10)]
+        )
+        monkeypatch.setattr(ranking, "_BLOCK", 4)
+        blocks = []
+
+        def weigh(spread, docs, counts):
+            blocks.append(spread(np.array(list("abcdef"))).tolist())
+            return np.ones(docs.size)
+
+        candidates, scores = ranking._accumulate(index, list("abcdef"), weigh, ())
+        assert blocks == [["a", "b", "b"], ["c"] * 10, ["d"] * 3 + ["e"], ["f"]]
+        assert candidates.tolist() == list(range(10))
+        assert scores.tolist() == [6.0, 3.0, 2.0, 1.0] + [1.0] * 6
+
+    @pytest.mark.parametrize("kind", ["lm", "bm25", "mle"])
+    def test_memory_stays_within_a_block_and_the_documents(self, monkeypatch, kind):
+        # 30 to 48 terms in each of 1,000 documents: about 39,000 postings, 10 blocks
+        block, num_docs, vocabulary = 4096, 1000, [f"t{j:02d}" for j in range(48)]
+        index = make_index([(f"d{i:04d}", vocabulary[: 30 + i % 19]) for i in range(num_docs)])
+        monkeypatch.setattr(ranking, "_BLOCK", block)
+        weights = {term: 1 / len(vocabulary) for term in vocabulary}
+        if kind == "lm":
+            model = QueryModel.lm(weights)
+            score = lambda: retrieve_kl(index, model, ModelParams(), depth=10)
+        else:
+            model = QueryModel.vector(weights, kind)
+            score = lambda: retrieve_dot(index, model, ModelParams(), depth=10)
+        assert sum(index.df(term) for term in vocabulary) >= 8 * block
+        score()  # first-call allocations, such as numpy's caches, are not the scorer's
+        tracemalloc.start()
+        try:
+            score()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (block + num_docs) * 8
