@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus_io import parse_number, read_text, reject_repeats
-from .index import CollectionIndex, Weighting, forward_sum
+from .index import CollectionIndex, forward_sum
 from .ranking import (
     QueryModel,
     doc_weighting,
@@ -205,7 +205,7 @@ def load_grid(path: str | Path | None, model_kind: str) -> list[ModelParams]:
     return [ModelParams(**p) for p in points if p.get("lambda1", lambda1) + p.get("lambda2", lambda2) < 1.0]
 
 
-def _centroid(index: CollectionIndex, doc_ids: Sequence[str], weighting: Weighting) -> dict[str, float]:
+def _centroid(index: CollectionIndex, doc_ids: Sequence[str], weighting: Callable) -> dict[str, float]:
     """Mean of the documents' vectors under a ``ranking.doc_weighting``, in
     sorted term order."""
     n = len(doc_ids)
@@ -223,7 +223,7 @@ def mle(index: CollectionIndex, doc_set: Sequence[str], mode: str = "concatenate
     if mode == "averaged":
         return _centroid(index, doc_set, doc_weighting(index, "mle", ModelParams()))
     if mode == "concatenated":
-        counts = forward_sum(index, doc_set, lambda term, length, count: count)
+        counts = forward_sum(index, doc_set, lambda rows, lengths, counts: counts)
         total = sum(counts.values())
         return {t: c / total for t, c in counts.items()}
     raise FeedbackError(f"unknown mle mode {mode!r}")
@@ -445,7 +445,7 @@ def estimate_distillation(
         remaining = 1.0 - lambda1
         lambda1, lambda2 = 0.0, lambda2 / remaining
     total_terms = index.stats.total_terms
-    pool_counts = forward_sum(index, pools.relevant, lambda term, length, count: count)
+    pool_counts = forward_sum(index, pools.relevant, lambda rows, lengths, counts: counts)
     p_corpus = {t: index.cf(t) / total_terms for t in pool_counts}
     relevance, trace = distill_relevance_model(
         pool_counts, p_nonrel, p_corpus, lambda1, lambda2, params.em_max_iters, params.em_tol
@@ -511,7 +511,7 @@ def estimate_prob(
         return Estimate(query_count_vector(query_terms), True, {})
     excluded = 0
 
-    df_pool = forward_sum(index, pools.relevant, lambda term, length, count: 1)
+    df_pool = forward_sum(index, pools.relevant, lambda rows, lengths, counts: 1)
     feedback: dict[str, float] = {}
     for term in df_pool:
         df_all = index.df(term)

@@ -1,23 +1,26 @@
 """Inverted index with collection statistics and a forward store.
 
 An index is its doc ids and its postings; everything else is derived from
-them once, at construction.  The postings are CSR columns: a term -> row map
-over rows in sorted term order, int64 row offsets, and int32 doc ids and
-counts, each row in ascending doc order.  ``CollectionIndex.postings`` shows
-them as a read-only mapping of (doc, count) lists.  The forward store is the
-same entries transposed, doc-major CSR columns of term rows and counts,
-because the feedback estimators need full term vectors of judged documents;
-``forward_sum`` is its one reader.  The index is immutable once built and
-safe to share across threads.
+them once, at construction (BM25's idf column at first use).  The postings
+are CSR columns: a term -> row map over rows in sorted term order, int64 row
+offsets, and int32 doc ids and counts, each row in ascending doc order.
+``CollectionIndex.postings`` shows them as a read-only mapping of (doc, count)
+lists.  The forward store is the same entries transposed, doc-major CSR columns
+of term rows and counts, because the feedback estimators need full term
+vectors of judged documents; ``forward_sum`` is its one reader.  The index is
+immutable once built and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from array import array
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -28,6 +31,7 @@ from .corpus_io import STEMMERS, TermSequence, not_one_field, parse_number, read
 FORMAT_VERSION = 3
 # the collection statistics a manifest records, checked on load
 _MANIFEST_COUNTS = ("num_docs", "vocab_size", "total_terms")
+_UNSAVABLE = re.compile("^\ufeff|[\ud800-\udfff]")  # read_text strips a BOM, UTF-8 has no surrogates
 
 
 class IndexDataError(ValueError):
@@ -124,6 +128,11 @@ class CollectionIndex:
         row = self.postings.rows.get(term)
         return 0 if row is None else self._cf[row]
 
+    @cached_property
+    def idf(self) -> np.ndarray:
+        """BM25's idf log((N+1)/df) per postings row, read-only; built at first use."""
+        return _frozen(np.array([math.log((self.num_docs + 1) / df) for df in self._df], dtype=np.float64))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CollectionIndex):
             return NotImplemented
@@ -180,8 +189,10 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
     for seq in docs:
         if seq.doc_id in seen:
             raise IndexDataError(f"duplicate doc_id {seq.doc_id!r}")
-        if not_one_field(seq.doc_id):
-            raise IndexDataError(f"doc_id {seq.doc_id!r} is empty or contains whitespace")
+        if not_one_field(seq.doc_id) or not seq.doc_id.isascii() and _UNSAVABLE.search(seq.doc_id):
+            raise IndexDataError(
+                f"doc_id {seq.doc_id!r} is empty or holds whitespace, a lone surrogate or a leading BOM"
+            )
         seen.add(seq.doc_id)
         doc_ids.append(seq.doc_id)
         counts = Counter(seq.terms)
@@ -197,36 +208,34 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
     )
     postings = Postings(terms, *columns)
     for row, term in enumerate(terms):
-        if not_one_field(term):  # as a terms.tsv row's name
+        if not_one_field(term) or not term.isascii() and _UNSAVABLE.search(term):  # as a terms.tsv row's name
             doc_id = doc_ids[postings.docs[postings.offsets[row]]]
-            raise IndexDataError(f"doc {doc_id!r} has an empty term or one with whitespace: {term!r}")
+            flaw = "whitespace" if not_one_field(term) else "a lone surrogate or a leading BOM"
+            raise IndexDataError(f"doc {doc_id!r} has an empty term or one with {flaw}: {term!r}")
     return CollectionIndex(doc_ids, postings, analysis)
 
 
-# a document weighting: the weight of count c of a term in a document of length |x|, on two
-# numbers; ranking.doc_weighting's also carry a per-term factor and an elementwise entry
-Weighting = Callable[[str, Any, Any], Any]
-
-
-def forward_sum(index: CollectionIndex, doc_ids: Iterable[str], weight: Weighting) -> dict[str, Any]:
-    """Per term, the sum from 0 of weight(term, |x|, c) over the documents x
-    holding it, in the order given; in sorted term order.  The one reader of
-    the forward store."""
-    terms, offsets = index.postings.terms, index.forward_offsets
-    sums: dict[int, Any] = {}
-    for doc_id in doc_ids:
-        internal = index.internal_id(doc_id)
-        length = index.doc_lengths[internal]
-        start, end = offsets[internal], offsets[internal + 1]
-        rows, counts = index.forward_terms[start:end].tolist(), index.forward_counts[start:end].tolist()
-        for row, count in zip(rows, counts):
-            sums[row] = sums.get(row, 0) + weight(terms[row], length, count)
-    return {terms[row]: sums[row] for row in sorted(sums)}  # rows are in term order
+def forward_sum(index: CollectionIndex, doc_ids: Iterable[str], weigh: Callable[..., Any]) -> dict[str, Any]:
+    """Per term in sorted order, the sum from 0 of ``weigh(rows, lengths,
+    counts)`` over the forward entries of the documents given: one call on all
+    entries, gathered in pool order, and ``np.add.at`` adds in that order.  The
+    one reader of the forward store."""
+    internal = np.array([index.internal_id(doc_id) for doc_id in doc_ids], dtype=np.int64)
+    starts = index.forward_offsets[internal]
+    sizes = index.forward_offsets[internal + 1] - starts
+    entries = np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    rows, counts = index.forward_terms[entries], index.forward_counts[entries]
+    weights = np.asarray(weigh(rows, np.repeat(index.doc_length_array[internal], sizes), counts))
+    distinct = np.sort(rows)  # rows are in term order
+    distinct = distinct[distinct != np.append(-1, distinct[:-1])]  # np.unique costs twice this
+    sums = np.zeros(distinct.size, np.result_type(weights, np.int64))  # counts sum as int64
+    np.add.at(sums, np.searchsorted(distinct, rows), weights.astype(sums.dtype))  # one dtype: its fast loop
+    return dict(zip(map(index.postings.terms.__getitem__, distinct.tolist()), sums.tolist()))
 
 
 def doc_vector(index: CollectionIndex, doc_id: str) -> dict[str, int]:
     """Exact term counts of one document, in sorted term order."""
-    return forward_sum(index, [doc_id], lambda term, length, count: count)
+    return forward_sum(index, [doc_id], lambda rows, lengths, counts: counts)
 
 
 def save_index(index: CollectionIndex, directory: str | Path) -> None:
@@ -337,7 +346,7 @@ def _read_rows(path: Path, layout: str) -> tuple[list[str], list[int]]:
     for lineno, line in enumerate(lines[:-1] if lines[-1] == "" else lines, 1):
         try:
             name, number = line.split("\t")
-            if not_one_field(name):
+            if not_one_field(name) or not name.isascii() and _UNSAVABLE.search(name):
                 raise ValueError(name)
             numbers.append(parse_number(number, int))
         except ValueError:

@@ -4,11 +4,10 @@
 Every scorer sums q_w * weight(w, |x|, c(w,x)) over the postings of the model's
 terms, gathered a block of whole terms at a time and weighed a block at once,
 into a float64 accumulator: KL weighs by its Dirichlet delta, from a table of
-one ``math.log`` pair per distinct (term, count), the dot product by one of the
-two document weightings of ``doc_weighting`` (Okapi BM25 with its idf taken once
-per term, MLE c/|x|), which the feedback centroids share.  ``np.add.at`` adds in
-entry order and every log is ``math.log``, so the scores are the same floats a
-loop over single postings would give.
+one ``math.log`` pair per distinct (term, count), the dot product by the
+elementwise ``doc_weighting`` (Okapi BM25 with idf ``CollectionIndex.idf``, MLE
+c/|x|), which the feedback centroids share.  ``np.add.at`` adds in entry order
+and every log is ``math.log``: the same floats a loop over postings would give.
 
 All scorers are pure functions over an immutable index.  Only documents
 containing at least one query-model term are scored; ties break by
@@ -24,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .index import CollectionIndex, Weighting
+from .index import CollectionIndex
 
 if TYPE_CHECKING:  # feedback imports this module
     from .feedback import ModelParams
@@ -216,25 +215,17 @@ def retrieve_kl(
 VECTORIZERS = ("bm25", "mle")
 
 
-def doc_weighting(index: CollectionIndex, vectorizer: str, params: ModelParams) -> Weighting:
-    """weight(term, |x|, c), the weight of count c of a term in a document of
-    length |x|: Okapi BM25 ((k1+1)c / (k1(1-b+b|x|/avgdl) + c)) * idf with idf
-    log((N+1)/df), or MLE c/|x|.  On Python numbers it returns a Python float.
-    Its ``factor(term)`` and ``entry(factor, |x|, c)`` split it so that the dot
-    product takes BM25's idf once per term: weight is entry(factor(term), ...),
-    elementwise over arrays or on numbers, and MLE has no factor to take."""
+def doc_weighting(index: CollectionIndex, vectorizer: str, params: ModelParams) -> Callable[..., np.ndarray]:
+    """weigh(rows, lengths, counts): elementwise, the weight of count c of the
+    term in postings row ``row`` in a document of length |x|, Okapi BM25
+    ((k1+1)c / (k1(1-b+b|x|/avgdl) + c)) * idf with idf ``index.idf[row]``,
+    log((N+1)/df), or MLE c/|x|."""
     if vectorizer not in VECTORIZERS:
         raise ValueError(f"unknown vectorizer {vectorizer!r}; expected one of {VECTORIZERS}")
-    if vectorizer == "mle":  # no per-term factor
-        weight = entry = lambda _, length, c: c / length
-        factor = lambda term: 1.0
-    else:
-        k1, b, avgdl, num_docs = params.k1, params.b, index.stats.avg_doc_len, index.stats.num_docs
-        factor = lambda term: math.log((num_docs + 1) / index.df(term))
-        entry = lambda idf, length, c: (k1 + 1.0) * c / (k1 * (1.0 - b + b * length / avgdl) + c) * idf
-        weight = lambda term, length, c: entry(factor(term), length, c)
-    weight.factor, weight.entry = factor, entry
-    return weight
+    if vectorizer == "mle":
+        return lambda rows, lengths, counts: counts / lengths
+    k1, b, avgdl = params.k1, params.b, index.stats.avg_doc_len
+    return lambda rows, lengths, c: (k1 + 1.0) * c / (k1 * (1.0 - b + b * lengths / avgdl) + c) * index.idf[rows]
 
 
 def retrieve_dot(
@@ -249,10 +240,10 @@ def retrieve_dot(
     weighting = doc_weighting(index, model.kind, params)
     terms = [term for term in sorted(model.weights) if term in index.postings.rows]
     q = np.array([model.weights[term] for term in terms])
-    factors = np.array([weighting.factor(term) for term in terms])
+    term_rows = np.array([index.postings.rows[term] for term in terms], dtype=np.int64)
 
     def weigh(spread: Callable, docs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        return spread(q) * weighting.entry(spread(factors), index.doc_length_array[docs], counts)
+        return spread(q) * weighting(spread(term_rows), index.doc_length_array[docs], counts)
 
     candidates, scores = _accumulate(index, terms, weigh, exclude)
     return ScoredList(_rank(index, candidates, scores, depth))

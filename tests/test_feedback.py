@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from irfkit import feedback
+from irfkit import feedback, ranking
+from irfkit import index as index_module
 from irfkit.corpus_io import TermSequence
 from irfkit.feedback import (
     FeedbackError,
@@ -26,8 +27,8 @@ from irfkit.feedback import (
     write_key_values,
     _centroid,
 )
-from irfkit.index import build_index, forward_sum
-from irfkit.ranking import doc_weighting, query_count_vector
+from irfkit.index import build_index, doc_vector, forward_sum, load_index, save_index
+from irfkit.ranking import QueryModel, doc_weighting, query_count_vector, retrieve_dot
 from irfkit.session import BudgetConfig, make_qrels_judge, run_irf
 from irfkit.synthetic import topical_corpus
 from support import bm25_weight, reference_distill
@@ -318,7 +319,7 @@ class TestDistillation:
         pools = FeedbackPools(["d1"])
         estimate = estimate_distillation(toy_index, toy_topic.terms, pools, ModelParams())
         # with no non-relevant pool, lambda2 takes lambda1's share of the mixture
-        counts = forward_sum(toy_index, ["d1"], lambda term, length, count: count)
+        counts = forward_sum(toy_index, ["d1"], lambda rows, lengths, counts: counts)
         p_corpus = {t: toy_index.cf(t) / toy_index.stats.total_terms for t in counts}
         _, trace = distill_relevance_model(counts, {}, p_corpus, 0.0, 0.2 / (1.0 - 0.2))
         assert estimate.diagnostics == {
@@ -764,8 +765,9 @@ class TestForwardReaderMatchesDictLoops:
     def test_pool_reads_equal_to_the_dict_loops(self, case):
         index, vectors, pool, params = case
 
-        def same(got, want):  # equal float for float, in the same term order
+        def same(got, want, kind=float):  # equal float for float, in the same term order
             assert list(got.items()) == list(want.items())
+            assert all(type(value) is kind for value in got.values())  # == takes 1.0 for 1
 
         for vectorizer in ("bm25", "mle"):
             same(
@@ -773,7 +775,7 @@ class TestForwardReaderMatchesDictLoops:
                 reference_centroid(vectors, pool, reference_weighting(index, vectorizer, params)),
             )
         counts = dict(sorted(reference_pool_counts(vectors, pool).items()))
-        same(forward_sum(index, pool, lambda term, length, count: count), counts)
+        same(forward_sum(index, pool, lambda rows, lengths, counts: counts), counts, int)
         total = sum(counts.values())
         same(mle(index, pool, "concatenated"), {t: c / total for t, c in counts.items()})
         same(
@@ -781,9 +783,70 @@ class TestForwardReaderMatchesDictLoops:
             reference_centroid(vectors, pool, reference_weighting(index, "mle", params)),
         )
         df_pool = reference_pool_df(vectors, pool)
-        same(forward_sum(index, pool, lambda term, length, count: 1), dict(sorted(df_pool.items())))
+        same(forward_sum(index, pool, lambda rows, lengths, counts: 1), dict(sorted(df_pool.items())), int)
+        for doc_id in vectors:
+            same(doc_vector(index, doc_id), vectors[doc_id], int)
         for doc_id in vectors:
             for term in [*POOL_TERMS, "zz"]:
                 assert bm25_weight(index, term, doc_id, params) == reference_bm25_weight(
                     index, vectors, term, doc_id, params
                 )
+
+    @pytest.mark.parametrize("pool", [[], ["e1"], ["e2", "e1", "e2"]], ids=["empty", "one", "repeated"])
+    def test_a_pool_with_no_entries_sums_to_nothing(self, pool):
+        # the gather of no slices, and c/|x| and BM25 on arrays of no entries
+        index = make_index([("d1", "ab"), ("e1", ""), ("e2", "")])
+        weighs = [doc_weighting(index, vectorizer, ModelParams()) for vectorizer in ("bm25", "mle")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for weigh in [*weighs, lambda rows, lengths, counts: counts, lambda rows, lengths, counts: 1]:
+                assert forward_sum(index, pool, weigh) == {}
+            if pool:
+                assert mle(index, pool, "averaged") == mle(index, pool, "concatenated") == {}
+
+
+class TestIdfColumn:
+    """BM25's idf is ``math.log((N + 1) / df)`` per postings row, taken once
+    per index when BM25 first weighs, and gathered from that column after."""
+
+    @pytest.fixture
+    def logs(self, monkeypatch):
+        logs = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def log(self, x):
+                logs.append(x)
+                return math.log(x)
+
+        for module in (index_module, ranking):  # the idf has lived in both
+            monkeypatch.setattr(module, "math", CountingMath(), raising=False)
+        return logs
+
+    def test_bm25_takes_one_log_per_row_per_index(self, logs):
+        rng = random.Random(5)
+        vocabulary = [f"w{i:02d}" for i in range(60)]
+        index = make_index([(f"d{i:03d}", rng.choices(vocabulary, k=rng.randint(10, 40))) for i in range(150)])
+        doc_ids = index.doc_ids
+        pools = FeedbackPools(doc_ids[:100], doc_ids[100:120])
+        entries = sum(len(doc_vector(index, doc_id)) for doc_id in doc_ids[:120])
+        assert entries > 10 * len(index.postings)
+        estimate = estimate_rocchio(index, ["w01", "w02"], pools, ModelParams())
+        assert len(logs) == len(index.postings)  # not one per pool entry
+        logs.clear()
+        estimate_rocchio(index, ["w01", "w02"], pools, ModelParams())
+        retrieve_dot(index, estimate.model, ModelParams())
+        retrieve_dot(index, QueryModel.vector({"w03": 1.0}, "mle"), ModelParams())
+        assert logs == []
+
+    def test_idf_is_a_read_only_column_of_log_n_plus_one_over_df(self, tmp_path):
+        built = make_index([("d1", "aab"), ("d2", "bc"), ("d3", ""), ("d4", "c")])
+        save_index(built, tmp_path)
+        for index in (built, load_index(tmp_path)):
+            want = [math.log((index.num_docs + 1) / index.df(term)).hex() for term in index.postings.terms]
+            assert [idf.hex() for idf in index.idf.tolist()] == want
+            assert index.idf is index.idf
+            with pytest.raises(ValueError, match="read-only"):
+                index.idf[0] = 0.0
