@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 
 from . import corpus_io, evaluation, feedback, session
+from .exact import ordered_sum
 from .feedback import write_key_values as _write_echo
 from .index import CollectionIndex, build_index, load_index, save_index
-from .ranking import ordered_sum
 
 USAGE_ERROR = 2
 DATA_ERROR = 1

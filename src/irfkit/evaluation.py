@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus_io import QrelSet
+from .exact import ordered_sum
 from .feedback import ModelParams
-from .ranking import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -33,27 +33,19 @@ def average_precision(
     num_relevant = qrels.num_relevant(query_id)
     if num_relevant == 0:
         return 0.0
-    hits = 0
-    total = 0.0
-    for rank, doc_id in enumerate(run[:cutoff], 1):
-        if grades.get(doc_id, 0) >= 1:
-            hits += 1
-            total += hits / rank
-    return total / num_relevant
+    ranks = [rank for rank, doc_id in enumerate(run[:cutoff], 1) if grades.get(doc_id, 0) >= 1]
+    return ordered_sum(hits / rank for hits, rank in enumerate(ranks, 1)) / num_relevant
 
 
 def ndcg_at_20(run: Sequence[str], qrels: QrelSet, query_id: str) -> float:
     """Linear-gain NDCG over the top 20 ranks with a log2(rank+1) discount."""
     grades = qrels.grades_for(query_id)
-    dcg = 0.0
-    for rank, doc_id in enumerate(run[:20], 1):
-        gain = grades.get(doc_id, 0)
-        if gain > 0:
-            dcg += gain / math.log2(rank + 1)
-    ideal = 0.0
-    for rank, gain in enumerate(sorted(grades.values(), reverse=True)[:20], 1):
-        if gain > 0:
-            ideal += gain / math.log2(rank + 1)
+
+    def discounted(gains: Iterable[int]) -> float:
+        return ordered_sum(gain / math.log2(rank + 1) for rank, gain in enumerate(gains, 1) if gain > 0)
+
+    dcg = discounted(grades.get(doc_id, 0) for doc_id in run[:20])
+    ideal = discounted(sorted(grades.values(), reverse=True)[:20])
     return dcg / ideal if ideal > 0 else 0.0
 
 

@@ -13,6 +13,8 @@ Four estimators, one per retrieval framework:
 
 Every estimator starts from the original query and the full pools; none of
 them chains off the previous iteration's model, which is known to drift.
+Sums add in order and logs are ``math.log`` (``irfkit.exact``), so an
+estimate is the same floats on every Python version and CPU.
 """
 
 from __future__ import annotations
@@ -26,14 +28,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus_io import parse_number, read_text, reject_repeats
+from .exact import log_each, ordered_sum
 from .index import CollectionIndex, forward_sum
-from .ranking import (
-    QueryModel,
-    doc_weighting,
-    ordered_sum,
-    query_count_vector,
-    query_language_model,
-)
+from .ranking import QueryModel, doc_weighting, query_count_vector, query_language_model
 
 
 class FeedbackError(ValueError):
@@ -295,12 +292,6 @@ def estimate_rm3(
     return _lm_update(original, mle(index, pools.relevant, mode="averaged"), params)
 
 
-def _in_order_sum(values: np.ndarray) -> float:
-    """``ordered_sum`` of an array: ``np.add.accumulate`` adds left to right,
-    where ``np.sum`` adds pairwise."""
-    return np.add.accumulate(values)[-1].item()
-
-
 class _LogLikelihoods(Sequence[float]):
     """The trace of a distillation fit: each kept iterate's log-likelihood,
     ``math.log`` per term and the products added in order.  An entry holds
@@ -321,9 +312,7 @@ class _LogLikelihoods(Sequence[float]):
             return [self[j] for j in range(*i.indices(len(self)))]
         entry = self._entries[i]
         if isinstance(entry, np.ndarray):
-            # math.log, not np.log, whose SIMD kernels round differently
-            logs = np.fromiter(map(math.log, entry.tolist()), float, entry.size)
-            entry = self._entries[i] = _in_order_sum(self._counts * logs)
+            entry = self._entries[i] = ordered_sum(self._counts * log_each(entry))
         return entry
 
 
@@ -373,7 +362,7 @@ def distill_relevance_model(
         raise FeedbackError("distillation requires a non-empty relevant pool")
     # every count and their total are below 2^53, so float64 holds them exactly
     counts = np.array([pool_counts[t] for t in terms], dtype=float)
-    p_rel = counts / _in_order_sum(counts)
+    p_rel = counts / ordered_sum(counts)
 
     def at_terms(model: dict[str, float]) -> np.ndarray:
         return np.array([model.get(t, 0.0) for t in terms], dtype=float)
@@ -402,7 +391,7 @@ def distill_relevance_model(
     last, last_bound = keep(mixture)
     for _ in range(max_iters):
         expected = counts * weighted / mixture
-        mass = _in_order_sum(expected)
+        mass = ordered_sum(expected)
         if mass == 0.0:
             break
         p_rel = expected / mass
@@ -509,22 +498,17 @@ def estimate_prob(
     num_rel = len(pools.relevant)
     if num_rel == 0:
         return Estimate(query_count_vector(query_terms), True, {})
-    excluded = 0
 
     df_pool = forward_sum(index, pools.relevant, lambda rows, lengths, counts: 1)
-    feedback: dict[str, float] = {}
-    for term in df_pool:
-        df_all = index.df(term)
-        if df_all >= num_docs:
-            excluded += 1
-            continue
-        p_rel = (df_pool[term] + df_all / num_docs) / (num_rel + 1)
-        p_nonrel = (df_all - df_pool[term] + df_all / num_docs) / (num_docs - num_rel + 1)
-        if p_nonrel >= 1.0:
-            excluded += 1
-            continue
-        feedback[term] = math.log(p_rel * (1.0 - p_nonrel) / (p_nonrel * (1.0 - p_rel)))
-
+    in_pool = np.array(list(df_pool.values()), dtype=float)  # counts below 2^53: exact floats
+    in_all = np.array([index.df(term) for term in df_pool], dtype=float)
+    p_rel = (in_pool + in_all / num_docs) / (num_rel + 1)
+    p_nonrel = (in_all - in_pool + in_all / num_docs) / (num_docs - num_rel + 1)
+    kept = (in_all < num_docs) & (p_nonrel < 1.0)  # where the log-odds is defined
+    p_rel, p_nonrel = p_rel[kept], p_nonrel[kept]
+    log_odds = log_each(p_rel * (1.0 - p_nonrel) / (p_nonrel * (1.0 - p_rel)))
+    excluded = kept.size - log_odds.size
+    feedback = dict(zip(itertools.compress(df_pool, kept.tolist()), log_odds.tolist()))
     feedback = _top_terms(feedback, params.num_expansion_terms)
 
     original: dict[str, float] = {}

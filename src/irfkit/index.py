@@ -1,20 +1,20 @@
 """Inverted index with collection statistics and a forward store.
 
 An index is its doc ids and its postings; everything else is derived from
-them once, at construction (BM25's idf column at first use).  The postings
-are CSR columns: a term -> row map over rows in sorted term order, int64 row
-offsets, and int32 doc ids and counts, each row in ascending doc order.
-``CollectionIndex.postings`` shows them as a read-only mapping of (doc, count)
-lists.  The forward store is the same entries transposed, doc-major CSR columns
-of term rows and counts, because the feedback estimators need full term
-vectors of judged documents; ``forward_sum`` is its one reader.  The index is
-immutable once built and safe to share across threads.
+them once, at construction (BM25's idf column, by ``exact.log_each``, at
+first use).  The postings are CSR columns: a term -> row map over rows in
+sorted term order, int64 row offsets, and int32 doc ids and counts, each row
+in ascending doc order.  ``CollectionIndex.postings`` shows them as a
+read-only mapping of (doc, count) lists.  The forward store is the same
+entries transposed, doc-major CSR columns of term rows and counts, because
+the feedback estimators need full term vectors of judged documents;
+``forward_sum`` is its one reader.  The index is immutable once built and
+safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from array import array
 from collections import Counter, defaultdict
@@ -27,6 +27,7 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 
 from .corpus_io import STEMMERS, TermSequence, not_one_field, parse_number, read_text, reject_repeats
+from .exact import log_each
 
 FORMAT_VERSION = 3
 # the collection statistics a manifest records, checked on load
@@ -131,7 +132,7 @@ class CollectionIndex:
     @cached_property
     def idf(self) -> np.ndarray:
         """BM25's idf log((N+1)/df) per postings row, read-only; built at first use."""
-        return _frozen(np.array([math.log((self.num_docs + 1) / df) for df in self._df], dtype=np.float64))
+        return _frozen(log_each((self.num_docs + 1) / np.array(self._df, dtype=np.float64)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CollectionIndex):

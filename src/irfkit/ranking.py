@@ -6,12 +6,14 @@ terms, gathered a block of whole terms at a time and weighed a block at once,
 into a float64 accumulator: KL weighs by its Dirichlet delta, from a table of
 one ``math.log`` pair per distinct (term, count), the dot product by the
 elementwise ``doc_weighting`` (Okapi BM25 with idf ``CollectionIndex.idf``, MLE
-c/|x|), which the feedback centroids share.  ``np.add.at`` adds in entry order
-and every log is ``math.log``: the same floats a loop over postings would give.
+c/|x|), which the feedback centroids share.  ``np.add.at`` adds in entry order,
+and sums and logs follow ``irfkit.exact``: the same floats a loop over postings
+would give.
 
 All scorers are pure functions over an immutable index.  Only documents
 containing at least one query-model term are scored; ties break by
-ascending doc_id so every ranking is deterministic.
+ascending doc_id so every ranking is deterministic, and a score that is not
+finite is an error.
 """
 
 from __future__ import annotations
@@ -23,19 +25,11 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .exact import each, log_each, ordered_sum
 from .index import CollectionIndex
 
 if TYPE_CHECKING:  # feedback imports this module
     from .feedback import ModelParams
-
-
-def ordered_sum(values: Iterable[float]) -> float:
-    """Float sum in iteration order.  From Python 3.12 ``sum()`` compensates
-    rounding, so its float results differ between Python versions."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 @dataclass(frozen=True)
@@ -98,11 +92,16 @@ def _rank(
     index: CollectionIndex, candidates: np.ndarray, scores: np.ndarray, depth: int
 ) -> tuple[tuple[str, float], ...]:
     """The top ``depth`` candidates by (score desc, doc_id asc): a partition
-    keeps every candidate tied at the cut, then a sort orders what it kept."""
+    keeps every candidate tied at the cut, then a sort orders what it kept.
+    A score that is not finite, from parameters so large that a weight
+    overflows, is an error, not a rank."""
     if isinstance(depth, bool) or not isinstance(depth, int):  # BudgetConfig's rule
         raise ValueError(f"depth must be int, got {depth!r}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    if not (finite := np.isfinite(scores)).all():
+        first = int(np.argmin(finite))
+        raise ValueError(f"the score of doc {index.doc_ids[candidates[first]]!r} is not finite: {scores[first]}")
     if len(candidates) > depth:
         cut = np.partition(-scores, depth - 1)[depth - 1]
         kept = -scores <= cut
@@ -116,25 +115,24 @@ _BLOCK = 2**20  # postings entries gathered at once: a retrieval's arrays stay O
 
 
 def _accumulate(
-    index: CollectionIndex, terms: list[str], weigh: Callable[..., np.ndarray], exclude: Iterable[str]
+    index: CollectionIndex, rows: np.ndarray, weigh: Callable[..., np.ndarray], exclude: Iterable[str]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sum_w q_w * weight(w, x) per document x outside ``exclude`` over
-    ``terms``, the model's terms in the collection in sorted order: the
-    candidates' internal ids, ascending, and their scores.  A block of whole
-    terms, at most _BLOCK entries unless one term holds more, is gathered at
-    once; ``weigh(spread, docs, counts)`` gives its entries' q_w * weight,
+    """sum_w q_w * weight(w, x) per document x outside ``exclude`` over the
+    postings ``rows`` of the model's terms in the collection, in sorted term
+    order: the candidates' internal ids, ascending, and their scores.  A block
+    of whole terms, at most _BLOCK entries unless one term holds more, is
+    gathered at once; ``weigh(spread, docs, counts)`` gives its entries' q_w * weight,
     ``spread`` repeating a per-term array over them.  ``np.add.at`` adds in
     entry order, so a score is the same additions in term order, whatever the blocks."""
     if isinstance(exclude, str):  # its characters are not doc ids
         raise ValueError(f"exclude must be a collection of doc ids, not the str {exclude!r}")
     postings = index.postings
     scores, scored = np.zeros(index.num_docs), np.zeros(index.num_docs, dtype=bool)
-    rows = np.array([postings.rows[term] for term in terms], dtype=np.int64)
     starts, ends = postings.offsets[rows], postings.offsets[rows + 1]
     sizes = ends - starts
     placed = np.concatenate(([0], np.cumsum(sizes)))  # where each term's entries start in one gather of all
     cuts = [0]  # block i is terms cuts[i] to cuts[i + 1]: as many whole terms as fit, or one
-    while cuts[-1] < len(terms):
+    while cuts[-1] < len(rows):
         cuts.append(max(cuts[-1] + 1, int(np.searchsorted(placed, placed[cuts[-1]] + _BLOCK, "right")) - 1))
     for first, last in zip(cuts, cuts[1:]):
         spans = list(zip(starts[first:last].tolist(), ends[first:last].tolist()))
@@ -148,24 +146,12 @@ def _accumulate(
     return candidates, scores[candidates]
 
 
-def _each(keys: np.ndarray, function: Callable[[int], float]) -> np.ndarray:
-    """function(k) of every key, one call per distinct key.  The keys are
-    non-negative integers: small ones index a table, and a sort finds the
-    distinct ones when a table would be large."""
-    keys = keys.astype(np.int64, copy=False)
-    if keys.size and keys.max() > 2 * keys.size + 1024:
-        distinct, where = np.unique(keys, return_inverse=True)
-        return np.array([function(k) for k in distinct.tolist()])[where]
-    present = np.bincount(keys)
-    table = np.zeros(present.size)
-    distinct = np.flatnonzero(present)
-    table[distinct] = [function(k) for k in distinct.tolist()]
-    return table[keys]
-
-
-def _log_each(values: np.ndarray, offset: float) -> np.ndarray:
-    """math.log(v + offset) of every count or length, one call per distinct value."""
-    return _each(values, lambda v: math.log(v + offset))
+def _in_collection(index: CollectionIndex, model: QueryModel) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The model's terms in the collection, in sorted order, with their
+    postings rows and query weights."""
+    row_of = index.postings.rows
+    terms = [term for term in sorted(model.weights) if term in row_of]
+    return terms, np.array([row_of[t] for t in terms], dtype=np.int64), np.array([model.weights[t] for t in terms])
 
 
 def retrieve_kl(
@@ -185,16 +171,15 @@ def retrieve_kl(
     """
     if model.kind != "lm":
         raise ValueError(f"retrieve_kl requires an lm query model, got {model.kind!r}")
+    terms, rows, q = _in_collection(index, model)
     total_terms = index.stats.total_terms
-    backgrounds = {t: params.mu * cf / total_terms for t in sorted(model.weights) if (cf := index.cf(t))}
+    # Python floats: a mu * cf that overflows is inf, which _rank rejects, not a numpy warning
+    backgrounds = np.array([params.mu * index.cf(term) / total_terms for term in terms])
     # score(x) = sum_w q_w * log(c(w,x) + mu*bg_w) - (sum_w q_w) * log(|x| + mu)
     # accumulated as a delta over the all-background baseline so only
     # postings entries are touched.
-    baseline = weight_sum = 0.0
-    for term, background in backgrounds.items():
-        baseline += model.weights[term] * math.log(background)
-        weight_sum += model.weights[term]
-    per_term = [(model.weights[term], background) for term, background in backgrounds.items()]
+    baseline, weight_sum = ordered_sum(q * log_each(backgrounds)), ordered_sum(q)
+    per_term = list(zip(q.tolist(), backgrounds.tolist()))
 
     def dirichlet_delta(spread: Callable, docs: np.ndarray, counts: np.ndarray) -> np.ndarray:
         width = int(counts.max()) + 1  # one math.log pair per distinct (term, count)
@@ -204,11 +189,11 @@ def retrieve_kl(
             q_weight, background = per_term[term]
             return q_weight * (math.log(count + background) - math.log(background))
 
-        return _each(spread(np.arange(len(per_term))) * width + counts, weighted)
+        return each(spread(np.arange(len(per_term))) * width + counts, weighted)
 
-    candidates, partial = _accumulate(index, list(backgrounds), dirichlet_delta, exclude)
+    candidates, partial = _accumulate(index, rows, dirichlet_delta, exclude)
     lengths = index.doc_length_array[candidates]
-    scores = partial + baseline - weight_sum * _log_each(lengths, params.mu)
+    scores = partial + baseline - weight_sum * each(lengths, lambda length: math.log(length + params.mu))
     return ScoredList(_rank(index, candidates, scores, depth))
 
 
@@ -238,12 +223,10 @@ def retrieve_dot(
     """Dot product of the query vector with document vectors under the
     model's weighting, BM25 or MLE; the top ``depth`` documents."""
     weighting = doc_weighting(index, model.kind, params)
-    terms = [term for term in sorted(model.weights) if term in index.postings.rows]
-    q = np.array([model.weights[term] for term in terms])
-    term_rows = np.array([index.postings.rows[term] for term in terms], dtype=np.int64)
+    _, rows, q = _in_collection(index, model)
 
     def weigh(spread: Callable, docs: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        return spread(q) * weighting(spread(term_rows), index.doc_length_array[docs], counts)
+        return spread(q) * weighting(spread(rows), index.doc_length_array[docs], counts)
 
-    candidates, scores = _accumulate(index, terms, weigh, exclude)
+    candidates, scores = _accumulate(index, rows, weigh, exclude)
     return ScoredList(_rank(index, candidates, scores, depth))

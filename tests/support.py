@@ -12,9 +12,10 @@ import numpy as np
 from irfkit import krovetz
 from irfkit.corpus_io import QrelSet, TermSequence, Topic
 from irfkit.evaluation import SigTestResult
+from irfkit.exact import ordered_sum
 from irfkit.feedback import ModelParams
 from irfkit.index import CollectionIndex, forward_sum
-from irfkit.ranking import doc_weighting, ordered_sum
+from irfkit.ranking import doc_weighting
 
 
 def random_corpus(

@@ -175,6 +175,13 @@ class TestRunCommand:
         assert cli.main(args) == 1
         assert "lambda1 must be finite, got nan" in capsys.readouterr().err
 
+    def test_a_score_that_is_not_finite_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
+        # mu * cf overflows to inf, and the query's scores with it
+        args = run_args(indexed, toy_paths, tmp_path, extra=("--set", "mu=1e308"))
+        assert cli.main(args) == 1
+        assert "the score of doc 'd1' is not finite: nan" in capsys.readouterr().err
+        assert not (tmp_path / "run.txt").exists()
+
     def test_set_without_equals_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
         args = run_args(indexed, toy_paths, tmp_path, extra=("--set", "mu"))
         assert cli.main(args) == 1

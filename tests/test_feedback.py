@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from irfkit import feedback, ranking
+from irfkit import exact, feedback, ranking
 from irfkit import index as index_module
 from irfkit.corpus_io import TermSequence
 from irfkit.feedback import (
@@ -651,7 +651,7 @@ class TestStopDecision:
                 logs.append(x)
                 return math.log(x)
 
-        monkeypatch.setattr(feedback, "math", CountingMath())
+        monkeypatch.setattr(exact, "math", CountingMath())  # the one home of the math.log map
         fit, trace = distill_relevance_model(*case)
         assert len(trace) - 1 >= 10
         # at most one step falls within its bound, and it reads two exact values
@@ -821,7 +821,7 @@ class TestIdfColumn:
                 logs.append(x)
                 return math.log(x)
 
-        for module in (index_module, ranking):  # the idf has lived in both
+        for module in (exact, index_module, ranking):  # the idf's log has lived in each
             monkeypatch.setattr(module, "math", CountingMath(), raising=False)
         return logs
 
