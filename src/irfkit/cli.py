@@ -62,7 +62,7 @@ def cmd_run(args) -> int:
     if not args.interactive and args.qrels is None:
         print("error: --qrels is required unless --interactive", file=sys.stderr)
         return USAGE_ERROR
-    session.check_run_field(args.run_tag, "run tag")  # before the sessions ask for any judgment
+    corpus_io.check_field(args.run_tag, "run tag")  # before the sessions ask for any judgment
     overrides = dict(feedback.split_key_value(item, "--set") for item in args.set or [])
     params = feedback.load_params(args.params, overrides)
     index, topics, budget = _session_setup(args)

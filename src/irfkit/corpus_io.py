@@ -46,9 +46,42 @@ def parse_number(text: str, kind: type[int] | type[float] = int) -> int | float:
     return kind(text)
 
 
-def not_one_field(text: str) -> bool:
-    """Whether ``text`` is empty or holds whitespace: a run line's query id, doc id or tag cannot."""
-    return text.split() != [text]
+def check_value(name: str, value: object, kind: type, error: type[ValueError] = ValueError) -> None:
+    """The rule for a parameter value of ``kind`` (bool, int or float): a bool only for a bool,
+    an int for a float too, and for a float a finite value (an int too large for a float is not)."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise error(f"{name} must be {kind.__name__}, got {value!r}")
+    try:
+        finite = kind is not float or math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        raise error(f"{name} must be finite, got an int too large for a float") from None
+    if not finite:
+        raise error(f"{name} must be finite, got {value}")
+
+
+def check_count(name: str, value: object, error: type[ValueError] = ValueError) -> None:
+    """``check_value``'s rule for an int, and at least 1."""
+    check_value(name, value, int, error)
+    if value < 1:
+        raise error(f"{name} must be >= 1, got {value}")
+
+
+_UNWRITABLE = re.compile("^\ufeff|[\ud800-\udfff]")  # read_text strips a BOM, UTF-8 has no surrogates
+
+
+def not_one_field(text: str) -> str:
+    """Why a name (doc id, term, query id, run tag) cannot be one field of a line irfkit
+    writes and reads back, or "": it is empty or holds whitespace, a lone surrogate or a leading BOM."""
+    if text.split() != [text]:
+        return "whitespace"
+    return "a lone surrogate or a leading BOM" if not text.isascii() and _UNWRITABLE.search(text) else ""
+
+
+def check_field(text: str, what: str, error: type[ValueError] = ValueError) -> None:
+    """Reject a name that ``not_one_field`` finds fault with, as ``<what> <text!r> is ...``."""
+    if not_one_field(text):
+        raise error(f"{what} {text!r} is empty or contains whitespace, a lone surrogate or a leading BOM")
 
 
 def reject_repeats(
@@ -302,13 +335,7 @@ def parse_topics(
             if "\t" not in line:
                 raise CorpusFormatError(f"{path}:{lineno}: expected qid<TAB>text")
             query_id, query_text = line.split("\t", 1)
-            query_id = query_id.strip()
-            # a run line is split on whitespace (a TREC <num> is one token already)
-            if not_one_field(query_id):
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: query id {query_id!r} is empty or contains whitespace"
-                )
-            raw.append((lineno, query_id, query_text))
+            raw.append((lineno, query_id.strip(), query_text))
     else:
         blocks = _TOPIC_START_RE.split(text)
         if len(blocks) == 1 and text.strip():
@@ -327,6 +354,7 @@ def parse_topics(
     memo = _TermMemo(stoplist, stemmer)
     topics = []
     for lineno, query_id, query_text in raw:
+        check_field(query_id, f"{path}:{lineno}: query id", CorpusFormatError)  # as a run line's field
         terms = memo.terms(query_text)
         if not terms:
             raise CorpusFormatError(f"{path}:{lineno}: topic {query_id!r} is empty after normalization")

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus_io import QrelSet
+from .corpus_io import QrelSet, check_count, check_value
 from .exact import ordered_sum
 from .feedback import ModelParams
 
@@ -173,8 +173,8 @@ def fisher_randomization(
         )
     if not per_query_a:
         raise ValueError("empty query set")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    check_count("samples", samples)
+    check_value("seed", seed, int)
     query_ids = sorted(per_query_a)
     a = np.array([per_query_a[q] for q in query_ids], dtype=float)
     b = np.array([per_query_b[q] for q in query_ids], dtype=float)
@@ -239,8 +239,7 @@ def cross_validate(
     """
     if not grid_points:
         raise ValueError("empty parameter grid")
-    if folds < 1:
-        raise ValueError(f"folds must be >= 1, got {folds}")
+    check_count("folds", folds)
     if len(query_ids) < folds:
         raise ValueError(
             f"need at least {folds} queries for {folds}-fold cross-validation, got {len(query_ids)}"

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus_io import parse_number, read_text, reject_repeats
+from .corpus_io import check_count, check_value, parse_number, read_text, reject_repeats
 from .exact import log_each, ordered_sum
 from .index import CollectionIndex, forward_sum
 from .ranking import QueryModel, doc_weighting, query_count_vector, query_language_model
@@ -92,17 +92,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value, kind = getattr(self, f.name), _FIELD_TYPES[f.name]
-            # a bool is an int but only a bool field's value; an int is a float field's too
-            accepted = (int, float) if kind is float else kind
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-                raise FeedbackError(f"{f.name} must be {kind.__name__}, got {value!r}")
-            try:
-                finite = kind is not float or math.isfinite(value)
-            except OverflowError:  # an int too large for a float
-                raise FeedbackError(f"{f.name} must be finite, got an int too large for a float") from None
-            if not finite:
-                raise FeedbackError(f"{f.name} must be finite, got {value}")
+            check_value(f.name, getattr(self, f.name), _FIELD_TYPES[f.name], FeedbackError)
         if not self.mu > 0:
             raise FeedbackError(f"mu must be > 0, got {self.mu}")
         if not self.k1 > 0:
@@ -111,13 +101,11 @@ class ModelParams:
             raise FeedbackError(f"b must be in [0, 1], got {self.b}")
         if not 0.0 <= self.interp_lambda <= 1.0:
             raise FeedbackError(f"interp_lambda must be in [0, 1], got {self.interp_lambda}")
-        if self.num_expansion_terms < 1:
-            raise FeedbackError(f"num_expansion_terms must be >= 1, got {self.num_expansion_terms}")
+        check_count("num_expansion_terms", self.num_expansion_terms, FeedbackError)
         _check_lambdas(self.lambda1, self.lambda2)
         if self.beta < 0 or self.gamma < 0:
             raise FeedbackError("beta and gamma must be non-negative")
-        if self.em_max_iters < 1:
-            raise FeedbackError(f"em_max_iters must be >= 1, got {self.em_max_iters}")
+        check_count("em_max_iters", self.em_max_iters, FeedbackError)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -15,7 +15,6 @@ safe to share across threads.
 from __future__ import annotations
 
 import json
-import re
 from array import array
 from collections import Counter, defaultdict
 from collections.abc import Mapping
@@ -26,13 +25,12 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .corpus_io import STEMMERS, TermSequence, not_one_field, parse_number, read_text, reject_repeats
+from .corpus_io import STEMMERS, TermSequence, check_field, not_one_field, parse_number, read_text, reject_repeats
 from .exact import log_each
 
 FORMAT_VERSION = 3
 # the collection statistics a manifest records, checked on load
 _MANIFEST_COUNTS = ("num_docs", "vocab_size", "total_terms")
-_UNSAVABLE = re.compile("^\ufeff|[\ud800-\udfff]")  # read_text strips a BOM, UTF-8 has no surrogates
 
 
 class IndexDataError(ValueError):
@@ -190,10 +188,7 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
     for seq in docs:
         if seq.doc_id in seen:
             raise IndexDataError(f"duplicate doc_id {seq.doc_id!r}")
-        if not_one_field(seq.doc_id) or not seq.doc_id.isascii() and _UNSAVABLE.search(seq.doc_id):
-            raise IndexDataError(
-                f"doc_id {seq.doc_id!r} is empty or holds whitespace, a lone surrogate or a leading BOM"
-            )
+        check_field(seq.doc_id, "doc_id", IndexDataError)
         seen.add(seq.doc_id)
         doc_ids.append(seq.doc_id)
         counts = Counter(seq.terms)
@@ -209,9 +204,8 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
     )
     postings = Postings(terms, *columns)
     for row, term in enumerate(terms):
-        if not_one_field(term) or not term.isascii() and _UNSAVABLE.search(term):  # as a terms.tsv row's name
+        if flaw := not_one_field(term):  # as a terms.tsv row's name
             doc_id = doc_ids[postings.docs[postings.offsets[row]]]
-            flaw = "whitespace" if not_one_field(term) else "a lone surrogate or a leading BOM"
             raise IndexDataError(f"doc {doc_id!r} has an empty term or one with {flaw}: {term!r}")
     return CollectionIndex(doc_ids, postings, analysis)
 
@@ -347,7 +341,7 @@ def _read_rows(path: Path, layout: str) -> tuple[list[str], list[int]]:
     for lineno, line in enumerate(lines[:-1] if lines[-1] == "" else lines, 1):
         try:
             name, number = line.split("\t")
-            if not_one_field(name) or not name.isascii() and _UNSAVABLE.search(name):
+            if not_one_field(name):
                 raise ValueError(name)
             numbers.append(parse_number(number, int))
         except ValueError:

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .corpus_io import check_count, check_value
 from .exact import each, log_each, ordered_sum
 from .index import CollectionIndex
 
@@ -62,8 +63,7 @@ class QueryModel:
 
 def _check_finite(weights: dict[str, float]) -> dict[str, float]:
     for term, weight in weights.items():
-        if not math.isfinite(weight):
-            raise ValueError(f"query weight of {term!r} must be finite, got {weight}")
+        check_value(f"query weight of {term!r}", weight, float)
     return weights
 
 
@@ -95,10 +95,7 @@ def _rank(
     keeps every candidate tied at the cut, then a sort orders what it kept.
     A score that is not finite, from parameters so large that a weight
     overflows, is an error, not a rank."""
-    if isinstance(depth, bool) or not isinstance(depth, int):  # BudgetConfig's rule
-        raise ValueError(f"depth must be int, got {depth!r}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    check_count("depth", depth)
     if not (finite := np.isfinite(scores)).all():
         first = int(np.argmin(finite))
         raise ValueError(f"the score of doc {index.doc_ids[candidates[first]]!r} is not finite: {scores[first]}")
@@ -174,7 +171,11 @@ def retrieve_kl(
     terms, rows, q = _in_collection(index, model)
     total_terms = index.stats.total_terms
     # Python floats: a mu * cf that overflows is inf, which _rank rejects, not a numpy warning
-    backgrounds = np.array([params.mu * index.cf(term) / total_terms for term in terms])
+    backgrounds = [params.mu * index.cf(term) / total_terms for term in terms]
+    if 0.0 in backgrounds:  # its log would be a math domain error
+        term = terms[backgrounds.index(0.0)]
+        raise ValueError(f"mu={params.mu} is so small that mu * cf / total_terms is 0.0 for term {term!r}")
+    backgrounds = np.array(backgrounds)
     # score(x) = sum_w q_w * log(c(w,x) + mu*bg_w) - (sum_w q_w) * log(|x| + mu)
     # accumulated as a delta over the all-background baseline so only
     # postings entries are touched.

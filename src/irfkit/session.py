@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, TextIO
 
-from .corpus_io import QrelSet, Topic, not_one_field
+from .corpus_io import QrelSet, Topic, check_count, check_field
 from .feedback import (  # the estimators are looked up by name in _retrieve
     MODELS,
     FeedbackPools,
@@ -44,12 +44,8 @@ class BudgetConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{f.name} must be int, got {value!r}")
-        if self.docs_per_iter < 1 or self.iterations < 1:
-            raise ValueError("docs_per_iter and iterations must be >= 1")
-        if self.final_depth < self.docs_per_iter * self.iterations:
+            check_count(f.name, getattr(self, f.name))
+        if self.final_depth < self.total_budget:
             raise ValueError(
                 "final_depth must cover the judgment budget "
                 f"({self.docs_per_iter} x {self.iterations})"
@@ -198,22 +194,18 @@ def term_snippet(index: CollectionIndex, doc_id: str, max_terms: int = 12) -> st
     return " ".join(term for term, _ in top)
 
 
-def check_run_field(text: str, what: str) -> None:
-    """A run line is whitespace-separated fields: a query id first, a run tag last."""
-    if not_one_field(text):
-        raise ValueError(f"{what} {text!r} is empty or contains whitespace")
-
-
 def write_freezing_run(runs: Iterable[FreezingRunList], path, run_tag: str = "irfkit") -> None:
     """TREC run file: frozen prefix then tail, with synthetic strictly
     decreasing scores so score-sorting consumers preserve the list order."""
-    check_run_field(run_tag, "run tag")
+    check_field(run_tag, "run tag")
     runs = list(runs)
     for run in runs:  # before the file is opened
-        check_run_field(run.query_id, "query id")
+        check_field(run.query_id, "query id")
         docs = run.doc_ids
-        if " ".join(docs).split() != docs:  # one pass in C; only then find the culprit
-            check_run_field(next(doc for doc in docs if not_one_field(doc)), "doc id")
+        joined = " ".join(docs)  # one pass in C for whitespace; only then, or if not ASCII, each id
+        if joined.split() != docs or not joined.isascii():
+            for doc_id in docs:
+                check_field(doc_id, "doc id")
     with open(path, "w", encoding="utf-8") as handle:
         for run in runs:
             docs = run.doc_ids

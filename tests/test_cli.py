@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from irfkit import cli, corpus_io
+from irfkit import cli, corpus_io, session
 from irfkit.feedback import ModelParams
 
 
@@ -182,6 +182,12 @@ class TestRunCommand:
         assert "the score of doc 'd1' is not finite: nan" in capsys.readouterr().err
         assert not (tmp_path / "run.txt").exists()
 
+    def test_a_mu_whose_background_underflows_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
+        args = run_args(indexed, toy_paths, tmp_path, extra=("--set", "mu=5e-324"))
+        assert cli.main(args) == 1
+        assert "error: mu=5e-324 is so small that mu * cf / total_terms is 0.0" in capsys.readouterr().err
+        assert not (tmp_path / "run.txt").exists()
+
     def test_set_without_equals_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
         args = run_args(indexed, toy_paths, tmp_path, extra=("--set", "mu"))
         assert cli.main(args) == 1
@@ -193,6 +199,20 @@ class TestRunCommand:
         assert cli.main(args) == 1
         assert "run tag" in capsys.readouterr().err
         assert not (tmp_path / "run.txt").exists()
+
+    def test_run_tag_utf8_cannot_encode_is_refused_before_any_judgment(
+        self, indexed, toy_paths, tmp_path, capsys, monkeypatch
+    ):
+        # a process decodes argv bytes that are not UTF-8 to lone surrogates: $'t\xff' is 't\udcff'
+        judged = []
+        spy = lambda qrels: lambda query_id, doc_id: judged.append(doc_id) or qrels.is_relevant(query_id, doc_id)
+        monkeypatch.setattr(session, "make_qrels_judge", spy)
+        run_file = tmp_path / "run.txt"
+        run_file.write_bytes(b"q1 Q0 d1 1 1.000000 old\n")
+        assert cli.main(run_args(indexed, toy_paths, tmp_path, extra=("--run-tag", "t\udcff"))) == 1
+        assert "error: run tag 't\\udcff' is empty or contains" in capsys.readouterr().err
+        assert judged == [] and run_file.read_bytes() == b"q1 Q0 d1 1 1.000000 old\n"
+        assert cli.main(run_args(indexed, toy_paths, tmp_path)) == 0 and judged  # the spy sees judgments
 
     def test_topic_id_a_run_line_cannot_hold_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
         topics = tmp_path / "topics.tsv"

@@ -424,7 +424,7 @@ class TestParseTopics:
         with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:2: query id 'q1' is already on line 1$"):
             parse_topics(path, "tsv", stoplist)
 
-    @pytest.mark.parametrize("query_id", ["q 1", "", "q\u00a01"])
+    @pytest.mark.parametrize("query_id", ["q 1", "", "q\u00a01", "\ufeffq"])
     def test_query_id_a_run_line_cannot_hold_rejected(self, tmp_path, stoplist, query_id):
         path = tmp_path / "topics.tsv"
         path.write_text(f"q0\talpha\n{query_id}\tbeta\n", "utf-8")

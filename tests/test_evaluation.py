@@ -214,6 +214,14 @@ class TestFisherRandomization:
         with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
             fisher_randomization(a, {q: 0.0 for q in a}, samples=samples)
 
+    @pytest.mark.parametrize("queries", [3, 25])
+    @pytest.mark.parametrize("name, value", [("samples", True), ("samples", 2.0), ("samples", 2.5), ("seed", 2.5)])
+    def test_count_that_is_not_an_int_rejected(self, queries, name, value):
+        # True drew one sample, 2.0 and 2.5 raised TypeError from range, and seed 2.5 was echoed
+        a = {f"q{i}": 0.1 * i for i in range(queries)}
+        with pytest.raises(ValueError, match=f"^{name} must be int, got {value!r}$"):
+            fisher_randomization(a, {q: 0.0 for q in a}, **{name: value})
+
     def test_symmetry(self):
         rng = random.Random(5)
         a = {f"q{i}": rng.random() for i in range(12)}
@@ -490,6 +498,12 @@ class TestCrossValidate:
     def test_zero_folds_rejected(self):
         with pytest.raises(ValueError, match="folds must be >= 1, got 0"):
             cross_validate(lambda p: {}, ["q1", "q2"], [ModelParams()], folds=0)
+
+    @pytest.mark.parametrize("folds", [True, 2.0, 2.5])
+    def test_folds_that_is_not_an_int_rejected(self, folds):
+        # True ran one fold, and 2.0 and 2.5 raised TypeError from range
+        with pytest.raises(ValueError, match=f"^folds must be int, got {folds!r}$"):
+            cross_validate(lambda p: {"q1": 0.5, "q2": 0.5}, ["q1", "q2"], [ModelParams()], folds=folds)
 
     def test_tie_broken_by_grid_order(self):
         qids = [f"q{i}" for i in range(5)]

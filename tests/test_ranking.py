@@ -293,6 +293,14 @@ class TestNonFiniteScore:
             with pytest.raises(ValueError, match="score of doc 'd1' is not finite: nan"):
                 retrieve_kl(index, query_language_model(["a", "b"]), ModelParams(mu=1e308))
 
+    def test_kl_with_a_mu_whose_background_underflows(self, index):
+        # mu * cf / total_terms is 0.0, whose log was a bare "math domain error"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "mu=5e-324 is so small that mu * cf / total_terms is 0.0 for term 'a'"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                retrieve_kl(index, query_language_model(["a", "b"]), ModelParams(mu=5e-324))
+
     @pytest.mark.parametrize(
         "weights, params", [({"a": 1.0, "b": 1.0}, ModelParams(k1=1e308)), ({"a": 1.5e308}, ModelParams())]
     )

@@ -5,6 +5,8 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irfkit import feedback, session
 from irfkit.corpus_io import QrelSet, TermSequence, Topic, parse_run
@@ -247,7 +249,7 @@ class TestOutputs:
         scores = [float(l[4]) for l in lines]
         assert scores == sorted(scores, reverse=True)
 
-    @pytest.mark.parametrize("tag", ["my tag", "", "tab\ttag"])
+    @pytest.mark.parametrize("tag", ["my tag", "", "tab\ttag", "t\udcff", "\ufeffq"])
     def test_run_tag_a_run_line_cannot_hold_rejected_before_writing(self, small_setup, tmp_path, tag):
         idx, topic, qrels = small_setup
         run = run_irf(idx, topic, "rm3", ModelParams(mu=1.0), BudgetConfig(1, 1, 10), make_qrels_judge(qrels))
@@ -256,9 +258,10 @@ class TestOutputs:
             write_freezing_run([run], path, tag)
         assert not path.exists()
 
-    @pytest.mark.parametrize("query_id", ["q 1", "", "q\t1"])
+    @pytest.mark.parametrize("query_id", ["q 1", "", "q\t1", "t\udcff", "\ufeffq"])
     def test_query_id_a_run_line_cannot_hold_rejected_before_writing(self, tmp_path, query_id):
-        # written, each gave lines of 5 or 7 fields that parse_run rejects
+        # written, each gave lines of 5 or 7 fields that parse_run rejects, a file cut short
+        # at the lone surrogate, or an id read back without its BOM if on the file's first line
         runs = [FreezingRunList("q0", ["D1"], ["D2"]), FreezingRunList(query_id, ["D1"], ["D2"])]
         path = tmp_path / "run.txt"
         with pytest.raises(ValueError, match="query id .* is empty or contains whitespace"):
@@ -267,14 +270,36 @@ class TestOutputs:
 
     @pytest.mark.parametrize("frozen, tail, bad", [
         (["D1"], ["D 2", "D3"], "D 2"), (["D1", ""], ["D2"], ""), (["D\t1"], ["D 2"], "D\t1"),
+        (["D1"], ["t\udcff"], "t\udcff"), (["\ufeffq"], ["D2"], "\ufeffq"),
     ])
     def test_doc_id_a_run_line_cannot_hold_rejected_before_writing(self, tmp_path, frozen, tail, bad):
-        # written, "D 2" gave a 7-field line and "" a 5-field one, which parse_run rejects
+        # written, "D 2" gave a 7-field line and "" a 5-field one, which parse_run rejects,
+        # and the lone surrogate a file cut short at its line
         runs = [FreezingRunList("q0", ["D1"], ["D2"]), FreezingRunList("q1", frozen, tail)]
         path = tmp_path / "run.txt"
         with pytest.raises(ValueError, match=re.escape(f"doc id {bad!r} is empty or contains whitespace")):
             write_freezing_run(runs, path)
         assert not path.exists()
+
+    # names of any characters, with whitespace, a lone surrogate and the BOM drawn often, or
+    # names of no control, surrogate or space character, so both outcomes are drawn often
+    ANY = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from("a\ufeff\udcff \x85")), max_size=3)
+    PLAIN = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1, max_size=3)
+    RANKED = [st.dictionaries(n, st.lists(n, min_size=1, max_size=4, unique=True), max_size=3) for n in (ANY, PLAIN)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(RANKED))
+    def test_a_run_file_round_trips_any_name_or_is_refused_before_it_is_opened(self, tmp_path_factory, ranked):
+        path = tmp_path_factory.getbasetemp() / "round_trip.run"
+        old = b"q0 Q0 D0 1 1.000000 old\n"
+        path.write_bytes(old)
+        try:
+            write_freezing_run([FreezingRunList(q, docs[:1], docs[1:]) for q, docs in ranked.items()], path)
+        except ValueError:
+            assert path.read_bytes() == old
+            assert not all(name.isalnum() for q, docs in ranked.items() for name in (q, *docs))
+        else:
+            assert parse_run(path) == ranked
 
     def test_freezing_run_reads_back(self, tmp_path):
         runs = (FreezingRunList(query_id, ["D1"], ["D2", "D3"]) for query_id in ("q1", "q2"))
