@@ -60,11 +60,18 @@ def check_value(name: str, value: object, kind: type, error: type[ValueError] = 
         raise error(f"{name} must be finite, got {value}")
 
 
-def check_count(name: str, value: object, error: type[ValueError] = ValueError) -> None:
-    """``check_value``'s rule for an int, and at least 1."""
+def check_count(name: str, value: object, error: type[ValueError] = ValueError, least: int = 1) -> None:
+    """``check_value``'s rule for an int, and at least ``least``."""
     check_value(name, value, int, error)
-    if value < 1:
-        raise error(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+
+
+def check_collection(name: str, value: object, of: str, error: type[ValueError] = ValueError) -> None:
+    """The rule for a collection of names: not a ``str``, whose characters would
+    be read as the names, and not None."""
+    if value is None or isinstance(value, str):
+        raise error(f"{name} must be a collection of {of}, not {'' if value is None else 'the str '}{value!r}")
 
 
 _UNWRITABLE = re.compile("^\ufeff|[\ud800-\udfff]")  # read_text strips a BOM, UTF-8 has no surrogates
@@ -134,8 +141,8 @@ class QrelSet:
         self._by_query: dict[str, dict[str, int]] = {}
 
     def set(self, query_id: str, doc_id: str, grade: int) -> None:
-        if grade < 0:
-            raise ValueError(f"negative grade {grade} for ({query_id}, {doc_id})")
+        if type(grade) is not int or grade < 0:  # named only then: parse_qrels calls this per line
+            check_count(f"the grade of ({query_id}, {doc_id})", grade, least=0)
         self._by_query.setdefault(query_id, {})[doc_id] = grade
 
     def grade(self, query_id: str, doc_id: str) -> int:

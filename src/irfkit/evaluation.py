@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus_io import QrelSet, check_count, check_value
+from .corpus_io import QrelSet, check_collection, check_count
 from .exact import ordered_sum
 from .feedback import ModelParams
 
@@ -29,6 +29,7 @@ def average_precision(
     run: Sequence[str], qrels: QrelSet, query_id: str, cutoff: int = 1000
 ) -> float:
     """AP = (1/R) * sum over relevant ranks r <= cutoff of (hits(r) / r)."""
+    check_count("cutoff", cutoff)
     grades = qrels.grades_for(query_id)
     num_relevant = qrels.num_relevant(query_id)
     if num_relevant == 0:
@@ -62,6 +63,8 @@ def evaluate_run(
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRICS)}")
     score = METRICS[metric]
+    for query_id, doc_ids in run.items():
+        check_collection(f"the run of query {query_id!r}", doc_ids, "doc ids")
     per_query = {
         query_id: score(doc_ids, qrels, query_id)
         for query_id, doc_ids in sorted(run.items())
@@ -174,7 +177,8 @@ def fisher_randomization(
     if not per_query_a:
         raise ValueError("empty query set")
     check_count("samples", samples)
-    check_value("seed", seed, int)
+    check_count("seed", seed, least=0)  # numpy's generator takes no negative seed
+    check_count("exact_limit", exact_limit, least=0)
     query_ids = sorted(per_query_a)
     a = np.array([per_query_a[q] for q in query_ids], dtype=float)
     b = np.array([per_query_b[q] for q in query_ids], dtype=float)

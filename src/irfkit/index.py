@@ -132,6 +132,17 @@ class CollectionIndex:
         """BM25's idf log((N+1)/df) per postings row, read-only; built at first use."""
         return _frozen(log_each((self.num_docs + 1) / np.array(self._df, dtype=np.float64)))
 
+    @cached_property
+    def max_counts(self) -> np.ndarray:
+        """The largest count in each postings row, read-only; built at first use."""
+        return _frozen(_row_reduce(np.maximum, self.postings.offsets, self.postings.counts))
+
+    @cached_property
+    def min_lengths(self) -> np.ndarray:
+        """The least length of a document in each postings row, read-only; built at first use."""
+        lengths = np.array(self.doc_lengths, dtype=np.int32)[self.postings.docs]
+        return _frozen(_row_reduce(np.minimum, self.postings.offsets, lengths))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CollectionIndex):
             return NotImplemented
@@ -162,6 +173,11 @@ def _transpose(
 def _row_sums(offsets: np.ndarray, values: np.ndarray) -> np.ndarray:
     running = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
     return running[offsets[1:]] - running[offsets[:-1]]
+
+
+def _row_reduce(reduce: np.ufunc, offsets: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``reduce`` over each CSR row's values; every row holds at least one entry."""
+    return reduce.reduceat(values, offsets[:-1]) if len(offsets) > 1 else values[:0]
 
 
 def _check_analysis(analysis: object, where: str) -> None:

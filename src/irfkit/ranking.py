@@ -10,6 +10,24 @@ c/|x|), which the feedback centroids share.  ``np.add.at`` adds in entry order,
 and sums and logs follow ``irfkit.exact``: the same floats a loop over postings
 would give.
 
+A page, a retrieval whose ``depth`` is small beside the postings it would
+read, is pruned MaxScore-style (Turtle & Flood, IP&M 1995), with the same
+floats.  A term's weight is bounded by its weight at its postings row's largest
+count and least document length (``CollectionIndex.max_counts`` and
+``.min_lengths``): the Dirichlet delta and both dot weightings grow with the
+count and fall, or stay, with the length, and KL's length term falls with the
+length.  A negative query weight adds at most 0, so its bound is 0.  Terms
+lead in decreasing bound, and the leading terms' documents are rescored
+exactly from the forward store: a document's forward rows are in sorted term
+order, so ``np.add.at`` from 0.0 makes the full pass's additions in its order,
+and KL adds its length term by the full pass's expression.  A document in none
+of the leading terms is dropped only when the bounds of the other terms, plus
+the length term's, fall strictly below the depth-th exact score of the
+non-excluded candidates by a pad that exceeds the rounding of any score and
+of the ``np.log`` bounds.  So no document that reaches the page, or ties at
+its cut, is dropped.  A page with a bound that is not finite, or that pruning
+cannot make cheaper, takes the full pass.
+
 All scorers are pure functions over an immutable index.  Only documents
 containing at least one query-model term are scored; ties break by
 ascending doc_id so every ranking is deterministic, and a score that is not
@@ -25,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus_io import check_count, check_value
+from .corpus_io import check_collection, check_count, check_value
 from .exact import each, log_each, ordered_sum
 from .index import CollectionIndex
 
@@ -95,7 +113,6 @@ def _rank(
     keeps every candidate tied at the cut, then a sort orders what it kept.
     A score that is not finite, from parameters so large that a weight
     overflows, is an error, not a rank."""
-    check_count("depth", depth)
     if not (finite := np.isfinite(scores)).all():
         first = int(np.argmin(finite))
         raise ValueError(f"the score of doc {index.doc_ids[candidates[first]]!r} is not finite: {scores[first]}")
@@ -109,28 +126,43 @@ def _rank(
 
 
 _BLOCK = 2**20  # postings entries gathered at once: a retrieval's arrays stay O(block + docs)
+# A page is attempted only when its postings outnumber _PRUNE times the
+# forward entries (avgdl per document) of depth + |exclude| + one per term
+# documents: those it rescores at least, and the fixed work of the pruned path,
+# which grows with the terms.  At 20k passages (avgdl 45) a 20-term page reads
+# 13-19k postings against a threshold of 7.6-10.8k, and its pruned pass takes
+# about 60% of the full one; at 5k passages a page reads under 5.2k, and a
+# pruned pass costs more than the full one.  Tails (depth 990) never qualify.
+_PRUNE = 8
+
+
+def _cuts(sizes: np.ndarray) -> list[int]:
+    """Blocks of whole slices of ``sizes`` entries: block i is slices cuts[i]
+    to cuts[i + 1], as many as fit in _BLOCK entries, or one."""
+    if len(sizes) and sizes.sum() <= _BLOCK:
+        return [0, len(sizes)]
+    placed = np.concatenate(([0], np.cumsum(sizes)))
+    cuts = [0]
+    while cuts[-1] < len(sizes):
+        cuts.append(max(cuts[-1] + 1, int(np.searchsorted(placed, placed[cuts[-1]] + _BLOCK, "right")) - 1))
+    return cuts
 
 
 def _accumulate(
-    index: CollectionIndex, rows: np.ndarray, weigh: Callable[..., np.ndarray], exclude: Iterable[str]
+    index: CollectionIndex, rows: np.ndarray, weigh: Callable[..., np.ndarray], excluded: Iterable[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sum_w q_w * weight(w, x) per document x outside ``exclude`` over the
-    postings ``rows`` of the model's terms in the collection, in sorted term
-    order: the candidates' internal ids, ascending, and their scores.  A block
-    of whole terms, at most _BLOCK entries unless one term holds more, is
-    gathered at once; ``weigh(spread, docs, counts)`` gives its entries' q_w * weight,
-    ``spread`` repeating a per-term array over them.  ``np.add.at`` adds in
-    entry order, so a score is the same additions in term order, whatever the blocks."""
-    if isinstance(exclude, str):  # its characters are not doc ids
-        raise ValueError(f"exclude must be a collection of doc ids, not the str {exclude!r}")
+    """sum_w q_w * weight(w, x) per document x, but the internal ids
+    ``excluded``, over the postings ``rows`` of the model's terms in the
+    collection, in sorted term order: the candidates' internal ids, ascending,
+    and their scores.  A block of whole terms (``_cuts``) is gathered at once;
+    ``weigh(spread, docs, counts)`` gives its entries' q_w * weight, ``spread``
+    repeating a per-term array over them.  ``np.add.at`` adds in entry order,
+    so a score is the same additions in term order, whatever the blocks."""
     postings = index.postings
     scores, scored = np.zeros(index.num_docs), np.zeros(index.num_docs, dtype=bool)
     starts, ends = postings.offsets[rows], postings.offsets[rows + 1]
     sizes = ends - starts
-    placed = np.concatenate(([0], np.cumsum(sizes)))  # where each term's entries start in one gather of all
-    cuts = [0]  # block i is terms cuts[i] to cuts[i + 1]: as many whole terms as fit, or one
-    while cuts[-1] < len(rows):
-        cuts.append(max(cuts[-1] + 1, int(np.searchsorted(placed, placed[cuts[-1]] + _BLOCK, "right")) - 1))
+    cuts = _cuts(sizes)
     for first, last in zip(cuts, cuts[1:]):
         spans = list(zip(starts[first:last].tolist(), ends[first:last].tolist()))
         docs = np.concatenate([postings.docs[start:end] for start, end in spans], dtype=np.intp)
@@ -138,9 +170,108 @@ def _accumulate(
         spread = lambda per_term: np.repeat(per_term[first:last], sizes[first:last])
         np.add.at(scores, docs, weigh(spread, docs, counts))
         scored[docs] = True
-    scored[[index.internal_id(d) for d in exclude if index.has_doc(d)]] = False
+    scored[np.asarray(excluded, dtype=np.intp)] = False
     candidates = np.flatnonzero(scored)
     return candidates, scores[candidates]
+
+
+def _matching(index: CollectionIndex, rows: np.ndarray, drop: np.ndarray) -> np.ndarray:
+    """The documents in the postings ``rows`` but not in ``drop``, ascending,
+    gathered a block of whole rows at a time."""
+    offsets, docs = index.postings.offsets, index.postings.docs
+    starts, ends = offsets[rows], offsets[rows + 1]
+    found = np.empty(0, np.int32)
+    cuts = _cuts(ends - starts)
+    for first, last in zip(cuts, cuts[1:]):
+        block = [docs[s:e] for s, e in zip(starts[first:last].tolist(), ends[first:last].tolist())]
+        # a row holds each document once, ascending
+        found = block[0] if len(block) == 1 and not found.size else np.union1d(found, np.concatenate(block))
+    at = np.minimum(np.searchsorted(found, drop), len(found) - 1)
+    return np.delete(found, at[found[at] == drop])
+
+
+def _rescore(
+    index: CollectionIndex, candidates: np.ndarray, rows: np.ndarray, weigh: Callable[..., np.ndarray]
+) -> np.ndarray:
+    """What ``_accumulate`` gives the ``candidates``, from their forward
+    entries in the postings ``rows``, a block of whole documents at a time: a
+    document's entries are in sorted term order, so ``np.add.at`` from 0.0 does
+    the same additions in the same order."""
+    offsets, terms = index.forward_offsets, index.forward_terms
+    starts = offsets[candidates]
+    sizes = offsets[candidates + 1] - starts
+    held = np.append(rows, -1)  # a term index past the model's rows finds no row
+    partial = np.zeros(len(candidates))
+    cuts = _cuts(sizes)
+    for first, last in zip(cuts, cuts[1:]):
+        block = sizes[first:last]
+        entries = np.arange(block.sum()) + np.repeat(starts[first:last] - (np.cumsum(block) - block), block)
+        term = np.searchsorted(rows, terms[entries])
+        hit = held[term] == terms[entries]
+        owner, term, entries = np.repeat(np.arange(first, last), block)[hit], term[hit], entries[hit]
+        np.add.at(partial, owner, weigh(lambda per_term: per_term[term], candidates[owner], index.forward_counts[entries]))
+    return partial
+
+
+def _pruned(
+    index: CollectionIndex, rows: np.ndarray, sizes: np.ndarray, weigh: Callable[..., np.ndarray],
+    finish: Callable[..., np.ndarray], bound: Callable[..., tuple], excluded: np.ndarray, depth: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The documents that can still reach the top ``depth`` and their exact
+    scores, or None where pruning does not pay or a bound is not finite.
+
+    Terms lead in decreasing bound.  The leading terms' documents outside
+    ``excluded`` are rescored exactly, and theta is the depth-th score among
+    them.  More terms lead until the bounds of the rest, plus the length
+    term's, fall strictly below theta by more than the rounding can move a
+    score; a document in none of the leading terms cannot reach theta."""
+    with np.errstate(all="ignore"):  # a bound that is not finite leaves the error to the full pass
+        bounds, prior, scale = bound(index.max_counts[rows], index.min_lengths[rows])
+    if not (math.isfinite(scale) and math.isfinite(prior)):
+        return None
+    upper = np.maximum(bounds, 0.0)  # a negative query weight adds at most 0
+    order = np.argsort(-upper, kind="stable")
+    rest = np.append(np.cumsum(upper[order][::-1])[::-1], 0.0)  # rest[i]: the bound of order[i:]
+    reach, avgdl = np.cumsum(sizes[order]), index.stats.avg_doc_len
+    lead = min(int(np.searchsorted(reach, depth + len(excluded))) + 1, len(rows))
+    # A rescored document reads about avgdl forward entries: rescoring more
+    # entries than the full pass reads postings, or every term's documents,
+    # does not pay.  _PRUNE = 0 sends every page through here, as the tests do.
+    if _PRUNE and reach[lead - 1] * avgdl > reach[-1]:
+        return None
+    candidates = _matching(index, rows[order[:lead]], excluded)
+    scores = finish(candidates, _rescore(index, candidates, rows, weigh))
+    theta = np.partition(scores, len(scores) - depth)[len(scores) - depth] if len(scores) >= depth else -math.inf
+    pad = 4 * (len(rows) + 8) * np.finfo(float).eps * (scale + abs(theta))
+    clears = rest[lead:] + prior < theta - pad
+    more = lead + int(np.argmax(clears)) if clears.any() else len(rows)
+    if more == lead:
+        return candidates, scores
+    if _PRUNE and (more == len(rows) or (reach[more - 1] - reach[lead - 1]) * avgdl > reach[-1]):
+        return None
+    new = _matching(index, rows[order[lead:more]], np.concatenate((excluded, candidates)))
+    return np.concatenate((candidates, new)), np.concatenate((scores, finish(new, _rescore(index, new, rows, weigh))))
+
+
+def _top(
+    index: CollectionIndex, rows: np.ndarray, weigh: Callable[..., np.ndarray], finish: Callable[..., np.ndarray],
+    bound: Callable[..., tuple], exclude: Iterable[str], depth: int,
+) -> ScoredList:
+    """The top ``depth`` documents outside ``exclude`` by finish(candidates,
+    partial) over the postings ``rows``: pruned where _PRUNE says it may pay,
+    and ``bound(max_counts, min_lengths)`` gives each term's bound, the length
+    term's bound and the sum of the magnitudes a score adds; else in full."""
+    check_count("depth", depth)
+    check_collection("exclude", exclude, "doc ids")  # for both paths
+    excluded = np.array([index.internal_id(d) for d in exclude if index.has_doc(d)], dtype=np.intp)
+    sizes = index.postings.offsets[rows + 1] - index.postings.offsets[rows]
+    found = None
+    if sizes.sum() > _PRUNE * (depth + len(excluded) + len(rows)) * index.stats.avg_doc_len:
+        found = _pruned(index, rows, sizes, weigh, finish, bound, excluded, depth)
+    if found is None:
+        candidates, partial = _accumulate(index, rows, weigh, excluded)
+        found = candidates, finish(candidates, partial)
+    return ScoredList(_rank(index, *found, depth))
 
 
 def _in_collection(index: CollectionIndex, model: QueryModel) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -192,10 +323,17 @@ def retrieve_kl(
 
         return each(spread(np.arange(len(per_term))) * width + counts, weighted)
 
-    candidates, partial = _accumulate(index, rows, dirichlet_delta, exclude)
-    lengths = index.doc_length_array[candidates]
-    scores = partial + baseline - weight_sum * each(lengths, lambda length: math.log(length + params.mu))
-    return ScoredList(_rank(index, candidates, scores, depth))
+    def length_term(candidates: np.ndarray, partial: np.ndarray) -> np.ndarray:
+        lengths = index.doc_length_array[candidates]
+        return partial + baseline - weight_sum * each(lengths, lambda length: math.log(length + params.mu))
+
+    def bound(counts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, float, float]:
+        # the delta grows with the count, and the length term falls with the length
+        high, low, length = np.log(counts + backgrounds), np.log(backgrounds), np.log(lengths.min() + params.mu)
+        scale = float(np.abs(q * high).sum() + np.abs(q * low).sum() + abs(baseline) + abs(weight_sum * length))
+        return q * (high - low), baseline - weight_sum * float(length), scale
+
+    return _top(index, rows, dirichlet_delta, length_term, bound, exclude, depth)
 
 
 VECTORIZERS = ("bm25", "mle")
@@ -229,5 +367,9 @@ def retrieve_dot(
     def weigh(spread: Callable, docs: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return spread(q) * weighting(spread(rows), index.doc_length_array[docs], counts)
 
-    candidates, scores = _accumulate(index, rows, weigh, exclude)
-    return ScoredList(_rank(index, candidates, scores, depth))
+    def bound(counts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, float, float]:
+        # both weightings grow with the count, and neither grows with the length
+        terms = q * weighting(rows, lengths, counts)
+        return terms, 0.0, float(np.abs(terms).sum())
+
+    return _top(index, rows, weigh, lambda candidates, partial: partial, bound, exclude, depth)

@@ -387,6 +387,24 @@ class TestCompareCommand:
         assert "samples must be >= 1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("queries", [3, 25])  # exact enumeration and sampling
+    def test_negative_seed_is_data_error(self, tmp_path, queries, capsys):
+        # it succeeded on the exact branch and failed without naming seed on the other
+        (tmp_path / "a.txt").write_text("".join(f"q{i} Q0 d{i} 1 1.000000 t\n" for i in range(queries)))
+        (tmp_path / "q.txt").write_text("".join(f"q{i} 0 d{i} 1\n" for i in range(queries)))
+        rc = cli.main(
+            [
+                "compare",
+                "--run-a", str(tmp_path / "a.txt"),
+                "--run-b", str(tmp_path / "a.txt"),
+                "--qrels", str(tmp_path / "q.txt"),
+                "--seed", "-1",
+            ]
+        )
+        assert rc == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_singleton_grid_matches_eval(self, indexed, toy_paths, tmp_path, capsys):
         cli.main(run_args(indexed, toy_paths, tmp_path))

@@ -362,6 +362,12 @@ class TestParseQrels:
         with pytest.raises(CorpusFormatError, match=f":2: non-integer grade {grade!r}"):
             parse_qrels(path)
 
+    @pytest.mark.parametrize("grade, message", [(True, "must be int, got True"), (-1, "must be >= 0, got -1")])
+    def test_set_grade_follows_the_count_rule(self, grade, message):
+        # True was stored as a grade
+        with pytest.raises(ValueError, match=f"^the grade of \\(301, D1\\) {message}$"):
+            QrelSet().set("301", "D1", grade)
+
     def test_duplicate_pairs_overwrite(self, tmp_path):
         path = tmp_path / "qrels"
         path.write_text("301 0 D1 0\n301 0 D1 2\n")

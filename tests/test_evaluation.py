@@ -135,6 +135,13 @@ class TestAveragePrecision:
         assert average_precision(run, qrels, "q", cutoff=1000) == 0.0
         assert average_precision(run, qrels, "q", cutoff=1001) > 0.0
 
+    @pytest.mark.parametrize("cutoff, message", [(True, "must be int, got True"), (0, "must be >= 1, got 0")])
+    def test_cutoff_follows_the_count_rule(self, cutoff, message):
+        # True was read as a cutoff of 1 and gave AP 0.0
+        qrels = make_qrels([("q", "A", 1), ("q", "B", 1)])
+        with pytest.raises(ValueError, match=f"^cutoff {message}$"):
+            average_precision(["B", "A"], qrels, "q", cutoff=cutoff)
+
     def test_swapping_adjacent_nonrelevant_is_neutral(self):
         qrels = make_qrels([("q", "A", 1), ("q", "D", 1)])
         base = ["A", "B", "C", "D"]
@@ -183,6 +190,15 @@ class TestEvaluateRun:
         with pytest.raises(ValueError, match="metric"):
             evaluate_run({}, QrelSet(), "err")
 
+    @pytest.mark.parametrize("ranking", ["p00001", None])
+    def test_a_ranking_that_is_not_a_collection_rejected(self, ranking):
+        # the str was read as the ranking "p", "0", ..., "1" and gave AP 0.0
+        qrels = make_qrels([("q00", "p00001", 1)])
+        shown = f"the str {ranking!r}" if ranking else "None"
+        message = f"the run of query 'q00' must be a collection of doc ids, not {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate_run({"q00": ranking}, qrels, "map")
+
 
 class TestFisherRandomization:
     def test_identical_systems_give_p_one(self):
@@ -221,6 +237,21 @@ class TestFisherRandomization:
         a = {f"q{i}": 0.1 * i for i in range(queries)}
         with pytest.raises(ValueError, match=f"^{name} must be int, got {value!r}$"):
             fisher_randomization(a, {q: 0.0 for q in a}, **{name: value})
+
+    @pytest.mark.parametrize("queries", [3, 25])  # exact enumeration and sampling
+    def test_negative_seed_rejected(self, queries):
+        # echoed on the exact branch; numpy's unnamed "expected non-negative integer" on the other
+        a = {f"q{i}": 0.1 * i for i in range(queries)}
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            fisher_randomization(a, {q: 0.0 for q in a}, seed=-1)
+
+    @pytest.mark.parametrize("limit, message", [(True, "must be int, got True"), (-1, "must be >= 0, got -1")])
+    def test_exact_limit_follows_the_count_rule(self, limit, message):
+        # True was read as 1 and sent 3 queries to Monte Carlo sampling
+        a = {f"q{i}": 0.1 * i for i in range(3)}
+        with pytest.raises(ValueError, match=f"^exact_limit {message}$"):
+            fisher_randomization(a, {q: 0.0 for q in a}, exact_limit=limit)
+        assert fisher_randomization(a, {q: 0.0 for q in a}, exact_limit=0).samples == 100_000
 
     def test_symmetry(self):
         rng = random.Random(5)

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from irfkit import cli, corpus_io, index, synthetic
+from irfkit import cli, corpus_io, index, ranking, synthetic
 from irfkit.feedback import ModelParams, write_key_values
 
 MODELS = ("rm3", "distill", "rocchio", "prob")
@@ -108,6 +108,18 @@ def test_run_file_and_session_log_bytes(workdir, model, k, n, capsys):
 @pytest.mark.parametrize("model", sorted(GRIDS))
 def test_sweep_report_bytes(workdir, model, capsys):
     assert sweep_digest(workdir, model) == SWEEP_DIGESTS[model]
+
+
+def test_the_same_bytes_with_every_page_pruned(workdir, monkeypatch, capsys):
+    # _PRUNE at 0 sends every retrieval, page or tail, through the pruned path
+    monkeypatch.setattr(ranking, "_PRUNE", 0)
+    outcomes = []
+    pruned = ranking._pruned
+    monkeypatch.setattr(ranking, "_pruned", lambda *args: outcomes.append(found := pruned(*args)) or found)
+    runs = {f"{m}.{k}x{n}": run_digest(workdir, m, k, n) for m in MODELS for k, n in BUDGETS}
+    assert runs == RUN_DIGESTS
+    assert {m: sweep_digest(workdir, m) for m in GRIDS} == SWEEP_DIGESTS
+    assert outcomes and all(found is not None for found in outcomes)
 
 
 def record(root) -> None:

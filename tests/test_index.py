@@ -278,6 +278,19 @@ class TestInvariants:
             assert sum(count for _, count in plist) == idx.cf(term)
         assert sum(idx.doc_lengths) == idx.stats.total_terms
 
+    @given(doc_lists)
+    @settings(max_examples=100)
+    def test_row_bounds_are_the_largest_count_and_least_length(self, term_lists):
+        # documents may be empty; a vocabulary may be empty too
+        docs = [TermSequence(f"D{i}", tuple(terms)) for i, terms in enumerate(term_lists)]
+        idx = build_index(docs)
+        rows = idx.postings.rows
+        assert idx.max_counts.tolist() == [max(c for _, c in idx.postings[t]) for t in rows]
+        assert idx.min_lengths.tolist() == [min(idx.doc_lengths[x] for x, _ in idx.postings[t]) for t in rows]
+        for column in (idx.max_counts, idx.min_lengths):
+            with pytest.raises(ValueError, match="read-only"):
+                column[:1] = 0
+
     @given(doc_lists, st.randoms(use_true_random=False))
     @settings(max_examples=60)
     def test_stats_independent_of_arrival_order(self, term_lists, rng):

@@ -14,6 +14,7 @@ from irfkit.feedback import ModelParams
 from irfkit.index import IndexDataError, build_index, doc_vector
 from irfkit import ranking
 from irfkit.ranking import (
+    VECTORIZERS,
     QueryModel,
     query_count_vector,
     query_language_model,
@@ -557,3 +558,99 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 16 * (block + num_docs) * 8
+
+
+# _PRUNE at 0 sends every page through the pruned path; at FULL, none.
+FULL = 2**62
+
+
+def hexed(entries):
+    return [(doc_id, score.hex()) for doc_id, score in entries]
+
+
+def scored_with(prune, retrieve, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ranking, "_PRUNE", prune)
+        return retrieve(*args, **kwargs)
+
+
+@pytest.mark.parametrize("prune", [0, FULL])
+@pytest.mark.parametrize(
+    "retrieve, model",
+    [
+        (retrieve_kl, QueryModel.lm({"a": 1.0})),
+        (retrieve_dot, QueryModel.vector({"a": 1.0}, "bm25")),
+        (retrieve_dot, QueryModel.vector({"a": 1.0}, "mle")),
+    ],
+)
+def test_exclude_none_rejected_by_the_collection_rule(two_doc_index, retrieve, model, prune):
+    # None raised TypeError: 'NoneType' object is not iterable
+    with pytest.raises(ValueError, match="^exclude must be a collection of doc ids, not None$"):
+        scored_with(prune, retrieve, two_doc_index, model, ModelParams(), exclude=None, depth=1)
+
+
+class TestPrunedPages:
+    """A page pruned by its term bounds gives the full pass's entries, float
+    for float, at every depth."""
+
+    @given(scoring_cases(), st.sampled_from([1, 3, ranking._BLOCK]))
+    @settings(max_examples=150, deadline=None)
+    def test_every_depth_gives_the_full_pass_floats(self, case, block):
+        # ties from few terms and short documents, Rocchio's and prob's negative
+        # weights, excluded and unknown ids, an out-of-vocabulary term, empty
+        # models; at block 1 and 3 most postings rows and documents span blocks
+        index, lm, vector, exclude, params, _ = case
+        models = [
+            (retrieve_kl, lm),
+            (retrieve_kl, QueryModel.lm({})),
+            *[(retrieve_dot, QueryModel.vector(weights, kind)) for weights in (vector, {}) for kind in VECTORIZERS],
+        ]
+        for depth in range(1, index.num_docs + 1):
+            for retrieve, model in models:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(ranking, "_BLOCK", block)
+                    pruned = scored_with(0, retrieve, index, model, params, exclude, depth=depth)
+                full = scored_with(FULL, retrieve, index, model, params, exclude, depth=depth)
+                assert hexed(pruned.entries) == hexed(full.entries)
+
+    @pytest.mark.parametrize("kind", ["lm", "bm25", "mle"])
+    def test_a_page_rescores_only_the_documents_that_can_reach_it(self, monkeypatch, kind):
+        # 40 documents hold only the common term; the rare one's holders lead by far
+        index = make_index([(f"d{i:02d}", "c" * (1 + i % 3)) for i in range(40)] + [("r1", "rc"), ("r2", "rrc")])
+        weights = {"r": 0.9, "c": 0.1}
+        model = QueryModel.lm(weights) if kind == "lm" else QueryModel.vector(weights, kind)
+        retrieve = retrieve_kl if kind == "lm" else retrieve_dot
+        rescored = []
+        rescore = ranking._rescore
+        monkeypatch.setattr(ranking, "_rescore", lambda index, candidates, *rest: (
+            rescored.extend(index.doc_ids[x] for x in candidates.tolist()) or rescore(index, candidates, *rest)
+        ))
+        pruned = scored_with(0, retrieve, index, model, ModelParams(), ["r2"], depth=1)
+        assert rescored == ["r1"]
+        assert hexed(pruned.entries) == hexed(scored_with(FULL, retrieve, index, model, ModelParams(), ["r2"], depth=1).entries)
+
+    @pytest.mark.parametrize("kind", ["lm", "bm25", "mle"])
+    def test_memory_stays_within_a_block_and_the_documents(self, monkeypatch, kind):
+        # the pruned path gathers its candidates' postings and forward rows in blocks too
+        monkeypatch.setattr(ranking, "_PRUNE", 0)
+        TestBlocks().test_memory_stays_within_a_block_and_the_documents(monkeypatch, kind)
+
+    def test_sizes_decide_and_a_page_left_whole_builds_no_bounds(self, monkeypatch):
+        # 2,000 two-term documents: a depth-1 page of the term in all of them
+        # outnumbers 8 x (1 + 0 + 1) x avgdl postings, a depth-200 page does not
+        index = make_index([(f"d{i:04d}", "ab") for i in range(2000)])
+        attempts = []
+        pruned = ranking._pruned
+        monkeypatch.setattr(ranking, "_pruned", lambda *args: attempts.append(args[-1]) or pruned(*args))
+        retrieve_kl(index, QueryModel.lm({"a": 1.0}), ModelParams(), depth=200)
+        assert attempts == [] and "max_counts" not in vars(index) and "min_lengths" not in vars(index)
+        retrieve_kl(index, QueryModel.lm({"a": 1.0}), ModelParams(), depth=1)
+        assert attempts == [1] and "max_counts" in vars(index)
+
+
+class TestNonFiniteScoreWithEveryPagePruned(TestNonFiniteScore):
+    """A bound that is not finite sends the page to the full pass, which names the doc."""
+
+    @pytest.fixture(autouse=True)
+    def every_page_pruned(self, monkeypatch):
+        monkeypatch.setattr(ranking, "_PRUNE", 0)
