@@ -238,8 +238,8 @@ def cross_validate(
     """Pick, per fold, the grid point maximizing the mean metric on the other
     folds, then pool the held-out per-query scores.
 
-    ``score_fn`` maps a parameter point to per-query metric values; it is
-    called once per point.
+    ``score_fn`` maps a parameter point to per-query metric values, one for
+    every query id; it is called once per point.
     """
     if not grid_points:
         raise ValueError("empty parameter grid")
@@ -250,6 +250,10 @@ def cross_validate(
         )
     fold_members = assign_folds(query_ids, folds)
     table = [(params, dict(score_fn(params))) for params in grid_points]
+    wanted = set(query_ids)
+    for point, (_, scores) in enumerate(table):
+        if missing := wanted.difference(scores):
+            raise ValueError(f"score_fn gave no score for query {min(missing)!r} at grid point {point}")
 
     fold_results = []
     pooled: dict[str, float] = {}

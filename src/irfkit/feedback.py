@@ -15,6 +15,15 @@ Every estimator starts from the original query and the full pools; none of
 them chains off the previous iteration's model, which is known to drift.
 Sums add in order and logs are ``math.log`` (``irfkit.exact``), so an
 estimate is the same floats on every Python version and CPU.
+
+The estimators keep postings rows and float64 arrays until they build their
+``QueryModel``: the pools come from ``index.forward_rows``, and document and
+collection frequencies from the ``dfs`` and ``cfs`` columns.  A row id sorts
+like its term, so the loops over sorted terms they replaced are operations
+on ascending rows: a top-m cut is ``np.lexsort`` on (row, -key), ties to the
+smaller term, and an interpolation or a centroid update is a merge of sorted
+rows with the same elementwise operations in the same order.  Query terms
+outside the collection have no row; they keep their place in the weights.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ import numpy as np
 
 from .corpus_io import check_count, check_value, parse_number, read_text, reject_repeats
 from .exact import log_each, ordered_sum
-from .index import CollectionIndex, forward_sum
+from .index import CollectionIndex, by_term, forward_rows
 from .ranking import QueryModel, doc_weighting, query_count_vector, query_language_model
 
 
@@ -119,6 +128,8 @@ def parse_param(key: str, value: str):
     """Coerce one string value to the type of the ModelParams field ``key``."""
     if key not in _FIELD_TYPES:
         raise FeedbackError(f"unknown parameter {key!r}")
+    if not isinstance(value, str):
+        raise FeedbackError(f"parameter {key!r} must be given as a str, got {value!r}")
     field_type = _FIELD_TYPES[key]
     try:
         return _BOOLS[value.lower()] if field_type is bool else parse_number(value, field_type)
@@ -190,11 +201,33 @@ def load_grid(path: str | Path | None, model_kind: str) -> list[ModelParams]:
     return [ModelParams(**p) for p in points if p.get("lambda1", lambda1) + p.get("lambda2", lambda2) < 1.0]
 
 
+def _counts(rows: np.ndarray, lengths: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    return counts
+
+
+def _mean_rows(index: CollectionIndex, doc_ids: Sequence[str], weighting: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of the documents' vectors under a ``ranking.doc_weighting``: the
+    postings rows, ascending, and their weights."""
+    rows, sums = forward_rows(index, doc_ids, weighting)
+    return rows, sums / len(doc_ids)
+
+
 def _centroid(index: CollectionIndex, doc_ids: Sequence[str], weighting: Callable) -> dict[str, float]:
-    """Mean of the documents' vectors under a ``ranking.doc_weighting``, in
-    sorted term order."""
-    n = len(doc_ids)
-    return {t: w / n for t, w in forward_sum(index, doc_ids, weighting).items()}
+    """``_mean_rows`` by term, in sorted term order."""
+    return by_term(index, *_mean_rows(index, doc_ids, weighting))
+
+
+def _mle_rows(index: CollectionIndex, doc_set: Sequence[str], mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """``mle`` on postings rows: the rows, ascending, and their probabilities."""
+    if not doc_set:
+        raise FeedbackError("mle requires a non-empty document set")
+    if mode == "averaged":
+        return _mean_rows(index, doc_set, doc_weighting(index, "mle", ModelParams()))
+    if mode == "concatenated":
+        rows, counts = forward_rows(index, doc_set, _counts)
+        # counts and their total are below 2^53, so each quotient is the int one
+        return rows, counts / int(counts.sum())
+    raise FeedbackError(f"unknown mle mode {mode!r}")
 
 
 def mle(index: CollectionIndex, doc_set: Sequence[str], mode: str = "concatenated") -> dict[str, float]:
@@ -203,36 +236,58 @@ def mle(index: CollectionIndex, doc_set: Sequence[str], mode: str = "concatenate
     ``averaged`` is the mean of per-document distributions; ``concatenated``
     treats the set as one long document.  Either way the output sums to 1.
     """
-    if not doc_set:
-        raise FeedbackError("mle requires a non-empty document set")
-    if mode == "averaged":
-        return _centroid(index, doc_set, doc_weighting(index, "mle", ModelParams()))
-    if mode == "concatenated":
-        counts = forward_sum(index, doc_set, lambda rows, lengths, counts: counts)
-        total = sum(counts.values())
-        return {t: c / total for t, c in counts.items()}
-    raise FeedbackError(f"unknown mle mode {mode!r}")
+    return by_term(index, *_mle_rows(index, doc_set, mode))
 
 
-def _top_terms(
-    weights: dict[str, float], m: int, key: Callable[[float], float] = float
-) -> dict[str, float]:
-    """The m terms with the largest key(weight), ties to the smaller term, in
-    that order; ``weights`` itself when it holds no more than m terms."""
-    if len(weights) <= m:
-        return weights
-    return dict(sorted(weights.items(), key=lambda kv: (-key(kv[1]), kv[0]))[:m])
+def _at(rows: np.ndarray, held: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The ``values`` of the postings rows ``held`` at ``rows``, 0.0 at a row
+    it lacks; both ascending."""
+    out = np.zeros(rows.size)
+    if held.size:
+        where = np.minimum(np.searchsorted(held, rows), held.size - 1)
+        found = held[where] == rows
+        out[found] = values[where[found]]
+    return out
+
+
+def _union(*rows: np.ndarray) -> np.ndarray:
+    """The postings rows in any of the arrays, ascending."""
+    rows = np.sort(np.concatenate(rows))
+    return rows[rows != np.append(-1, rows[:-1])]
+
+
+def _top(rows: np.ndarray, key: np.ndarray, m: int) -> np.ndarray:
+    """The places of the m largest keys, ties to the smaller row, so the
+    smaller term, in that order."""
+    return np.lexsort((rows, -key))[:m]
+
+
+def _query_rows(index: CollectionIndex, weights: dict[str, float]) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+    """A query model's terms in the collection as ascending postings rows and
+    their weights, and its terms outside it, term -> weight in sorted order."""
+    row_of = index.postings.rows
+    inside = sorted(t for t in weights if t in row_of)
+    outside = {t: weights[t] for t in sorted(weights) if t not in row_of}
+    return np.array([row_of[t] for t in inside], dtype=np.int64), np.array([weights[t] for t in inside]), outside
 
 
 def _interpolate(
-    original: dict[str, float], expansion: dict[str, float], interp_lambda: float
+    index: CollectionIndex,
+    original: tuple[np.ndarray, np.ndarray, dict[str, float]],
+    expansion: tuple[np.ndarray, np.ndarray],
+    interp_lambda: float,
 ) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for term in sorted(set(original) | set(expansion)):
-        weight = interp_lambda * original.get(term, 0.0) + (1.0 - interp_lambda) * expansion.get(term, 0.0)
-        if weight != 0.0:
-            out[term] = weight
-    return out
+    """interp_lambda * original + (1 - interp_lambda) * expansion, term by
+    term, in sorted term order, less the terms whose weight is 0.0.  Both are
+    ascending postings rows and their weights; the original's terms outside
+    the collection, which the expansion never holds, come by term."""
+    (o_rows, o_weights, outside), (e_rows, e_weights) = original, expansion
+    rows = _union(o_rows, e_rows)
+    weights = interp_lambda * _at(rows, o_rows, o_weights) + (1.0 - interp_lambda) * _at(rows, e_rows, e_weights)
+    pairs = list(by_term(index, rows, weights).items())
+    if outside:
+        pairs = sorted([*pairs, *((t, interp_lambda * w + (1.0 - interp_lambda) * 0.0) for t, w in outside.items())])
+    return {t: w for t, w in pairs if w != 0.0}
 
 
 class Estimate(NamedTuple):
@@ -251,15 +306,21 @@ class Estimate(NamedTuple):
     diagnostics: dict
 
 
-def _lm_update(original: QueryModel, relevance: dict[str, float], params: ModelParams) -> Estimate:
+def _lm_update(
+    index: CollectionIndex, original: QueryModel, rows: np.ndarray, relevance: np.ndarray, params: ModelParams
+) -> Estimate:
     """The update rm3 and distillation share: keep the feedback model's top
-    num_expansion_terms terms, renormalized only if terms dropped, and
-    interpolate it with the original query model by interp_lambda."""
-    if len(relevance) > params.num_expansion_terms:
-        relevance = _top_terms(relevance, params.num_expansion_terms)
-        total = ordered_sum(relevance.values())
-        relevance = {t: w / total for t, w in relevance.items()}
-    return Estimate(QueryModel.lm(_interpolate(original.weights, relevance, params.interp_lambda)), False, {})
+    num_expansion_terms terms (ascending postings rows and their weights),
+    renormalized only if terms dropped, the kept weights added in (-weight,
+    term) order, and interpolate it with the original query model by
+    interp_lambda."""
+    if rows.size > params.num_expansion_terms:
+        kept = _top(rows, relevance, params.num_expansion_terms)
+        total = ordered_sum(relevance[kept])
+        kept.sort()
+        rows, relevance = rows[kept], relevance[kept] / total
+    weights = _interpolate(index, _query_rows(index, original.weights), (rows, relevance), params.interp_lambda)
+    return Estimate(QueryModel.lm(weights), False, {})
 
 
 def estimate_rm3(
@@ -277,13 +338,16 @@ def estimate_rm3(
     original = query_language_model(query_terms)
     if not pools.relevant:
         return Estimate(original, True, {})
-    return _lm_update(original, mle(index, pools.relevant, mode="averaged"), params)
+    return _lm_update(index, original, *_mean_rows(index, pools.relevant, doc_weighting(index, "mle", params)), params)
 
 
 class _LogLikelihoods(Sequence[float]):
     """The trace of a distillation fit: each kept iterate's log-likelihood,
     ``math.log`` per term and the products added in order.  An entry holds
-    its iterate's mixture until it is first read, and its value after."""
+    its iterate's mixture until it is first read, and its value after.  The
+    mixtures are rows of the EM's blocks, so until the last entry is read the
+    trace also keeps at most ``_EM_BLOCK - 1`` rows of iterates stepped past
+    the stop."""
 
     def __init__(self, counts: np.ndarray) -> None:
         self._counts = counts
@@ -304,6 +368,92 @@ class _LogLikelihoods(Sequence[float]):
         return entry
 
 
+_EM_BLOCK = 8  # EM iterates stepped between two reads of the stop test
+
+
+def _distill(
+    counts: np.ndarray, p_nonrel: np.ndarray, p_corpus: np.ndarray,
+    lambda1: float, lambda2: float, max_iters: int, tol: float,
+) -> tuple[np.ndarray, _LogLikelihoods]:
+    """``distill_relevance_model`` on arrays: the pooled counts as float64
+    and the two fixed models at the same terms; the fitted distribution at
+    those terms and the trace.
+
+    The E and M steps run a block of up to ``_EM_BLOCK`` iterates at a time
+    with numpy raising on every floating-point error, and the block's
+    log-likelihoods and bounds come from one ``np.log``.  The stop test then
+    reads the iterates one after another, as the loop did, and the fit ends
+    at the first that stops it: the iterates stepped past it are dropped.  A
+    step that raised is taken again, on its own under the caller's error
+    state, only once every iterate before it has passed the stop test.  So
+    the fit stops where the loop stops, and every numpy warning or error
+    lands where the loop's did: a step that raises nothing sets no flag the
+    caller's state could report.
+    """
+    _check_lambdas(lambda1, lambda2)
+    if not counts.size:
+        raise FeedbackError("distillation requires a non-empty relevant pool")
+    rel_weight = 1.0 - lambda1 - lambda2
+    fixed = lambda1 * p_nonrel + lambda2 * p_corpus
+    trace = _LogLikelihoods(counts)
+    bound_per_unit = (counts.size + 8) * 2.0**-50
+    p_rel = counts / ordered_sum(counts)
+    weighted = rel_weight * p_rel
+    # each iterate's p_rel, and the weighted p_rel and mixture the next E step
+    # divides; the mixture is also its log-likelihood's argument
+    latest = p_rel, weighted, weighted + fixed
+    block = [latest]  # iterates stepped that the stop test has not read
+    last = None  # the approximate log-likelihood and bound of the iterate it read last
+    steps, going, raised = 0, True, False
+
+    def step() -> bool:
+        """Step on to the next iterate; False once the expected counts sum to 0.0."""
+        nonlocal latest, steps
+        expected = counts * latest[1] / latest[2]
+        mass = ordered_sum(expected)
+        if mass == 0.0:
+            return False
+        p_rel = expected / mass
+        weighted = rel_weight * p_rel
+        latest = p_rel, weighted, weighted + fixed
+        block.append(latest)
+        steps += 1
+        return True
+
+    while True:
+        if raised:  # the step that raised, on its own under the caller's error state
+            going, raised = step(), False
+        with np.errstate(all="raise"):
+            try:
+                while going and steps < max_iters and len(block) < _EM_BLOCK:
+                    going = step()
+            except FloatingPointError:
+                raised = True
+        if block:
+            mixtures = np.array([mixture for _, _, mixture in block])
+            with np.errstate(all="ignore"):  # np.log of an entry <= 0 is -inf or nan
+                weighted_logs = counts * np.log(mixtures)
+                approxes = weighted_logs.sum(axis=1).tolist()
+                bounds = (bound_per_unit * np.abs(weighted_logs).sum(axis=1)).tolist()
+            for (p_rel, _, _), mixture, approx, bound in zip(block, mixtures, approxes, bounds):
+                trace.append(mixture)
+                if not math.isfinite(bound):
+                    trace[-1]  # math.log raises on an entry <= 0, as the loop did
+                if last is not None:
+                    gain = approx - last[0]
+                    margin = bound + last[1] + 2.0**-50 * (abs(gain) + abs(tol))
+                    if math.isfinite(margin) and abs(gain - tol) > margin:
+                        converged = gain < tol
+                    else:
+                        converged = trace[-1] - trace[-2] < tol
+                    if converged:
+                        return p_rel, trace
+                last = approx, bound
+            block.clear()
+        if not raised and not (going and steps < max_iters):
+            return p_rel, trace
+
+
 def distill_relevance_model(
     pool_counts: dict[str, int],
     p_nonrel: dict[str, float],
@@ -316,15 +466,17 @@ def distill_relevance_model(
     """EM fit of the relevance topic in the three-way mixture
     (1-l1-l2)*p_rel + l1*p_nonrel + l2*p_corpus against pooled term counts.
 
+    Each count is an int, at least 0; the terms counted 0 are dropped.
     Returns the fitted distribution, in sorted term order, and the
     log-likelihood trace, which is non-decreasing up to rounding.  The fit
-    runs on float64 arrays with the arithmetic of a loop over terms: the
-    same operation order and sums added in order.  Every float it returns
-    is the loop's, bit for bit, trace entries included: they take
+    (``_distill``) runs on float64 arrays with the arithmetic of a loop over
+    terms: the same operation order and sums added in order.  Every float it
+    returns is the loop's, bit for bit, trace entries included: they take
     ``math.log`` per term, because ``np.log``'s SIMD kernels round some
     inputs differently by CPU.  The trace computes an entry when it is
     first read, so until then it keeps the iterates' mixtures: (iterations
-    + 1) x terms floats.
+    + 1) x terms floats, and at most ``_EM_BLOCK - 1`` rows more, of the
+    iterates stepped past the stop.
 
     The stop test reads ``np.log`` within a proven bound.  With u = 2^-53
     and n terms, let A be an iterate's log-likelihood from ``np.log``
@@ -342,59 +494,20 @@ def distill_relevance_model(
     d - tol.  Past that margin d < tol decides; within it, or when a bound
     is not finite, the exact values do.  A bound is not finite when a
     mixture entry is inf, nan or <= 0, and on the last the exact log
-    raises ``math.log``'s ValueError, as the loop did.
+    raises ``math.log``'s ValueError, as the loop did.  Each iterate's
+    decision is its own, whatever block its ``np.log`` came in.
     """
-    _check_lambdas(lambda1, lambda2)
+    for term, count in pool_counts.items():
+        check_count(f"the pool count of term {term!r}", count, FeedbackError, least=0)
     terms = sorted(t for t, c in pool_counts.items() if c > 0)
-    if not terms:
-        raise FeedbackError("distillation requires a non-empty relevant pool")
-    # every count and their total are below 2^53, so float64 holds them exactly
-    counts = np.array([pool_counts[t] for t in terms], dtype=float)
-    p_rel = counts / ordered_sum(counts)
 
     def at_terms(model: dict[str, float]) -> np.ndarray:
         return np.array([model.get(t, 0.0) for t in terms], dtype=float)
 
-    rel_weight = 1.0 - lambda1 - lambda2
-    fixed = lambda1 * at_terms(p_nonrel) + lambda2 * at_terms(p_corpus)
-    trace = _LogLikelihoods(counts)
-    bound_per_unit = (counts.size + 8) * 2.0**-50
-
-    def keep(mixture: np.ndarray) -> tuple[float, float]:
-        """Append an iterate to the trace; its approximate log-likelihood
-        and the bound on that value's distance from the exact one."""
-        trace.append(mixture)
-        with np.errstate(all="ignore"):  # np.log of an entry <= 0 is -inf or nan
-            weighted_logs = counts * np.log(mixture)
-            approx = weighted_logs.sum().item()
-            bound = bound_per_unit * np.abs(weighted_logs).sum().item()
-        if not math.isfinite(bound):
-            trace[-1]  # math.log raises on an entry <= 0, as the loop did
-        return approx, bound
-
-    # the mixture at p_rel is both its log-likelihood's argument and the
-    # denominator of the next E step
-    weighted = rel_weight * p_rel
-    mixture = weighted + fixed
-    last, last_bound = keep(mixture)
-    for _ in range(max_iters):
-        expected = counts * weighted / mixture
-        mass = ordered_sum(expected)
-        if mass == 0.0:
-            break
-        p_rel = expected / mass
-        weighted = rel_weight * p_rel
-        mixture = weighted + fixed
-        approx, bound = keep(mixture)
-        gain = approx - last
-        margin = bound + last_bound + 2.0**-50 * (abs(gain) + abs(tol))
-        if math.isfinite(margin) and abs(gain - tol) > margin:
-            converged = gain < tol
-        else:
-            converged = trace[-1] - trace[-2] < tol
-        if converged:
-            break
-        last, last_bound = approx, bound
+    # every count and their total are below 2^53, so float64 holds them exactly
+    p_rel, trace = _distill(
+        at_terms(pool_counts), at_terms(p_nonrel), at_terms(p_corpus), lambda1, lambda2, max_iters, tol
+    )
     return dict(zip(terms, p_rel.tolist())), trace
 
 
@@ -415,25 +528,24 @@ def estimate_distillation(
     if not pools.relevant:
         return Estimate(original, True, {})
     lambda1, lambda2 = params.lambda1, params.lambda2
+    rows, counts = forward_rows(index, pools.relevant, _counts)
     if pools.nonrelevant:
-        p_nonrel = mle(index, pools.nonrelevant, mode="concatenated")
+        p_nonrel = _at(rows, *_mle_rows(index, pools.nonrelevant, "concatenated"))
     else:
-        p_nonrel = {}
+        p_nonrel = np.zeros(rows.size)
         remaining = 1.0 - lambda1
         lambda1, lambda2 = 0.0, lambda2 / remaining
-    total_terms = index.stats.total_terms
-    pool_counts = forward_sum(index, pools.relevant, lambda rows, lengths, counts: counts)
-    p_corpus = {t: index.cf(t) / total_terms for t in pool_counts}
-    relevance, trace = distill_relevance_model(
-        pool_counts, p_nonrel, p_corpus, lambda1, lambda2, params.em_max_iters, params.em_tol
+    p_corpus = index.cfs[rows] / index.stats.total_terms
+    relevance, trace = _distill(
+        counts.astype(float), p_nonrel, p_corpus, lambda1, lambda2, params.em_max_iters, params.em_tol
     )
     diagnostics = {
         "em_iterations": len(trace) - 1,
         "log_likelihood": trace[-1],
         "converged": len(trace) > 1 and trace[-1] - trace[-2] < params.em_tol,
     }
-    estimate = _lm_update(original, {t: p for t, p in relevance.items() if p > 0.0}, params)
-    return estimate._replace(diagnostics=diagnostics)
+    kept = relevance > 0.0
+    return _lm_update(index, original, rows[kept], relevance[kept], params)._replace(diagnostics=diagnostics)
 
 
 def estimate_rocchio(
@@ -450,18 +562,41 @@ def estimate_rocchio(
 
     Expansion terms outside the original query are truncated to the top
     num_expansion_terms by absolute weight; query terms are always kept.
+    The weights come in the order of a dict updated term by term: the query
+    terms first, then the relevant centroid's new terms and the non-relevant
+    one's, each in sorted term order.
     """
     bm25 = doc_weighting(index, "bm25", params)
     vector = dict(query_count_vector(query_terms).weights)
-    query_term_set = set(vector)
+    q_rows, q_counts, _ = _query_rows(index, vector)
     sign = -1.0 if params.subtract_nonrelevant else 1.0
-    for pool, coefficient in (pools.relevant, params.beta), (pools.nonrelevant, sign * params.gamma):
-        if pool and coefficient != 0.0:
-            for term, weight in _centroid(index, pool, bm25).items():
-                vector[term] = vector.get(term, 0.0) + coefficient * weight
-    expansion = {t: w for t, w in vector.items() if t not in query_term_set}
-    kept = _top_terms(expansion, params.num_expansion_terms, abs)
-    vector = {t: w for t, w in vector.items() if t in query_term_set or t in kept}
+    centroids = [
+        (coefficient, *_mean_rows(index, pool, bm25))
+        for pool, coefficient in ((pools.relevant, params.beta), (pools.nonrelevant, sign * params.gamma))
+        if pool and coefficient != 0.0
+    ]
+    rows = _union(q_rows, *(c_rows for _, c_rows, _ in centroids))
+    weights, new, first = np.zeros(rows.size), np.ones(rows.size, bool), np.zeros(rows.size, bool)
+    at = np.searchsorted(rows, q_rows)
+    weights[at], new[at] = q_counts, False
+    # an overflow is an inf, as in float arithmetic, which QueryModel.vector rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (coefficient, c_rows, c_weights) in enumerate(centroids):
+            at = np.searchsorted(rows, c_rows)
+            weights[at] = weights[at] + coefficient * c_weights
+            first[at] |= i == 0
+    vector.update(by_term(index, q_rows, weights[~new]))
+    expansion = np.flatnonzero(new)
+    # in the order of a dict updated term by term: the first centroid's new terms, then the other's
+    expansion = expansion[np.lexsort((expansion, ~first[expansion]))]
+    if expansion.size > (m := params.num_expansion_terms):
+        key, tie = np.abs(weights[expansion]), rows[expansion]
+        if np.isnan(key).any():  # from inf - inf: a sort places a nan key by its input order
+            top = sorted(range(expansion.size), key=lambda i, key=key.tolist(), tie=tie.tolist(): (-key[i], tie[i]))[:m]
+        else:
+            top = _top(tie, key, m)
+        expansion = expansion[np.sort(top)]
+    vector.update(by_term(index, rows[expansion], weights[expansion]))
     fallback = not pools.relevant and not pools.nonrelevant
     return Estimate(QueryModel.vector(vector, "bm25"), fallback, {})
 
@@ -487,27 +622,27 @@ def estimate_prob(
     if num_rel == 0:
         return Estimate(query_count_vector(query_terms), True, {})
 
-    df_pool = forward_sum(index, pools.relevant, lambda rows, lengths, counts: 1)
-    in_pool = np.array(list(df_pool.values()), dtype=float)  # counts below 2^53: exact floats
-    in_all = np.array([index.df(term) for term in df_pool], dtype=float)
+    rows, in_pool = forward_rows(index, pools.relevant, lambda rows, lengths, counts: 1)
+    in_pool = in_pool.astype(float)  # counts below 2^53: exact floats
+    in_all = index.dfs[rows].astype(float)
     p_rel = (in_pool + in_all / num_docs) / (num_rel + 1)
     p_nonrel = (in_all - in_pool + in_all / num_docs) / (num_docs - num_rel + 1)
     kept = (in_all < num_docs) & (p_nonrel < 1.0)  # where the log-odds is defined
-    p_rel, p_nonrel = p_rel[kept], p_nonrel[kept]
+    rows, p_rel, p_nonrel = rows[kept], p_rel[kept], p_nonrel[kept]
     log_odds = log_each(p_rel * (1.0 - p_nonrel) / (p_nonrel * (1.0 - p_rel)))
     excluded = kept.size - log_odds.size
-    feedback = dict(zip(itertools.compress(df_pool, kept.tolist()), log_odds.tolist()))
-    feedback = _top_terms(feedback, params.num_expansion_terms)
+    if rows.size > params.num_expansion_terms:
+        top = np.sort(_top(rows, log_odds, params.num_expansion_terms))
+        rows, log_odds = rows[top], log_odds[top]
 
-    original: dict[str, float] = {}
-    for term in sorted(set(query_terms)):
-        df_all = index.df(term)
-        if df_all == 0 or df_all >= num_docs:
-            excluded += 1
-            continue
-        original[term] = math.log((num_docs - df_all) / df_all)
-
-    combined = _interpolate(original, feedback, params.interp_lambda)
+    query, row_of = set(query_terms), index.postings.rows
+    query_rows = np.array(sorted(row_of[t] for t in query if t in row_of), dtype=np.int64)
+    df_all = index.dfs[query_rows]
+    defined = df_all < num_docs  # and a term outside the collection, df 0, has no row
+    excluded += len(query) - int(np.count_nonzero(defined))
+    df_all = df_all[defined]
+    original = query_rows[defined], log_each((num_docs - df_all) / df_all), {}
+    combined = _interpolate(index, original, (rows, log_odds), params.interp_lambda)
     return Estimate(QueryModel.vector(combined, "mle"), False, {"excluded": excluded})
 
 

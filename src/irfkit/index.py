@@ -8,8 +8,10 @@ in ascending doc order.  ``CollectionIndex.postings`` shows them as a
 read-only mapping of (doc, count) lists.  The forward store is the same
 entries transposed, doc-major CSR columns of term rows and counts, because
 the feedback estimators need full term vectors of judged documents;
-``forward_sum`` is its one reader.  The index is immutable once built and
-safe to share across threads.
+``forward_rows`` is its one reader, and ``forward_sum`` that reader's dict
+view.  A row id sorts like its term, so the estimators stay on row arrays,
+with the per-row ``dfs`` and ``cfs`` columns, until they build a query model.
+The index is immutable once built and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -100,8 +102,6 @@ class CollectionIndex:
         rank = np.empty(num_docs, dtype=np.int64)
         rank[sorted(range(num_docs), key=doc_ids.__getitem__)] = np.arange(num_docs)
         self.doc_id_rank = _frozen(rank)
-        self._df = np.diff(postings.offsets).tolist()
-        self._cf = _row_sums(postings.offsets, postings.counts).tolist()
         total = sum(self.doc_lengths)
         avgdl = total / num_docs if num_docs else 0.0
         self.stats = CollectionStats(num_docs, total, avgdl, len(postings))
@@ -121,16 +121,26 @@ class CollectionIndex:
 
     def df(self, term: str) -> int:
         row = self.postings.rows.get(term)
-        return 0 if row is None else self._df[row]
+        return 0 if row is None else self.dfs.item(row)
 
     def cf(self, term: str) -> int:
         row = self.postings.rows.get(term)
-        return 0 if row is None else self._cf[row]
+        return 0 if row is None else self.cfs.item(row)
+
+    @cached_property
+    def dfs(self) -> np.ndarray:
+        """The document frequency of each postings row, int64, read-only; built at first use."""
+        return _frozen(np.diff(self.postings.offsets))
+
+    @cached_property
+    def cfs(self) -> np.ndarray:
+        """The collection frequency of each postings row, int64, read-only; built at first use."""
+        return _frozen(_row_sums(self.postings.offsets, self.postings.counts))
 
     @cached_property
     def idf(self) -> np.ndarray:
         """BM25's idf log((N+1)/df) per postings row, read-only; built at first use."""
-        return _frozen(log_each((self.num_docs + 1) / np.array(self._df, dtype=np.float64)))
+        return _frozen(log_each((self.num_docs + 1) / self.dfs.astype(np.float64)))
 
     @cached_property
     def max_counts(self) -> np.ndarray:
@@ -226,11 +236,14 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
     return CollectionIndex(doc_ids, postings, analysis)
 
 
-def forward_sum(index: CollectionIndex, doc_ids: Iterable[str], weigh: Callable[..., Any]) -> dict[str, Any]:
-    """Per term in sorted order, the sum from 0 of ``weigh(rows, lengths,
-    counts)`` over the forward entries of the documents given: one call on all
-    entries, gathered in pool order, and ``np.add.at`` adds in that order.  The
-    one reader of the forward store."""
+def forward_rows(
+    index: CollectionIndex, doc_ids: Iterable[str], weigh: Callable[..., Any]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per postings row held by the documents given, ascending (so in sorted
+    term order), the sum from 0 of ``weigh(rows, lengths, counts)`` over their
+    forward entries: one call on all entries, gathered in pool order, and
+    ``np.add.at`` adds in that order.  The rows, and the sums as int64 for
+    integer weights, else float64.  The one reader of the forward store."""
     internal = np.array([index.internal_id(doc_id) for doc_id in doc_ids], dtype=np.int64)
     starts = index.forward_offsets[internal]
     sizes = index.forward_offsets[internal + 1] - starts
@@ -241,7 +254,18 @@ def forward_sum(index: CollectionIndex, doc_ids: Iterable[str], weigh: Callable[
     distinct = distinct[distinct != np.append(-1, distinct[:-1])]  # np.unique costs twice this
     sums = np.zeros(distinct.size, np.result_type(weights, np.int64))  # counts sum as int64
     np.add.at(sums, np.searchsorted(distinct, rows), weights.astype(sums.dtype))  # one dtype: its fast loop
-    return dict(zip(map(index.postings.terms.__getitem__, distinct.tolist()), sums.tolist()))
+    return distinct, sums
+
+
+def by_term(index: CollectionIndex, rows: np.ndarray, values: np.ndarray) -> dict[str, Any]:
+    """term -> value for postings rows and their values, in the rows' order,
+    as Python ints or floats."""
+    return dict(zip(map(index.postings.terms.__getitem__, rows.tolist()), values.tolist()))
+
+
+def forward_sum(index: CollectionIndex, doc_ids: Iterable[str], weigh: Callable[..., Any]) -> dict[str, Any]:
+    """``forward_rows`` as a dict, term -> sum, in sorted term order."""
+    return by_term(index, *forward_rows(index, doc_ids, weigh))
 
 
 def doc_vector(index: CollectionIndex, doc_id: str) -> dict[str, int]:
@@ -260,7 +284,7 @@ def save_index(index: CollectionIndex, directory: str | Path) -> None:
     for name in ("manifest.json", "lexicon.tsv", "forward.tsv", "postings.tsv"):
         (directory / name).unlink(missing_ok=True)
     postings = index.postings
-    tables = ("docs.tsv", index.doc_ids, index.doc_lengths), ("terms.tsv", postings.terms, index._df)
+    tables = ("docs.tsv", index.doc_ids, index.doc_lengths), ("terms.tsv", postings.terms, index.dfs.tolist())
     for name, keys, numbers in tables:
         with open(directory / name, "w", encoding="utf-8") as handle:
             handle.writelines(f"{key}\t{number}\n" for key, number in zip(keys, numbers))

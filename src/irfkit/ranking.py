@@ -80,8 +80,9 @@ class QueryModel:
 
 
 def _check_finite(weights: dict[str, float]) -> dict[str, float]:
-    for term, weight in weights.items():
-        check_value(f"query weight of {term!r}", weight, float)
+    if not all(map(math.isfinite, weights.values())):  # a float fails check_value only here
+        for term, weight in weights.items():
+            check_value(f"query weight of {term!r}", weight, float)
     return weights
 
 
@@ -302,7 +303,7 @@ def retrieve_kl(
     terms, rows, q = _in_collection(index, model)
     total_terms = index.stats.total_terms
     # Python floats: a mu * cf that overflows is inf, which _rank rejects, not a numpy warning
-    backgrounds = [params.mu * index.cf(term) / total_terms for term in terms]
+    backgrounds = [params.mu * cf / total_terms for cf in index.cfs[rows].tolist()]
     if 0.0 in backgrounds:  # its log would be a math domain error
         term = terms[backgrounds.index(0.0)]
         raise ValueError(f"mu={params.mu} is so small that mu * cf / total_terms is 0.0 for term {term!r}")

@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from irfkit import krovetz
 from irfkit.corpus_io import QrelSet, TermSequence, Topic
 from irfkit.evaluation import SigTestResult
-from irfkit.exact import ordered_sum
-from irfkit.feedback import ModelParams
+from irfkit.exact import log_each, ordered_sum
+from irfkit.feedback import Estimate, FeedbackError, FeedbackPools, ModelParams, _centroid, _check_lambdas, mle
 from irfkit.index import CollectionIndex, forward_sum
-from irfkit.ranking import doc_weighting
+from irfkit.ranking import QueryModel, doc_weighting, query_count_vector, query_language_model
 
 
 def random_corpus(
@@ -140,3 +141,124 @@ def reference_distill(
         if trace[-1] - trace[-2] < tol:
             break
     return dict(zip(terms, p_rel)), trace
+
+
+# The estimators as they were written on str dicts, before they kept postings
+# rows: each must give the same model, weights and term order included, the
+# same fallback and the same diagnostics.
+
+
+def reference_top_terms(
+    weights: dict[str, float], m: int, key: Callable[[float], float] = float
+) -> dict[str, float]:
+    """The m terms with the largest key(weight), ties to the smaller term, in
+    that order; ``weights`` itself when it holds no more than m terms."""
+    if len(weights) <= m:
+        return weights
+    return dict(sorted(weights.items(), key=lambda kv: (-key(kv[1]), kv[0]))[:m])
+
+
+def reference_interpolate(
+    original: dict[str, float], expansion: dict[str, float], interp_lambda: float
+) -> dict[str, float]:
+    out: dict[str, float] = {}
+    for term in sorted(set(original) | set(expansion)):
+        weight = interp_lambda * original.get(term, 0.0) + (1.0 - interp_lambda) * expansion.get(term, 0.0)
+        if weight != 0.0:
+            out[term] = weight
+    return out
+
+
+def reference_lm_update(original: QueryModel, relevance: dict[str, float], params: ModelParams) -> Estimate:
+    if len(relevance) > params.num_expansion_terms:
+        relevance = reference_top_terms(relevance, params.num_expansion_terms)
+        total = ordered_sum(relevance.values())
+        relevance = {t: w / total for t, w in relevance.items()}
+    return Estimate(QueryModel.lm(reference_interpolate(original.weights, relevance, params.interp_lambda)), False, {})
+
+
+def reference_rm3(
+    index: CollectionIndex, query_terms: Sequence[str], pools: FeedbackPools, params: ModelParams
+) -> Estimate:
+    original = query_language_model(query_terms)
+    if not pools.relevant:
+        return Estimate(original, True, {})
+    return reference_lm_update(original, mle(index, pools.relevant, mode="averaged"), params)
+
+
+def reference_distillation(
+    index: CollectionIndex, query_terms: Sequence[str], pools: FeedbackPools, params: ModelParams
+) -> Estimate:
+    original = query_language_model(query_terms)
+    if not pools.relevant:
+        return Estimate(original, True, {})
+    lambda1, lambda2 = params.lambda1, params.lambda2
+    if pools.nonrelevant:
+        p_nonrel = mle(index, pools.nonrelevant, mode="concatenated")
+    else:
+        p_nonrel = {}
+        remaining = 1.0 - lambda1
+        lambda1, lambda2 = 0.0, lambda2 / remaining
+    total_terms = index.stats.total_terms
+    pool_counts = forward_sum(index, pools.relevant, lambda rows, lengths, counts: counts)
+    p_corpus = {t: index.cf(t) / total_terms for t in pool_counts}
+    _check_lambdas(lambda1, lambda2)
+    if not pool_counts:
+        raise FeedbackError("distillation requires a non-empty relevant pool")
+    relevance, trace = reference_distill(
+        pool_counts, p_nonrel, p_corpus, lambda1, lambda2, params.em_max_iters, params.em_tol
+    )
+    diagnostics = {
+        "em_iterations": len(trace) - 1,
+        "log_likelihood": trace[-1],
+        "converged": len(trace) > 1 and trace[-1] - trace[-2] < params.em_tol,
+    }
+    estimate = reference_lm_update(original, {t: p for t, p in relevance.items() if p > 0.0}, params)
+    return estimate._replace(diagnostics=diagnostics)
+
+
+def reference_rocchio(
+    index: CollectionIndex, query_terms: Sequence[str], pools: FeedbackPools, params: ModelParams
+) -> Estimate:
+    bm25 = doc_weighting(index, "bm25", params)
+    vector = dict(query_count_vector(query_terms).weights)
+    query_term_set = set(vector)
+    sign = -1.0 if params.subtract_nonrelevant else 1.0
+    for pool, coefficient in (pools.relevant, params.beta), (pools.nonrelevant, sign * params.gamma):
+        if pool and coefficient != 0.0:
+            for term, weight in _centroid(index, pool, bm25).items():
+                vector[term] = vector.get(term, 0.0) + coefficient * weight
+    expansion = {t: w for t, w in vector.items() if t not in query_term_set}
+    kept = reference_top_terms(expansion, params.num_expansion_terms, abs)
+    vector = {t: w for t, w in vector.items() if t in query_term_set or t in kept}
+    fallback = not pools.relevant and not pools.nonrelevant
+    return Estimate(QueryModel.vector(vector, "bm25"), fallback, {})
+
+
+def reference_prob(
+    index: CollectionIndex, query_terms: Sequence[str], pools: FeedbackPools, params: ModelParams
+) -> Estimate:
+    num_docs = index.num_docs
+    num_rel = len(pools.relevant)
+    if num_rel == 0:
+        return Estimate(query_count_vector(query_terms), True, {})
+    df_pool = forward_sum(index, pools.relevant, lambda rows, lengths, counts: 1)
+    in_pool = np.array(list(df_pool.values()), dtype=float)
+    in_all = np.array([index.df(term) for term in df_pool], dtype=float)
+    p_rel = (in_pool + in_all / num_docs) / (num_rel + 1)
+    p_nonrel = (in_all - in_pool + in_all / num_docs) / (num_docs - num_rel + 1)
+    kept = (in_all < num_docs) & (p_nonrel < 1.0)
+    p_rel, p_nonrel = p_rel[kept], p_nonrel[kept]
+    log_odds = log_each(p_rel * (1.0 - p_nonrel) / (p_nonrel * (1.0 - p_rel)))
+    excluded = kept.size - log_odds.size
+    feedback = dict(zip(itertools.compress(df_pool, kept.tolist()), log_odds.tolist()))
+    feedback = reference_top_terms(feedback, params.num_expansion_terms)
+    original: dict[str, float] = {}
+    for term in sorted(set(query_terms)):
+        df_all = index.df(term)
+        if df_all == 0 or df_all >= num_docs:
+            excluded += 1
+            continue
+        original[term] = math.log((num_docs - df_all) / df_all)
+    combined = reference_interpolate(original, feedback, params.interp_lambda)
+    return Estimate(QueryModel.vector(combined, "mle"), False, {"excluded": excluded})

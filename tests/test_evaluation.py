@@ -518,6 +518,17 @@ class TestCrossValidate:
         assert clean.folds[0].best_params is p1
         assert poisoned.folds[0].best_params is p1
 
+    def test_a_score_fn_that_omits_a_query_is_named(self):
+        with pytest.raises(ValueError, match=r"^score_fn gave no score for query 'y' at grid point 0$"):
+            cross_validate(lambda p: {"x": 1.0}, ["x", "y"], [ModelParams()], folds=2)
+        # the index of the first point that omits a query, and the least id it omits
+        picked = []
+        points = [ModelParams(mu=1.0), ModelParams(mu=2.0)]
+        scores = lambda p: {"q1": 0.5, "q2": 0.5, "q3": 0.5} if p is points[0] else {"q2": 0.5}
+        with pytest.raises(ValueError, match=r"^score_fn gave no score for query 'q1' at grid point 1$"):
+            cross_validate(lambda p: picked.append(p) or scores(p), ["q3", "q2", "q1"], points, folds=3)
+        assert picked == points
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="grid"):
             cross_validate(lambda p: {}, ["q1"] * 6, [], folds=5)

@@ -31,7 +31,14 @@ from irfkit.index import build_index, doc_vector, forward_sum, load_index, save_
 from irfkit.ranking import QueryModel, doc_weighting, query_count_vector, retrieve_dot
 from irfkit.session import BudgetConfig, make_qrels_judge, run_irf
 from irfkit.synthetic import topical_corpus
-from support import bm25_weight, reference_distill
+from support import (
+    bm25_weight,
+    reference_distill,
+    reference_distillation,
+    reference_prob,
+    reference_rm3,
+    reference_rocchio,
+)
 
 
 def make_index(layout):
@@ -180,6 +187,14 @@ class TestModelParams:
         assert parse_param("mu", "1e3") == 1000.0 and parse_param("em_tol", "-1E-6") == -1e-6
         with pytest.raises(FeedbackError, match="mu must be finite"):
             load_params(None, {"mu": "nan"})
+
+    @pytest.mark.parametrize("key,value", [("mu", 5), ("mu", 5.0), ("subtract_nonrelevant", True), ("k1", None)])
+    def test_a_value_that_is_not_a_str_is_named(self, key, value):
+        message = f"parameter {key!r} must be given as a str, got {value!r}"
+        with pytest.raises(FeedbackError, match=f"^{re.escape(message)}$"):
+            load_params(None, {key: value})
+        with pytest.raises(FeedbackError, match=f"^{re.escape(message)}$"):
+            parse_param(key, value)
 
 
 class TestMLE:
@@ -340,6 +355,20 @@ class TestDistillation:
 
     def test_fallback_has_no_diagnostics(self, ab_index):
         assert estimate_distillation(ab_index, ["a"], FeedbackPools(), ModelParams()).diagnostics == {}
+
+    @pytest.mark.parametrize(
+        "count,message",
+        [(-2, "must be >= 0, got -2"), (2.0, "must be int, got 2.0"), (True, "must be int, got True")],
+    )
+    def test_each_count_follows_the_count_rule(self, count, message):
+        with pytest.raises(FeedbackError, match=f"^the pool count of term 'b' {re.escape(message)}$"):
+            distill_relevance_model({"a": 3, "b": count}, {}, {"a": 0.5, "b": 0.5}, 0.1, 0.1)
+
+    def test_a_zero_count_is_dropped(self):
+        case = ({"a": 3, "b": 0, "c": 1}, {}, {"a": 0.5, "b": 0.25, "c": 0.25}, 0.1, 0.1)
+        fit, trace = distill_relevance_model(*case)
+        assert list(fit) == ["a", "c"]
+        assert (fit, list(trace)) == reference_distill(*case)
 
 
 class TestRocchio:
@@ -593,20 +622,24 @@ class TestArrayEMMatchesLoop:
         idx = build_index(docs)
         params = ModelParams(mu=50.0, interp_lambda=0.5, lambda1=0.2, lambda2=0.4)
         fits = []
+        distill = feedback._distill  # the array core estimate_distillation calls
 
         def recording(*args):
-            fits.append((args, distill_relevance_model(*args)))
+            fits.append((args, distill(*args)))
             return fits[-1][1]
 
-        monkeypatch.setattr(feedback, "distill_relevance_model", recording)
+        monkeypatch.setattr(feedback, "_distill", recording)
         for topic in topics[:4]:
             for docs_per_iter, iterations in ((1, 10), (5, 2)):
                 budget = BudgetConfig(docs_per_iter, iterations)
                 run_irf(idx, topic, "distill", params, budget, make_qrels_judge(qrels))
         assert len(fits) > 40
-        assert max(len(args[0]) for args, _ in fits) > 100
-        for args, got in fits:
-            self.assert_same_fit(got, reference_distill(*args))
+        assert max(args[0].size for args, _ in fits) > 100
+        for (counts, p_nonrel, p_corpus, *rest), (fit, trace) in fits:
+            terms = [f"t{i:05d}" for i in range(counts.size)]  # sorted like the rows they stand for
+            by = lambda column: dict(zip(terms, column.tolist()))
+            want = reference_distill({t: int(c) for t, c in by(counts).items()}, by(p_nonrel), by(p_corpus), *rest)
+            self.assert_same_fit((by(fit), trace), want)
 
 
 class TestStopDecision:
@@ -680,6 +713,132 @@ class TestStopDecision:
             warnings.simplefilter("error")
             got = distill_relevance_model(*case)
         self.assert_same_fit(got, reference_distill(*case))
+
+
+class TestEMBlocks:
+    """The EM steps up to ``feedback._EM_BLOCK`` iterates between two reads of
+    its stop test; at any block it gives the loop's fit and trace, and a
+    numpy warning or error where the loop gave it."""
+
+    assert_same_fit = staticmethod(TestArrayEMMatchesLoop.assert_same_fit)
+    # the step to iterate 2 underflows a's share: 0.5 * p_a / 5e299 with p_a = 1e-300
+    UNDERFLOW = ({"a": 1, "b": 1}, {}, {"a": 1e300, "b": 0.5}, 0.0, 0.5, 50, 1e-12)
+
+    @given(em_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_every_block_stops_where_the_loop_stops(self, case):
+        want = reference_distill(*case)
+        for block in (1, 3, case[5] + 2):  # the last holds every iterate the fit may step
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(feedback, "_EM_BLOCK", block)
+                self.assert_same_fit(distill_relevance_model(*case), want)
+
+    @pytest.mark.parametrize("block", [1, 3, 8, 60])
+    def test_a_step_that_raises_in_a_block_is_taken_again_as_the_loop_took_it(self, block, monkeypatch):
+        monkeypatch.setattr(feedback, "_EM_BLOCK", block)
+        case = self.UNDERFLOW
+        self.assert_same_fit(distill_relevance_model(*case), reference_distill(*case))  # numpy ignores underflow
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(under="warn"):
+                distill_relevance_model(*case)
+        assert [str(warning.message) for warning in caught] == ["underflow encountered in divide"]
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            distill_relevance_model(*case)
+
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    def test_a_step_past_the_stop_raises_nothing(self, block, monkeypatch):
+        monkeypatch.setattr(feedback, "_EM_BLOCK", block)
+        case = (*self.UNDERFLOW[:-1], 1e300)  # stops at iterate 1, before the step that underflows
+        with np.errstate(under="raise"):
+            fit, trace = distill_relevance_model(*case)
+        assert len(trace) == 2
+        self.assert_same_fit((fit, trace), reference_distill(*case))
+
+
+@st.composite
+def estimator_cases(draw):
+    """A small index over up to 30 terms, some documents empty; two disjoint
+    pools in any order, either of them maybe empty; a query of 1 to 4 terms
+    with repeats, some outside the collection ("aa" sorts before every
+    indexed term and "zz" after); and parameters across their ranges, ints
+    for floats among them."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    vocabulary = [f"t{i:02d}" for i in range(draw(st.integers(1, 30)))]
+    docs = [(f"d{i:02d}", rng.choices(vocabulary, k=rng.randint(0, 15))) for i in range(draw(st.integers(1, 25)))]
+    doc_ids = [doc_id for doc_id, _ in docs]
+    rng.shuffle(doc_ids)
+    relevant = draw(st.integers(0, len(doc_ids)))
+    nonrelevant = draw(st.integers(0, len(doc_ids) - relevant))
+    pools = FeedbackPools(doc_ids[:relevant], doc_ids[relevant : relevant + nonrelevant])
+    query = rng.choices([*vocabulary, "aa", "zz"], k=draw(st.integers(1, 4)))
+    weight = st.sampled_from([0.0, 0.2, 0]) | st.floats(0.0, 0.49)
+    params = ModelParams(
+        k1=draw(st.sampled_from([0.5, 1.2, 2])),
+        b=draw(st.sampled_from([0.0, 0.75, 1])),
+        interp_lambda=draw(st.sampled_from([0.0, 0.5, 1.0, 0, 1]) | st.floats(0.0, 1.0)),
+        num_expansion_terms=draw(st.integers(1, 25)),
+        lambda1=draw(weight),
+        lambda2=draw(weight),
+        beta=draw(st.sampled_from([0.0, 1.0, 2.5, 2])),
+        gamma=draw(st.sampled_from([0.0, 0.5, 3.0, 1])),
+        subtract_nonrelevant=draw(st.booleans()),
+        em_max_iters=draw(st.sampled_from([1, 5, 50])),
+        em_tol=draw(st.sampled_from([0.0, 1e-12, 1e-6])),
+    )
+    return make_index(docs), query, pools, params
+
+
+def estimate_outcome(estimator, *args):
+    """What an estimator gives, floats by ``float.hex`` and term order kept,
+    or the type and message of its error."""
+    try:
+        model, fallback, diagnostics = estimator(*args)
+    except ValueError as error:
+        return type(error), str(error)
+    hexed = lambda value: value.hex() if type(value) is float else (type(value), value)
+    return (
+        model.kind,
+        [(term, weight.hex()) for term, weight in model.weights.items()],
+        fallback,
+        {key: hexed(value) for key, value in diagnostics.items()},
+    )
+
+
+class TestRowKeyedEstimatorsMatchTheDictOnes:
+    """Each estimator keeps postings rows and arrays until it builds its query
+    model; the ``support.reference_*`` estimators are the str dict code it
+    replaced.  The two must give the same estimate."""
+
+    @pytest.mark.parametrize(
+        "estimator,reference",
+        [
+            (estimate_rm3, reference_rm3),
+            (estimate_distillation, reference_distillation),
+            (estimate_rocchio, reference_rocchio),
+            (estimate_prob, reference_prob),
+        ],
+        ids=["rm3", "distill", "rocchio", "prob"],
+    )
+    @given(case=estimator_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_the_same_estimate_as_the_dict_estimator(self, estimator, reference, case):
+        assert estimate_outcome(estimator, *case) == estimate_outcome(reference, *case)
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_rocchio_cuts_nan_weights_as_the_dict_sort_did(self, m):
+        # beta and gamma so large that both centroids overflow: the b terms, in
+        # both pools, weigh inf - inf, and the c terms, in the relevant pool and
+        # many others, stay finite.  The dict sort, whose input held the b
+        # terms first, kept them and so raised; a cut that ranks nan last
+        # would keep only c terms and return a model
+        heavy, light = [f"b{i:02d}" for i in range(6)], [f"c{i:02d}" for i in range(4)]
+        layout = [(f"r{i}", heavy * 4 + light) for i in range(2)] + [(f"n{i}", heavy * 4) for i in range(2)]
+        index = make_index(layout + [(f"f{i:02d}", [*light, "f"]) for i in range(40)])
+        params = ModelParams(beta=1e308, gamma=1e308, num_expansion_terms=m)
+        case = index, ["zz"], FeedbackPools(["r0", "r1"], ["n0", "n1"]), params
+        assert estimate_outcome(estimate_rocchio, *case) == estimate_outcome(reference_rocchio, *case)
+        assert estimate_outcome(estimate_rocchio, *case)[1] == "query weight of 'b00' must be finite, got nan"
 
 
 # The pool reads as they were before ``index.forward_sum``: a dict loop over

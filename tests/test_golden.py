@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from irfkit import cli, corpus_io, index, ranking, synthetic
+from irfkit import cli, corpus_io, feedback, index, ranking, synthetic
 from irfkit.feedback import ModelParams, write_key_values
 
 MODELS = ("rm3", "distill", "rocchio", "prob")
@@ -120,6 +120,14 @@ def test_the_same_bytes_with_every_page_pruned(workdir, monkeypatch, capsys):
     assert runs == RUN_DIGESTS
     assert {m: sweep_digest(workdir, m) for m in GRIDS} == SWEEP_DIGESTS
     assert outcomes and all(found is not None for found in outcomes)
+
+
+def test_the_same_bytes_with_one_em_iterate_a_block(workdir, monkeypatch, capsys):
+    # _EM_BLOCK at 1 steps the distillation EM one iterate between two reads of its stop test
+    monkeypatch.setattr(feedback, "_EM_BLOCK", 1)
+    runs = {f"{m}.{k}x{n}": run_digest(workdir, m, k, n) for m in MODELS for k, n in BUDGETS}
+    assert runs == RUN_DIGESTS
+    assert {m: sweep_digest(workdir, m) for m in GRIDS} == SWEEP_DIGESTS
 
 
 def record(root) -> None:
