@@ -12,6 +12,9 @@ from typing import Callable, Iterable, Iterator
 from . import krovetz
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# [^\W_] is str.isalnum, and no isalnum character is whitespace: on ASCII text,
+# translating the rest to spaces and splitting gives what _TOKEN_RE finds
+_ASCII_BLANKS = "".join(chr(c) if chr(c).isalnum() else " " for c in range(128))
 _TAG_RE = re.compile(rb"<[^>]*>")
 _DOCNO_RE = re.compile(rb"<DOCNO>(.*?)</DOCNO>", re.DOTALL)
 _DOCHDR_RE = re.compile(rb"<DOCHDR>.*?</DOCHDR>", re.DOTALL)
@@ -184,6 +187,7 @@ class _TermMemo(dict):
     """
 
     def __init__(self, stoplist: frozenset[str], stemmer: str) -> None:
+        check_collection("stoplist", stoplist, "words")
         if stemmer not in STEMMERS:
             raise ValueError(f"unknown stemmer {stemmer!r}; expected one of {STEMMERS}")
         super().__init__()
@@ -199,12 +203,15 @@ class _TermMemo(dict):
         return term
 
     def terms(self, text: str) -> tuple[str, ...]:
-        """Tokenize ``text`` on non-alphanumeric runs and map each token to its term."""
-        return tuple(filter(None, map(self.__getitem__, _TOKEN_RE.findall(text))))
+        """Map each token of ``text`` to its term.  A token is a maximal run of
+        ``str.isalnum`` characters: ASCII text is split by one ``translate`` and
+        ``split``, other text by ``_TOKEN_RE``, which finds the same runs."""
+        tokens = text.translate(_ASCII_BLANKS).split() if text.isascii() else _TOKEN_RE.findall(text)
+        return tuple(filter(None, map(self.__getitem__, tokens)))
 
 
 def normalize(text: str, stoplist: frozenset[str] = frozenset(), stemmer: str = "krovetz") -> list[str]:
-    """Tokenize on non-alphanumeric runs, casefold, stop, stem, stop again."""
+    """Tokenize into runs of ``str.isalnum`` characters, casefold, stop, stem, stop again."""
     return list(_TermMemo(stoplist, stemmer).terms(text))
 
 
@@ -216,12 +223,14 @@ def _block_text(block: bytes, fmt: str, blank: bytes | Callable[[re.Match], byte
     return _TAG_RE.sub(blank, block)
 
 
-def _decode(raw: bytes, at: int, what: str) -> str:
-    """``raw`` as strict UTF-8; the error names a bad byte's file offset, ``raw`` being at ``at``."""
+def _decode(raw: bytes, at: int, path: str | Path, part: str, ordinal: int) -> str:
+    """``raw``, the ``part`` of document block ``ordinal``, as strict UTF-8; the
+    error names a bad byte's file offset, ``raw`` being at ``at``."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         bad, at = raw[exc.start : exc.start + 1], at + exc.start
+        what = f"{path}: {part} in document block {ordinal}"
         raise CorpusFormatError(f"{what} is not UTF-8: byte {at} is {bad!r}") from None
 
 
@@ -248,14 +257,14 @@ def parse_trec_collection(path: str | Path, fmt: str = "trectext") -> Iterator[R
         m = _DOCNO_RE.search(block)
         if m is None:
             raise CorpusFormatError(f"{path}: missing <DOCNO> in document block {ordinal} at byte {start}")
-        doc_id = _decode(m[1], start + m.start(1), f"{path}: <DOCNO> in document block {ordinal}").strip()
+        doc_id = _decode(m[1], start + m.start(1), path, "<DOCNO>", ordinal).strip()
         if not doc_id:
             raise CorpusFormatError(f"{path}: empty <DOCNO> in document block {ordinal} at byte {start}")
         try:
             text = _block_text(block, fmt).decode("utf-8")
         except UnicodeDecodeError:  # markup blanked in place keeps each byte at its offset
             blanked = _block_text(block, fmt, lambda tag: b" " * len(tag[0]))
-            text = _decode(blanked, start, f"{path}: text in document block {ordinal}")
+            text = _decode(blanked, start, path, "text", ordinal)
         yield RawDocument(doc_id, " ".join(text.split()))
         pos = end + len(b"</DOC>")
 
@@ -267,6 +276,7 @@ def normalize_collection(
     each distinct raw token once: its memo lives as long as the call and holds
     one entry per distinct token seen, so it is bounded by the collection's
     raw vocabulary, and equal terms share one string."""
+    check_collection("docs", docs, "documents")
     memo = _TermMemo(stoplist, stemmer)
     for doc in docs:
         yield TermSequence(doc.doc_id, memo.terms(doc.text))

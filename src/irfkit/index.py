@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,10 +27,14 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .corpus_io import STEMMERS, TermSequence, check_field, not_one_field, parse_number, read_text, reject_repeats
+from .corpus_io import (
+    STEMMERS, TermSequence, check_collection, check_field, not_one_field, parse_number, read_text, reject_repeats,
+)
 from .exact import log_each
 
 FORMAT_VERSION = 3
+# the tokens build_index counts with one sort: its transient arrays stay under a megabyte
+_COUNT_BLOCK = 1 << 14
 # the collection statistics a manifest records, checked on load
 _MANIFEST_COUNTS = ("num_docs", "vocab_size", "total_terms")
 
@@ -190,6 +194,11 @@ def _row_reduce(reduce: np.ufunc, offsets: np.ndarray, values: np.ndarray) -> np
     return reduce.reduceat(values, offsets[:-1]) if len(offsets) > 1 else values[:0]
 
 
+def _extend(column: array, values: np.ndarray) -> None:
+    """Append ``values`` to ``column``, cast to its item type."""
+    column.frombytes(values.astype(column.typecode).view(np.uint8))
+
+
 def _check_analysis(analysis: object, where: str) -> None:
     """The one rule for ``analysis``, as a manifest stores it: an object holding
     at most a ``stemmer`` in STEMMERS and a ``stoplist`` list of strings."""
@@ -203,13 +212,36 @@ def _check_analysis(analysis: object, where: str) -> None:
 
 
 def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> CollectionIndex:
-    """Build an index from term sequences; deterministic given input order."""
+    """Build an index from term sequences; deterministic given input order.
+
+    Term ids are given in order of first use.  The documents' term ids are
+    gathered into a block, which closes at the end of the document that brings
+    it to ``_COUNT_BLOCK`` tokens; one sort of its (document, term id) keys
+    then counts it, each document's entries in term id order.  ``_transpose``
+    sorts all entries stably by postings row, so a row holds its documents in
+    document order, as when each document's entries were in first-use order."""
+    check_collection("docs", docs, "documents", IndexDataError)
     _check_analysis({} if analysis is None else analysis, "analysis")
     doc_ids: list[str] = []
-    # each document's term ids (in order of first use) and counts, and where they end
     term_ids: defaultdict[str, int] = defaultdict()
     term_ids.default_factory = term_ids.__len__
+    # each document's term ids and counts, and where they end
     term_column, count_column, ends = array("i"), array("i"), array("q", [0])
+    block: list[int] = []  # the block's term ids
+    block_ends = [0]  # where each of its documents ends
+
+    def count_block() -> None:
+        sizes = np.diff(block_ends)
+        keys = np.repeat(np.arange(sizes.size, dtype=np.int64) << 32, sizes)
+        keys |= np.array(block, dtype=np.int64)
+        keys.sort()
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # of each run of equal keys
+        distinct = keys[starts]
+        _extend(term_column, distinct)  # cast to int32: the low 32 bits, the term id
+        _extend(count_column, np.diff(starts, append=keys.size))
+        _extend(ends, np.cumsum(np.bincount(distinct >> 32, minlength=sizes.size)) + ends[-1])
+        del block[:], block_ends[1:]
+
     seen: set[str] = set()
     for seq in docs:
         if seq.doc_id in seen:
@@ -217,10 +249,11 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
         check_field(seq.doc_id, "doc_id", IndexDataError)
         seen.add(seq.doc_id)
         doc_ids.append(seq.doc_id)
-        counts = Counter(seq.terms)
-        term_column.extend(map(term_ids.__getitem__, counts))
-        count_column.extend(counts.values())
-        ends.append(len(term_column))
+        block.extend(map(term_ids.__getitem__, seq.terms))
+        block_ends.append(len(block))
+        if len(block) >= _COUNT_BLOCK:
+            count_block()
+    count_block()
     terms = sorted(term_ids)
     row_of_id = np.empty(len(terms), dtype=np.int32)
     row_of_id[[term_ids[term] for term in terms]] = np.arange(len(terms))

@@ -6,16 +6,18 @@ import itertools
 import math
 import random
 import re
-from typing import Callable, Mapping, Sequence
+from array import array
+from collections import Counter, defaultdict
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from irfkit import krovetz
-from irfkit.corpus_io import QrelSet, TermSequence, Topic
+from irfkit.corpus_io import QrelSet, TermSequence, Topic, check_field, not_one_field
 from irfkit.evaluation import SigTestResult
 from irfkit.exact import log_each, ordered_sum
 from irfkit.feedback import Estimate, FeedbackError, FeedbackPools, ModelParams, _centroid, _check_lambdas, mle
-from irfkit.index import CollectionIndex, forward_sum
+from irfkit.index import CollectionIndex, IndexDataError, Postings, _check_analysis, _transpose, forward_sum
 from irfkit.ranking import QueryModel, doc_weighting, query_count_vector, query_language_model
 
 
@@ -79,6 +81,40 @@ def normalize_per_token(text: str, stoplist: frozenset[str] = frozenset(), stemm
         if token and token not in stoplist:
             out.append(token)
     return out
+
+
+def reference_build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> CollectionIndex:
+    """``build_index`` as first written: one ``Counter`` per document, its
+    entries in order of first use, and each term checked on its own."""
+    _check_analysis({} if analysis is None else analysis, "analysis")
+    doc_ids: list[str] = []
+    term_ids: defaultdict[str, int] = defaultdict()
+    term_ids.default_factory = term_ids.__len__
+    term_column, count_column, ends = array("i"), array("i"), array("q", [0])
+    seen: set[str] = set()
+    for seq in docs:
+        if seq.doc_id in seen:
+            raise IndexDataError(f"duplicate doc_id {seq.doc_id!r}")
+        check_field(seq.doc_id, "doc_id", IndexDataError)
+        seen.add(seq.doc_id)
+        doc_ids.append(seq.doc_id)
+        counts = Counter(seq.terms)
+        term_column.extend(map(term_ids.__getitem__, counts))
+        count_column.extend(counts.values())
+        ends.append(len(term_column))
+    terms = sorted(term_ids)
+    row_of_id = np.empty(len(terms), dtype=np.int32)
+    row_of_id[[term_ids[term] for term in terms]] = np.arange(len(terms))
+    rows = row_of_id[np.frombuffer(term_column, dtype=np.int32)]
+    columns = _transpose(
+        np.frombuffer(ends, dtype=np.int64), rows, np.frombuffer(count_column, dtype=np.int32), len(terms)
+    )
+    postings = Postings(terms, *columns)
+    for row, term in enumerate(terms):
+        if flaw := not_one_field(term):
+            doc_id = doc_ids[postings.docs[postings.offsets[row]]]
+            raise IndexDataError(f"doc {doc_id!r} has an empty term or one with {flaw}: {term!r}")
+    return CollectionIndex(doc_ids, postings, analysis)
 
 
 def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: ModelParams) -> float:

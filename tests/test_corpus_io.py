@@ -191,9 +191,21 @@ WORDS = [
 SEPARATORS = [" ", "  ", "-", "_", ", ", ". ", "\u00a0", "'"]
 STOPLISTS = [frozenset(), corpus_io.default_stoplist(), frozenset({"go", "run", "dog"})]
 
-texts = st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(SEPARATORS)), max_size=12).map(
-    lambda pairs: "".join(word + sep for word, sep in pairs)
-) | st.text(max_size=40)
+# ASCII text takes translate + split, other text _TOKEN_RE.  Draw every code point
+# below 128, weighted to _, digits and the control characters str.split takes for
+# whitespace (\x0b, \x0c, \x1c-\x1f), and ASCII text with one non-ASCII character
+# spliced in, so that both paths meet normalize_per_token
+ascii_texts = st.text(
+    st.sampled_from("_09aZ \t\n\x0b\x0c\x1c\x1d\x1e\x1f") | st.characters(max_codepoint=127), max_size=40
+)
+texts = (
+    st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(SEPARATORS)), max_size=12).map(
+        lambda pairs: "".join(word + sep for word, sep in pairs)
+    )
+    | st.text(max_size=40)
+    | ascii_texts
+    | st.builds(lambda head, ch, tail: head + ch + tail, ascii_texts, st.characters(min_codepoint=128), ascii_texts)
+)
 
 
 class TestNormalizeMatchesPerToken:
@@ -222,6 +234,38 @@ class TestNormalizeMatchesPerToken:
         else:
             with pytest.raises(CorpusFormatError, match="empty after normalization"):
                 parse_topics(path, "tsv", stoplist, stemmer)
+
+
+@pytest.mark.parametrize("code", range(128))
+def test_each_ascii_character_splits_or_joins_tokens_as_the_pattern_does(code):
+    text = f"a{chr(code)}b {chr(code)} {chr(code) * 2}"
+    tokens = re.findall(r"[^\W_]+", text)
+    assert corpus_io._TermMemo(frozenset(), "none").terms(text) == tuple(token.casefold() for token in tokens)
+
+
+class TestCollectionArguments:
+    """A stoplist or a docs argument that is a str or None is named, not read
+    as its characters or substrings."""
+
+    def test_a_str_stoplist_is_named(self, tmp_path):
+        path = tmp_path / "topics.tsv"
+        path.write_text("q1\tt he dog eh the\n", "utf-8")
+        message = "^stoplist must be a collection of words, not the str 'the'$"
+        calls = [lambda: normalize("t he dog eh the", "the"), lambda: parse_topics(path, "tsv", "the"),
+                 lambda: list(normalize_collection([RawDocument("d1", "t he")], "the"))]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+        assert normalize("t he dog eh the", frozenset({"the"})) == ["t", "he", "dog", "eh"]
+
+    def test_a_none_stoplist_is_named(self):
+        with pytest.raises(ValueError, match="^stoplist must be a collection of words, not None$"):
+            normalize("dog", None)
+
+    @pytest.mark.parametrize("docs,shown", [(None, "None"), ("abc", "the str 'abc'")])
+    def test_docs_that_are_not_a_collection_are_named(self, docs, shown):
+        with pytest.raises(ValueError, match=f"^docs must be a collection of documents, not {shown}$"):
+            list(normalize_collection(docs, frozenset()))
 
 
 def test_normalize_collection_stems_each_distinct_token_once_per_call(monkeypatch, stoplist):

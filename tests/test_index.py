@@ -22,6 +22,8 @@ from irfkit.index import (
     save_index,
 )
 
+from support import reference_build_index
+
 
 SNAPSHOT_FILES = ["counts.npy", "docs.npy", "docs.tsv", "manifest.json", "terms.tsv"]
 
@@ -61,6 +63,11 @@ class TestBuildIndex:
         idx = build_index([TermSequence("D1", ())])
         assert idx.doc_lengths == [0]
         assert doc_vector(idx, "D1") == {}
+
+    @pytest.mark.parametrize("docs,shown", [(None, "None"), ("abc", "the str 'abc'")])
+    def test_docs_that_are_not_a_collection_are_named(self, docs, shown):
+        with pytest.raises(IndexDataError, match=f"^docs must be a collection of documents, not {shown}$"):
+            build_index(docs)
 
 
 class TestPostingsView:
@@ -319,6 +326,52 @@ class TestInvariants:
             for seq in docs:
                 vector = doc_vector(idx, seq.doc_id)
                 assert list(vector.items()) == sorted(Counter(seq.terms).items())
+
+
+def built_columns(build, docs):
+    """A build's doc ids, terms, and postings and forward columns with their
+    dtypes; or the message of the IndexDataError it raised."""
+    try:
+        idx = build(docs)
+    except IndexDataError as exc:
+        return str(exc)
+    columns = (idx.postings.offsets, idx.postings.docs, idx.postings.counts,
+               idx.forward_offsets, idx.forward_terms, idx.forward_counts)
+    return idx.doc_ids, idx.postings.terms, [(column.dtype.str, column.tolist()) for column in columns]
+
+
+FLAWED_TERMS = {"whitespace": "x y", "empty": "", "bom": "\ufeffb", "surrogate": "b\udcff"}
+
+
+class TestBlockedCounting:
+    """build_index counts a block of tokens with one sort; the columns, their
+    dtypes and the errors are those of one Counter per document."""
+
+    @given(
+        st.lists(st.lists(st.sampled_from(["a", "b", "c", "b:", "\u00fc"]), max_size=9), max_size=8),
+        st.sampled_from([1, 2, 3, None]),  # None: more than the tokens
+        st.sets(st.sampled_from(["duplicate", *FLAWED_TERMS])),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_columns_and_errors_of_the_counter_build(self, term_lists, block, flaws, rng):
+        docs = [TermSequence(f"D{i}", tuple(terms)) for i, terms in enumerate(term_lists)]
+        for flaw in sorted(flaws):
+            if docs:
+                at = rng.randrange(len(docs))
+                if flaw == "duplicate":
+                    docs.insert(rng.randrange(at + 1, len(docs) + 1), TermSequence(docs[at].doc_id, ("a",)))
+                else:
+                    docs[at] = TermSequence(docs[at].doc_id, (*docs[at].terms, FLAWED_TERMS[flaw]))
+        tokens = sum(len(seq.terms) for seq in docs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(index_module, "_COUNT_BLOCK", tokens + 1 if block is None else block)
+            built = built_columns(build_index, docs)
+        assert built == built_columns(reference_build_index, docs)
+        if not isinstance(built, str):
+            assert [dtype for dtype, _ in built[2]] == ["<i8", "<i4", "<i4", "<i8", "<i4", "<i4"]
+        elif "duplicate" in flaws and docs:
+            assert built.startswith("duplicate doc_id ")
 
 
 class TestUnstorableInput:
