@@ -299,25 +299,36 @@ def parse_qrels(path: str | Path) -> QrelSet:
 def parse_run(path: str | Path) -> dict[str, list[str]]:
     """Read a TREC run file into query_id -> doc ids.  As in trec_eval, docs
     are ordered by score, then doc id, both descending, the rank is ignored,
-    and a query may rank a doc only once."""
-    entries: dict[str, list[tuple[float, str, int]]] = {}
+    and a query may rank a doc only once.  Lines are checked in file order,
+    width, rank, then score; a repeated doc is named once all have passed.
+    Scores that already strictly decrease, as ``write_freezing_run`` writes
+    them, are in that order and are not sorted."""
+    entries: dict[str, tuple[list[float], list[str], list[int]]] = {}
+    current = None
     for lineno, (query_id, _, doc_id, rank, score, _) in _read_table(path, 6):
-        try:
-            parse_number(rank, int)
-        except ValueError:
-            raise CorpusFormatError(f"{path}:{lineno}: non-integer rank {rank!r}") from None
+        if not (rank.isascii() and rank.isdigit()):  # parse_number decides the rest, +1 among them
+            try:
+                parse_number(rank, int)
+            except ValueError:
+                raise CorpusFormatError(f"{path}:{lineno}: non-integer rank {rank!r}") from None
         try:
             score_num = parse_number(score, float)
         except ValueError:
             score_num = math.nan
         if not math.isfinite(score_num):
             raise CorpusFormatError(f"{path}:{lineno}: bad score {score!r}")
-        entries.setdefault(query_id, []).append((score_num, doc_id, lineno))
+        if query_id != current:  # a query's lines are usually together
+            current = query_id
+            scores, docs, lines = entries.setdefault(query_id, ([], [], []))
+        scores.append(score_num)
+        docs.append(doc_id)
+        lines.append(lineno)
     run = {}
-    for query_id, scored in sorted(entries.items()):
-        docs = [doc for _, doc, _ in sorted(scored, reverse=True)]
+    for query_id, (scores, docs, lines) in sorted(entries.items()):
         if len(set(docs)) < len(docs):  # cheaper than a check per line; name the lines now
-            reject_repeats(path, [(n, d) for _, d, n in scored], lambda d: f"doc {d!r} of query {query_id!r}")
+            reject_repeats(path, zip(lines, docs), lambda d: f"doc {d!r} of query {query_id!r}")
+        if not all(map(float.__gt__, scores, scores[1:])):
+            docs = [doc for _, doc in sorted(zip(scores, docs), reverse=True)]
         run[query_id] = docs
     return run
 

@@ -564,7 +564,8 @@ def estimate_rocchio(
     num_expansion_terms by absolute weight; query terms are always kept.
     The weights come in the order of a dict updated term by term: the query
     terms first, then the relevant centroid's new terms and the non-relevant
-    one's, each in sorted term order.
+    one's, each in sorted term order.  A weight of inf - inf (a beta and gamma
+    that overflow both centroids) is refused by ``QueryModel.vector`` before the cut.
     """
     bm25 = doc_weighting(index, "bm25", params)
     vector = dict(query_count_vector(query_terms).weights)
@@ -589,13 +590,10 @@ def estimate_rocchio(
     expansion = np.flatnonzero(new)
     # in the order of a dict updated term by term: the first centroid's new terms, then the other's
     expansion = expansion[np.lexsort((expansion, ~first[expansion]))]
+    if np.isnan(weights).any():  # inf - inf: refused whole, as no cut can rank a nan
+        QueryModel.vector({**vector, **by_term(index, rows[expansion], weights[expansion])}, "bm25")
     if expansion.size > (m := params.num_expansion_terms):
-        key, tie = np.abs(weights[expansion]), rows[expansion]
-        if np.isnan(key).any():  # from inf - inf: a sort places a nan key by its input order
-            top = sorted(range(expansion.size), key=lambda i, key=key.tolist(), tie=tie.tolist(): (-key[i], tie[i]))[:m]
-        else:
-            top = _top(tie, key, m)
-        expansion = expansion[np.sort(top)]
+        expansion = expansion[np.sort(_top(rows[expansion], np.abs(weights[expansion]), m))]
     vector.update(by_term(index, rows[expansion], weights[expansion]))
     fallback = not pools.relevant and not pools.nonrelevant
     return Estimate(QueryModel.vector(vector, "bm25"), fallback, {})

@@ -22,6 +22,8 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import contains
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -408,10 +410,27 @@ def load_index(directory: str | Path) -> CollectionIndex:
 def _read_rows(path: Path, layout: str) -> tuple[list[str], list[int]]:
     """The names and numbers of a snapshot file's ``name<TAB>integer`` rows,
     a name being one field as in ``build_index``; a malformed row is reported
-    by path and line number."""
-    names, numbers = [], []
+    by path and line number.  The two columns are split out at once and each is
+    checked whole (one tab on every line, ASCII one-field names, ASCII digits);
+    only a file that a check refuses is read row by row, for its first bad row
+    or for rows the row rules accept, such as non-ASCII names or ``+5``."""
     lines = read_text(path, IndexDataError).split("\n")
-    for lineno, line in enumerate(lines[:-1] if lines[-1] == "" else lines, 1):
+    if lines[-1] == "":
+        lines.pop()
+    cells = "\t".join(lines).split("\t")
+    names, numbers = cells[0::2], cells[1::2]
+    joined, digits = " ".join(names), "".join(numbers)
+    if (
+        len(cells) == 2 * len(lines) and all(map(contains, lines, repeat("\t")))
+        and joined.isascii() and joined.split() == names
+        and digits.isascii() and digits.isdigit()
+    ):
+        try:
+            return names, list(map(int, numbers))
+        except ValueError:  # an empty number, or more digits than int() reads: the row names it
+            pass
+    names, numbers = [], []
+    for lineno, line in enumerate(lines, 1):
         try:
             name, number = line.split("\t")
             if not_one_field(name):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import Callable, Iterable, TextIO
 
 from .corpus_io import QrelSet, Topic, check_count, check_field
@@ -196,9 +197,13 @@ def term_snippet(index: CollectionIndex, doc_id: str, max_terms: int = 12) -> st
 
 def write_freezing_run(runs: Iterable[FreezingRunList], path, run_tag: str = "irfkit") -> None:
     """TREC run file: frozen prefix then tail, with synthetic strictly
-    decreasing scores so score-sorting consumers preserve the list order."""
+    decreasing scores so score-sorting consumers preserve the list order:
+    rank r of n documents scores n - r + 1.  Every name is checked before the
+    file is opened; each rank's and score's text is formatted once per call, in
+    two tables as long as the longest run, and each run is written in one join."""
     check_field(run_tag, "run tag")
     runs = list(runs)
+    longest = 0
     for run in runs:  # before the file is opened
         check_field(run.query_id, "query id")
         docs = run.doc_ids
@@ -206,13 +211,14 @@ def write_freezing_run(runs: Iterable[FreezingRunList], path, run_tag: str = "ir
         if joined.split() != docs or not joined.isascii():
             for doc_id in docs:
                 check_field(doc_id, "doc id")
+        longest = max(longest, len(docs))
+    ranks = [f" {rank} " for rank in range(1, longest + 1)]
+    scores = [f"{float(score):.6f} {run_tag}\n" for score in range(1, longest + 1)]
     with open(path, "w", encoding="utf-8") as handle:
         for run in runs:
             docs = run.doc_ids
-            total = len(docs)
-            for rank, doc_id in enumerate(docs, 1):
-                score = float(total - rank + 1)
-                handle.write(f"{run.query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}\n")
+            pieces = zip(repeat(f"{run.query_id} Q0 "), docs, ranks, reversed(scores[: len(docs)]))
+            handle.write("".join(map("".join, pieces)))
 
 
 def write_session_log(runs: Iterable[FreezingRunList], path) -> None:

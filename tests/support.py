@@ -8,12 +8,24 @@ import random
 import re
 from array import array
 from collections import Counter, defaultdict
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from irfkit import krovetz
-from irfkit.corpus_io import QrelSet, TermSequence, Topic, check_field, not_one_field
+from irfkit.corpus_io import (
+    CorpusFormatError,
+    QrelSet,
+    TermSequence,
+    Topic,
+    _read_table,
+    check_field,
+    not_one_field,
+    parse_number,
+    read_text,
+    reject_repeats,
+)
 from irfkit.evaluation import SigTestResult
 from irfkit.exact import log_each, ordered_sum
 from irfkit.feedback import Estimate, FeedbackError, FeedbackPools, ModelParams, _centroid, _check_lambdas, mle
@@ -115,6 +127,69 @@ def reference_build_index(docs: Iterable[TermSequence], analysis: dict | None = 
             doc_id = doc_ids[postings.docs[postings.offsets[row]]]
             raise IndexDataError(f"doc {doc_id!r} has an empty term or one with {flaw}: {term!r}")
     return CollectionIndex(doc_ids, postings, analysis)
+
+
+def reference_write_freezing_run(runs, path, run_tag: str = "irfkit") -> None:
+    """``write_freezing_run`` as first written: each line formatted and written
+    on its own, after the same checks."""
+    check_field(run_tag, "run tag")
+    runs = list(runs)
+    for run in runs:
+        check_field(run.query_id, "query id")
+        docs = run.doc_ids
+        joined = " ".join(docs)
+        if joined.split() != docs or not joined.isascii():
+            for doc_id in docs:
+                check_field(doc_id, "doc id")
+    with open(path, "w", encoding="utf-8") as handle:
+        for run in runs:
+            docs = run.doc_ids
+            total = len(docs)
+            for rank, doc_id in enumerate(docs, 1):
+                score = float(total - rank + 1)
+                handle.write(f"{run.query_id} Q0 {doc_id} {rank} {score:.6f} {run_tag}\n")
+
+
+def reference_parse_run(path) -> dict[str, list[str]]:
+    """``parse_run`` as first written: one (score, doc, line) tuple and two
+    ``parse_number`` calls per line, and every query sorted."""
+    entries: dict[str, list[tuple[float, str, int]]] = {}
+    for lineno, (query_id, _, doc_id, rank, score, _) in _read_table(path, 6):
+        try:
+            parse_number(rank, int)
+        except ValueError:
+            raise CorpusFormatError(f"{path}:{lineno}: non-integer rank {rank!r}") from None
+        try:
+            score_num = parse_number(score, float)
+        except ValueError:
+            score_num = math.nan
+        if not math.isfinite(score_num):
+            raise CorpusFormatError(f"{path}:{lineno}: bad score {score!r}")
+        entries.setdefault(query_id, []).append((score_num, doc_id, lineno))
+    run = {}
+    for query_id, scored in sorted(entries.items()):
+        docs = [doc for _, doc, _ in sorted(scored, reverse=True)]
+        if len(set(docs)) < len(docs):
+            reject_repeats(path, [(n, d) for _, d, n in scored], lambda d: f"doc {d!r} of query {query_id!r}")
+        run[query_id] = docs
+    return run
+
+
+def reference_read_rows(path: Path, layout: str) -> tuple[list[str], list[int]]:
+    """``index._read_rows`` as first written: each row split, its name checked
+    by ``not_one_field`` and its number read by ``parse_number``."""
+    names, numbers = [], []
+    lines = read_text(path, IndexDataError).split("\n")
+    for lineno, line in enumerate(lines[:-1] if lines[-1] == "" else lines, 1):
+        try:
+            name, number = line.split("\t")
+            if not_one_field(name):
+                raise ValueError(name)
+            numbers.append(parse_number(number, int))
+        except ValueError:
+            raise IndexDataError(f"{path}:{lineno}: expected {layout}") from None
+        names.append(name)
+    return names, numbers
 
 
 def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: ModelParams) -> float:

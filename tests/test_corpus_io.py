@@ -14,6 +14,7 @@ from irfkit.corpus_io import (
     normalize,
     normalize_collection,
     parse_qrels,
+    parse_run,
     parse_topics,
     parse_trec_collection,
     write_qrels,
@@ -21,7 +22,7 @@ from irfkit.corpus_io import (
 from irfkit.feedback import load_params
 from irfkit.krovetz import _EXCEPTIONS, stem
 
-from support import normalize_per_token
+from support import normalize_per_token, reference_parse_run
 
 
 def judgments(qrels):
@@ -444,6 +445,53 @@ class TestParseQrels:
         path = tmp_path_factory.mktemp("qrels") / "q"
         write_qrels(qrels, path)
         assert judgments(parse_qrels(path)) == judgments(qrels)
+
+
+SCORES = ["3.5", "2.0", "1", "0.0", "-0.0", "-1e3"] * 3 + ["nan", "1e400", "0x1p3", "1_0.0", "\u0663.0"]
+
+
+@st.composite
+def run_line(draw):
+    """A run line, mostly well formed: any rank or score a reader must take or
+    refuse, fields apart by any whitespace ``str.split`` splits on, or 0, 5 or 7
+    fields."""
+    fields = [
+        draw(st.sampled_from(["q1", "q2", "q10"])),
+        "Q0",
+        draw(st.sampled_from(["d1", "d2", "d3", "d4", "D1", "\u00e9"])),
+        draw(st.sampled_from(["1", "2", "10"] * 4 + ["+1", "01", "-1", "1_0", "\u0663"])),
+        draw(st.sampled_from(SCORES) | st.integers(-3, 3).map(str)),
+        "tag",
+    ]
+    fields = draw(st.sampled_from([fields] * 12 + [[], fields[:5], [*fields, "x"]]))
+    spaces = st.sampled_from([" "] * 6 + ["\t", "  ", "\x1c", "\x85", "\u2028"])
+    return "".join(field + draw(spaces) for field in fields)
+
+
+RUN_FILES = st.builds(
+    lambda bom, lines, end: bom + "".join(line + end for line in lines),
+    st.sampled_from(["", "\ufeff"]),
+    st.lists(run_line(), max_size=8),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+)
+
+
+class TestParseRun:
+    @settings(max_examples=500, deadline=None)
+    @given(RUN_FILES)
+    @example("q1 Q0 d1 1 -0.0 t\nq1 Q0 d2 2 0.0 t\nq2 Q0 d1 1 2.0 t\nq1 Q0 d3 3 0.0 t\n")
+    @example("q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 2.0 t\nq1 Q0 d1 3 1.0 t\nq0 Q0 d1 1 1.0 t\nq0 Q0 d1 2 1.0 t\n")
+    @example("q1 Q0 d1 +1 2.0 t\nq1 Q0 d2 \u0663 1.0 t\n")
+    def test_the_same_run_or_error_as_the_per_line_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "drawn.run"
+        path.write_text(text, "utf-8", newline="")
+        outcomes = []
+        for reader in (parse_run, reference_parse_run):
+            try:
+                outcomes.append(reader(path))
+            except ValueError as error:
+                outcomes.append((type(error), str(error)))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestParseTopics:

@@ -840,6 +840,20 @@ class TestRowKeyedEstimatorsMatchTheDictOnes:
         assert estimate_outcome(estimate_rocchio, *case) == estimate_outcome(reference_rocchio, *case)
         assert estimate_outcome(estimate_rocchio, *case)[1] == "query weight of 'b00' must be finite, got nan"
 
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_rocchio_refuses_nan_weights_whatever_the_terms_are_named(self, m):
+        # the pools above with the inf - inf terms named to sort after the finite
+        # ones: the dict sort kept only a terms at cuts of 1 and 3 and returned a model
+        heavy, light = [f"t{i:02d}" for i in range(6)], [f"a{i:02d}" for i in range(4)]
+        layout = [(f"r{i}", heavy * 4 + light) for i in range(2)] + [(f"n{i}", heavy * 4) for i in range(2)]
+        index = make_index(layout + [(f"f{i:02d}", [*light, "f"]) for i in range(40)])
+        params = ModelParams(beta=1e308, gamma=1e308, num_expansion_terms=m)
+        case = index, ["zz"], FeedbackPools(["r0", "r1"], ["n0", "n1"]), params
+        if m < 5:
+            assert estimate_outcome(reference_rocchio, *case)[0] == "bm25"
+        message = "query weight of 't00' must be finite, got nan"
+        assert estimate_outcome(estimate_rocchio, *case) == (ValueError, message)
+
 
 # The pool reads as they were before ``index.forward_sum``: a dict loop over
 # each judged document's term vector, with a weighting curried by term.  The

@@ -22,7 +22,7 @@ from irfkit.index import (
     save_index,
 )
 
-from support import reference_build_index
+from support import reference_build_index, reference_read_rows
 
 
 SNAPSHOT_FILES = ["counts.npy", "docs.npy", "docs.tsv", "manifest.json", "terms.tsv"]
@@ -520,6 +520,38 @@ BAD_COLUMN_ARRAYS = {
     "scalar": (lambda values: values[0], "holds <i4 of shape ()"),
     "pickled": (lambda values: values.astype(object), f"{NOT_WHOLE}: Object arrays cannot be loaded"),
 }
+
+
+@st.composite
+def table_line(draw):
+    """A ``name<TAB>integer`` row, mostly well formed: names a row may or may not
+    hold, numbers ``parse_number`` takes or refuses, and rows of 0, 1 or 2 tabs."""
+    name = draw(st.sampled_from(["D1", "t", "a.b", "5"] * 3 + ["\u00e9", "", "a b", "\ufeffx", "x\x1c", "x\x85"]))
+    numbers = ["0", "3", "007", "12"] * 3 + ["+5", "-3", "1_0", "\u0663", "", " 5", "x", "9" * 5000]
+    number = draw(st.sampled_from(numbers))
+    return draw(st.sampled_from([f"{name}\t{number}"] * 8 + ["", name, f"{name}\t{number}\t{number}"]))
+
+
+class TestReadRows:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(table_line(), max_size=6), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    @example(["a", "5\tb\t6"], "\n", True)  # one tab per line on average, not on each
+    @example(["D1\t0\t0"], "\n", False)  # a tab on each line, two on one
+    @example(["a\t1", "b c\t2"], "\n", False)  # whitespace inside a name
+    @example(["a\t1", "\ufeffx\t2"], "\n", False)  # a BOM that starts a later name
+    @example(["a\t\u0663"], "\n", False)  # a digit int() reads that is not ASCII
+    @example(["a\t1_0"], "\n", False)  # a digit group int() reads
+    @example(["a\t1", "b\t" + "9" * 5000], "\n", False)  # more digits than int() reads
+    def test_the_same_rows_or_error_as_the_per_row_reader(self, tmp_path_factory, lines, end, last_end):
+        path = tmp_path_factory.getbasetemp() / "table.tsv"
+        path.write_text(end.join(lines) + (end if last_end else ""), "utf-8", newline="")
+        outcomes = []
+        for reader in (index_module._read_rows, reference_read_rows):
+            try:
+                outcomes.append(reader(path, "name<TAB>n"))
+            except ValueError as error:
+                outcomes.append((type(error), str(error)))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestCorruptSnapshot:

@@ -24,7 +24,7 @@ from irfkit.session import (
     write_freezing_run,
     write_session_log,
 )
-from support import random_corpus, random_qrels, random_topics
+from support import random_corpus, random_qrels, random_topics, reference_write_freezing_run
 
 
 def make_index(layout):
@@ -300,6 +300,30 @@ class TestOutputs:
             assert not all(name.isalnum() for q, docs in ranked.items() for name in (q, *docs))
         else:
             assert parse_run(path) == ranked
+
+    # runs of mixed lengths: drawn names, some not ASCII and some a line cannot hold,
+    # then a long tail of generated ids, so the rank and score tables serve several
+    # lengths in one call, an empty run among them
+    NAMES = st.text(st.characters(codec="utf-8") | st.sampled_from("dé \ufeff\udcff"), min_size=1, max_size=3)
+    TAILS = st.sampled_from([0, 1, 9, 10, 99, 100, 1000]) | st.integers(0, 30)
+    QUERY_IDS = st.sampled_from(["q1", "q2", "é"]) | NAMES
+    MIXED = st.lists(st.tuples(QUERY_IDS, st.lists(NAMES, max_size=4), TAILS), max_size=5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(MIXED, st.sampled_from(["irfkit", "tag", "t\u00e9"]) | NAMES)
+    def test_the_same_bytes_as_the_per_line_writer(self, tmp_path_factory, drawn, run_tag):
+        runs = [FreezingRunList(q, docs[:1], [*docs[1:], *(f"p{i}" for i in range(n))]) for q, docs, n in drawn]
+        outcomes = []
+        for writer in (write_freezing_run, reference_write_freezing_run):
+            path = tmp_path_factory.getbasetemp() / "mixed.run"
+            path.unlink(missing_ok=True)
+            try:
+                writer(runs, path, run_tag)
+            except ValueError as error:
+                outcomes.append((type(error), str(error), path.exists()))
+            else:
+                outcomes.append(path.read_bytes())
+        assert outcomes[0] == outcomes[1]
 
     def test_freezing_run_reads_back(self, tmp_path):
         runs = (FreezingRunList(query_id, ["D1"], ["D2", "D3"]) for query_id in ("q1", "q2"))
