@@ -34,7 +34,6 @@ from .feedback import (
     estimate_prob,
     estimate_rm3,
     estimate_rocchio,
-    mle,
 )
 from .index import CollectionIndex, build_index, doc_vector, load_index, save_index
 from .ranking import (

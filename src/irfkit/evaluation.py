@@ -29,6 +29,7 @@ def average_precision(
     run: Sequence[str], qrels: QrelSet, query_id: str, cutoff: int = 1000
 ) -> float:
     """AP = (1/R) * sum over relevant ranks r <= cutoff of (hits(r) / r)."""
+    check_collection("run", run, "doc ids")
     check_count("cutoff", cutoff)
     grades = qrels.grades_for(query_id)
     num_relevant = qrels.num_relevant(query_id)
@@ -40,6 +41,7 @@ def average_precision(
 
 def ndcg_at_20(run: Sequence[str], qrels: QrelSet, query_id: str) -> float:
     """Linear-gain NDCG over the top 20 ranks with a log2(rank+1) discount."""
+    check_collection("run", run, "doc ids")
     grades = qrels.grades_for(query_id)
 
     def discounted(gains: Iterable[int]) -> float:
@@ -244,6 +246,7 @@ def cross_validate(
     if not grid_points:
         raise ValueError("empty parameter grid")
     check_count("folds", folds)
+    check_collection("query_ids", query_ids, "query ids")
     if len(query_ids) < folds:
         raise ValueError(
             f"need at least {folds} queries for {folds}-fold cross-validation, got {len(query_ids)}"

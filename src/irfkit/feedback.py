@@ -17,13 +17,14 @@ Sums add in order and logs are ``math.log`` (``irfkit.exact``), so an
 estimate is the same floats on every Python version and CPU.
 
 The estimators keep postings rows and float64 arrays until they build their
-``QueryModel``: the pools come from ``index.forward_rows``, and document and
-collection frequencies from the ``dfs`` and ``cfs`` columns.  A row id sorts
-like its term, so the loops over sorted terms they replaced are operations
-on ascending rows: a top-m cut is ``np.lexsort`` on (row, -key), ties to the
-smaller term, and an interpolation or a centroid update is a merge of sorted
-rows with the same elementwise operations in the same order.  Query terms
-outside the collection have no row; they keep their place in the weights.
+``QueryModel``: the pools come from ``index.forward_rows``, the query's rows
+from ``ranking.in_collection``, and document and collection frequencies from
+the ``dfs`` and ``cfs`` columns.  A row id sorts like its term, so the loops
+over sorted terms they replaced are operations on ascending rows: a top-m cut
+is ``np.lexsort`` on (row, -key), ties to the smaller term, and an
+interpolation or a centroid update is a merge of sorted rows with the same
+elementwise operations in the same order.  Query terms outside the collection
+have no row; they keep their place in the weights.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus_io import check_count, check_value, parse_number, read_text, reject_repeats
+from .corpus_io import check_collection, check_count, check_value, parse_number, read_text, reject_repeats
 from .exact import log_each, ordered_sum
 from .index import CollectionIndex, by_term, forward_rows
-from .ranking import QueryModel, doc_weighting, query_count_vector, query_language_model
+from .ranking import QueryModel, doc_weighting, in_collection, query_count_vector, query_language_model
 
 
 class FeedbackError(ValueError):
@@ -59,6 +60,8 @@ class FeedbackPools:
     def __init__(
         self, relevant: Sequence[str] = (), nonrelevant: Sequence[str] = ()
     ) -> None:
+        check_collection("relevant", relevant, "doc ids", FeedbackError)
+        check_collection("nonrelevant", nonrelevant, "doc ids", FeedbackError)
         self.relevant: list[str] = []
         self.nonrelevant: list[str] = []
         self._seen: set[str] = set()
@@ -212,33 +215,6 @@ def _mean_rows(index: CollectionIndex, doc_ids: Sequence[str], weighting: Callab
     return rows, sums / len(doc_ids)
 
 
-def _centroid(index: CollectionIndex, doc_ids: Sequence[str], weighting: Callable) -> dict[str, float]:
-    """``_mean_rows`` by term, in sorted term order."""
-    return by_term(index, *_mean_rows(index, doc_ids, weighting))
-
-
-def _mle_rows(index: CollectionIndex, doc_set: Sequence[str], mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """``mle`` on postings rows: the rows, ascending, and their probabilities."""
-    if not doc_set:
-        raise FeedbackError("mle requires a non-empty document set")
-    if mode == "averaged":
-        return _mean_rows(index, doc_set, doc_weighting(index, "mle", ModelParams()))
-    if mode == "concatenated":
-        rows, counts = forward_rows(index, doc_set, _counts)
-        # counts and their total are below 2^53, so each quotient is the int one
-        return rows, counts / int(counts.sum())
-    raise FeedbackError(f"unknown mle mode {mode!r}")
-
-
-def mle(index: CollectionIndex, doc_set: Sequence[str], mode: str = "concatenated") -> dict[str, float]:
-    """Maximum-likelihood term distribution of a document set.
-
-    ``averaged`` is the mean of per-document distributions; ``concatenated``
-    treats the set as one long document.  Either way the output sums to 1.
-    """
-    return by_term(index, *_mle_rows(index, doc_set, mode))
-
-
 def _at(rows: np.ndarray, held: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The ``values`` of the postings rows ``held`` at ``rows``, 0.0 at a row
     it lacks; both ascending."""
@@ -260,15 +236,6 @@ def _top(rows: np.ndarray, key: np.ndarray, m: int) -> np.ndarray:
     """The places of the m largest keys, ties to the smaller row, so the
     smaller term, in that order."""
     return np.lexsort((rows, -key))[:m]
-
-
-def _query_rows(index: CollectionIndex, weights: dict[str, float]) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
-    """A query model's terms in the collection as ascending postings rows and
-    their weights, and its terms outside it, term -> weight in sorted order."""
-    row_of = index.postings.rows
-    inside = sorted(t for t in weights if t in row_of)
-    outside = {t: weights[t] for t in sorted(weights) if t not in row_of}
-    return np.array([row_of[t] for t in inside], dtype=np.int64), np.array([weights[t] for t in inside]), outside
 
 
 def _interpolate(
@@ -319,7 +286,9 @@ def _lm_update(
         total = ordered_sum(relevance[kept])
         kept.sort()
         rows, relevance = rows[kept], relevance[kept] / total
-    weights = _interpolate(index, _query_rows(index, original.weights), (rows, relevance), params.interp_lambda)
+    query = original.weights
+    outside = {t: query[t] for t in sorted(query) if t not in index.postings.rows}
+    weights = _interpolate(index, (*in_collection(index, query), outside), (rows, relevance), params.interp_lambda)
     return Estimate(QueryModel.lm(weights), False, {})
 
 
@@ -529,8 +498,10 @@ def estimate_distillation(
         return Estimate(original, True, {})
     lambda1, lambda2 = params.lambda1, params.lambda2
     rows, counts = forward_rows(index, pools.relevant, _counts)
-    if pools.nonrelevant:
-        p_nonrel = _at(rows, *_mle_rows(index, pools.nonrelevant, "concatenated"))
+    if pools.nonrelevant:  # the pool as one document
+        nonrel_rows, nonrel_counts = forward_rows(index, pools.nonrelevant, _counts)
+        # counts and their total are below 2^53, so each quotient is the int one
+        p_nonrel = _at(rows, nonrel_rows, nonrel_counts / int(nonrel_counts.sum()))
     else:
         p_nonrel = np.zeros(rows.size)
         remaining = 1.0 - lambda1
@@ -569,7 +540,7 @@ def estimate_rocchio(
     """
     bm25 = doc_weighting(index, "bm25", params)
     vector = dict(query_count_vector(query_terms).weights)
-    q_rows, q_counts, _ = _query_rows(index, vector)
+    q_rows, q_counts = in_collection(index, vector)
     sign = -1.0 if params.subtract_nonrelevant else 1.0
     centroids = [
         (coefficient, *_mean_rows(index, pool, bm25))
@@ -615,10 +586,11 @@ def estimate_prob(
     estimate reaches 1).  With an empty relevant pool the query counts come
     back as a fallback, for BM25 scoring.
     """
+    query = query_count_vector(query_terms)
     num_docs = index.num_docs
     num_rel = len(pools.relevant)
     if num_rel == 0:
-        return Estimate(query_count_vector(query_terms), True, {})
+        return Estimate(query, True, {})
 
     rows, in_pool = forward_rows(index, pools.relevant, lambda rows, lengths, counts: 1)
     in_pool = in_pool.astype(float)  # counts below 2^53: exact floats
@@ -633,11 +605,10 @@ def estimate_prob(
         top = np.sort(_top(rows, log_odds, params.num_expansion_terms))
         rows, log_odds = rows[top], log_odds[top]
 
-    query, row_of = set(query_terms), index.postings.rows
-    query_rows = np.array(sorted(row_of[t] for t in query if t in row_of), dtype=np.int64)
+    query_rows, _ = in_collection(index, query.weights)
     df_all = index.dfs[query_rows]
     defined = df_all < num_docs  # and a term outside the collection, df 0, has no row
-    excluded += len(query) - int(np.count_nonzero(defined))
+    excluded += len(query.weights) - int(np.count_nonzero(defined))
     df_all = df_all[defined]
     original = query_rows[defined], log_each((num_docs - df_all) / df_all), {}
     combined = _interpolate(index, original, (rows, log_odds), params.interp_lambda)

@@ -8,9 +8,9 @@ in ascending doc order.  ``CollectionIndex.postings`` shows them as a
 read-only mapping of (doc, count) lists.  The forward store is the same
 entries transposed, doc-major CSR columns of term rows and counts, because
 the feedback estimators need full term vectors of judged documents;
-``forward_rows`` is its one reader, and ``forward_sum`` that reader's dict
-view.  A row id sorts like its term, so the estimators stay on row arrays,
-with the per-row ``dfs`` and ``cfs`` columns, until they build a query model.
+``forward_rows`` is its one reader, and ``by_term`` names the rows it returns.
+A row id sorts like its term, so the estimators stay on row arrays, with the
+per-row ``dfs`` and ``cfs`` columns, until they build a query model.
 The index is immutable once built and safe to share across threads.
 """
 
@@ -249,6 +249,7 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
         if seq.doc_id in seen:
             raise IndexDataError(f"duplicate doc_id {seq.doc_id!r}")
         check_field(seq.doc_id, "doc_id", IndexDataError)
+        check_collection(f"the terms of doc {seq.doc_id!r}", seq.terms, "terms", IndexDataError)
         seen.add(seq.doc_id)
         doc_ids.append(seq.doc_id)
         block.extend(map(term_ids.__getitem__, seq.terms))
@@ -298,14 +299,9 @@ def by_term(index: CollectionIndex, rows: np.ndarray, values: np.ndarray) -> dic
     return dict(zip(map(index.postings.terms.__getitem__, rows.tolist()), values.tolist()))
 
 
-def forward_sum(index: CollectionIndex, doc_ids: Iterable[str], weigh: Callable[..., Any]) -> dict[str, Any]:
-    """``forward_rows`` as a dict, term -> sum, in sorted term order."""
-    return by_term(index, *forward_rows(index, doc_ids, weigh))
-
-
 def doc_vector(index: CollectionIndex, doc_id: str) -> dict[str, int]:
     """Exact term counts of one document, in sorted term order."""
-    return forward_sum(index, [doc_id], lambda rows, lengths, counts: counts)
+    return by_term(index, *forward_rows(index, [doc_id], lambda rows, lengths, counts: counts))
 
 
 def save_index(index: CollectionIndex, directory: str | Path) -> None:

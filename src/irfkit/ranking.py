@@ -86,15 +86,17 @@ def _check_finite(weights: dict[str, float]) -> dict[str, float]:
     return weights
 
 
-def query_language_model(terms: Sequence[str]) -> QueryModel:
+def query_language_model(query_terms: Sequence[str]) -> QueryModel:
     """Maximum-likelihood unigram model of a term sequence."""
-    n = len(terms)
-    return QueryModel.lm({t: c / n for t, c in Counter(terms).items()})
+    check_collection("query_terms", query_terms, "terms")
+    n = len(query_terms)
+    return QueryModel.lm({t: c / n for t, c in Counter(query_terms).items()})
 
 
-def query_count_vector(terms: Sequence[str]) -> QueryModel:
+def query_count_vector(query_terms: Sequence[str]) -> QueryModel:
     """Term counts as a BM25 vector: the vector models' initial query."""
-    return QueryModel.vector(Counter(terms), "bm25")
+    check_collection("query_terms", query_terms, "terms")
+    return QueryModel.vector(Counter(query_terms), "bm25")
 
 
 @dataclass(frozen=True)
@@ -275,12 +277,14 @@ def _top(
     return ScoredList(_rank(index, *found, depth))
 
 
-def _in_collection(index: CollectionIndex, model: QueryModel) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The model's terms in the collection, in sorted order, with their
-    postings rows and query weights."""
+def in_collection(index: CollectionIndex, weights: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of a term -> weight map that the collection holds, as
+    ascending postings rows (int64, so in sorted term order), and their
+    weights (float64): the one way from terms to the postings, for the
+    scorers and the feedback estimators alike."""
     row_of = index.postings.rows
-    terms = [term for term in sorted(model.weights) if term in row_of]
-    return terms, np.array([row_of[t] for t in terms], dtype=np.int64), np.array([model.weights[t] for t in terms])
+    terms = sorted(term for term in weights if term in row_of)
+    return np.array([row_of[t] for t in terms], dtype=np.int64), np.array([weights[t] for t in terms], dtype=float)
 
 
 def retrieve_kl(
@@ -300,12 +304,12 @@ def retrieve_kl(
     """
     if model.kind != "lm":
         raise ValueError(f"retrieve_kl requires an lm query model, got {model.kind!r}")
-    terms, rows, q = _in_collection(index, model)
+    rows, q = in_collection(index, model.weights)
     total_terms = index.stats.total_terms
     # Python floats: a mu * cf that overflows is inf, which _rank rejects, not a numpy warning
     backgrounds = [params.mu * cf / total_terms for cf in index.cfs[rows].tolist()]
     if 0.0 in backgrounds:  # its log would be a math domain error
-        term = terms[backgrounds.index(0.0)]
+        term = index.postings.terms[rows[backgrounds.index(0.0)]]
         raise ValueError(f"mu={params.mu} is so small that mu * cf / total_terms is 0.0 for term {term!r}")
     backgrounds = np.array(backgrounds)
     # score(x) = sum_w q_w * log(c(w,x) + mu*bg_w) - (sum_w q_w) * log(|x| + mu)
@@ -363,7 +367,7 @@ def retrieve_dot(
     """Dot product of the query vector with document vectors under the
     model's weighting, BM25 or MLE; the top ``depth`` documents."""
     weighting = doc_weighting(index, model.kind, params)
-    _, rows, q = _in_collection(index, model)
+    rows, q = in_collection(index, model.weights)
 
     def weigh(spread: Callable, docs: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return spread(q) * weighting(spread(rows), index.doc_length_array[docs], counts)

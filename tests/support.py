@@ -28,9 +28,9 @@ from irfkit.corpus_io import (
 )
 from irfkit.evaluation import SigTestResult
 from irfkit.exact import log_each, ordered_sum
-from irfkit.feedback import Estimate, FeedbackError, FeedbackPools, ModelParams, _centroid, _check_lambdas, mle
-from irfkit.index import CollectionIndex, IndexDataError, Postings, _check_analysis, _transpose, forward_sum
-from irfkit.ranking import QueryModel, doc_weighting, query_count_vector, query_language_model
+from irfkit.feedback import Estimate, FeedbackError, FeedbackPools, ModelParams, _check_lambdas
+from irfkit.index import CollectionIndex, IndexDataError, Postings, _check_analysis, _transpose
+from irfkit.ranking import QueryModel, query_count_vector, query_language_model
 
 
 def random_corpus(
@@ -192,9 +192,80 @@ def reference_read_rows(path: Path, layout: str) -> tuple[list[str], list[int]]:
     return names, numbers
 
 
+# The pool reads as they were before ``index.forward_rows``: a dict loop over
+# each judged document's term vector, with a weighting curried by term.  The
+# reference estimators read the vectors from the ``index.postings`` view, which
+# never touches the forward store the estimators read.
+
+
+def reference_vector(terms: Iterable[str]) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for term in terms:
+        counts[term] = counts.get(term, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def postings_vectors(index: CollectionIndex) -> dict[str, dict[str, int]]:
+    """Each document's term counts, in sorted term order, from the postings view."""
+    vectors: dict[str, dict[str, int]] = {doc_id: {} for doc_id in index.doc_ids}
+    for term, entries in index.postings.items():
+        for doc, count in entries:
+            vectors[index.doc_ids[doc]][term] = count
+    return vectors
+
+
+def reference_weighting(index: CollectionIndex, vectorizer: str, params: ModelParams) -> Callable:
+    if vectorizer == "mle":
+        return lambda term: lambda length, c: c / length
+    k1, b, avgdl, num_docs = params.k1, params.b, index.stats.avg_doc_len, index.stats.num_docs
+
+    def okapi(term):
+        idf = math.log((num_docs + 1) / index.df(term))
+        return lambda length, c: (k1 + 1.0) * c / (k1 * (1.0 - b + b * length / avgdl) + c) * idf
+
+    return okapi
+
+
+def reference_centroid(vectors: Mapping, doc_ids: Sequence[str], weighting: Callable) -> dict[str, float]:
+    out: dict[str, float] = {}
+    for doc_id in doc_ids:
+        length = sum(vectors[doc_id].values())
+        for term, count in vectors[doc_id].items():
+            out[term] = out.get(term, 0.0) + weighting(term)(length, count)
+    n = len(doc_ids)
+    return {t: w / n for t, w in sorted(out.items())}
+
+
+def reference_pool_counts(vectors: Mapping, doc_ids: Sequence[str]) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for doc_id in doc_ids:
+        for term, count in vectors[doc_id].items():
+            counts[term] = counts.get(term, 0) + count
+    return counts
+
+
+def reference_pool_df(vectors: Mapping, doc_ids: Sequence[str]) -> dict[str, int]:
+    df_pool: dict[str, int] = {}
+    for doc_id in doc_ids:
+        for term in vectors[doc_id]:
+            df_pool[term] = df_pool.get(term, 0) + 1
+    return df_pool
+
+
+def reference_bm25_weight(
+    index: CollectionIndex, vectors: Mapping, term: str, doc_id: str, params: ModelParams
+) -> float:
+    count = vectors[doc_id].get(term, 0)
+    if count == 0:
+        return 0.0
+    return reference_weighting(index, "bm25", params)(term)(sum(vectors[doc_id].values()), count)
+
+
 def bm25_weight(index: CollectionIndex, term: str, doc_id: str, params: ModelParams) -> float:
-    """Okapi weight of a term in one document, as the Rocchio centroid reads it."""
-    return forward_sum(index, [doc_id], doc_weighting(index, "bm25", params)).get(term, 0.0)
+    """Okapi weight of a term in one document, from its postings count; an
+    unknown doc is an ``IndexDataError``, as in the scorers."""
+    index.internal_id(doc_id)
+    return reference_bm25_weight(index, postings_vectors(index), term, doc_id, params)
 
 
 def fisher_exact_by_blocks(per_query_a: Mapping[str, float], per_query_b: Mapping[str, float]) -> SigTestResult:
@@ -294,7 +365,9 @@ def reference_rm3(
     original = query_language_model(query_terms)
     if not pools.relevant:
         return Estimate(original, True, {})
-    return reference_lm_update(original, mle(index, pools.relevant, mode="averaged"), params)
+    vectors = postings_vectors(index)
+    relevance = reference_centroid(vectors, pools.relevant, reference_weighting(index, "mle", params))
+    return reference_lm_update(original, relevance, params)
 
 
 def reference_distillation(
@@ -304,14 +377,17 @@ def reference_distillation(
     if not pools.relevant:
         return Estimate(original, True, {})
     lambda1, lambda2 = params.lambda1, params.lambda2
+    vectors = postings_vectors(index)
     if pools.nonrelevant:
-        p_nonrel = mle(index, pools.nonrelevant, mode="concatenated")
+        nonrel_counts = reference_pool_counts(vectors, pools.nonrelevant)
+        total = sum(nonrel_counts.values())
+        p_nonrel = {t: c / total for t, c in nonrel_counts.items()}
     else:
         p_nonrel = {}
         remaining = 1.0 - lambda1
         lambda1, lambda2 = 0.0, lambda2 / remaining
     total_terms = index.stats.total_terms
-    pool_counts = forward_sum(index, pools.relevant, lambda rows, lengths, counts: counts)
+    pool_counts = reference_pool_counts(vectors, pools.relevant)
     p_corpus = {t: index.cf(t) / total_terms for t in pool_counts}
     _check_lambdas(lambda1, lambda2)
     if not pool_counts:
@@ -331,13 +407,14 @@ def reference_distillation(
 def reference_rocchio(
     index: CollectionIndex, query_terms: Sequence[str], pools: FeedbackPools, params: ModelParams
 ) -> Estimate:
-    bm25 = doc_weighting(index, "bm25", params)
+    bm25 = reference_weighting(index, "bm25", params)
     vector = dict(query_count_vector(query_terms).weights)
     query_term_set = set(vector)
     sign = -1.0 if params.subtract_nonrelevant else 1.0
+    vectors = postings_vectors(index)
     for pool, coefficient in (pools.relevant, params.beta), (pools.nonrelevant, sign * params.gamma):
         if pool and coefficient != 0.0:
-            for term, weight in _centroid(index, pool, bm25).items():
+            for term, weight in reference_centroid(vectors, pool, bm25).items():
                 vector[term] = vector.get(term, 0.0) + coefficient * weight
     expansion = {t: w for t, w in vector.items() if t not in query_term_set}
     kept = reference_top_terms(expansion, params.num_expansion_terms, abs)
@@ -353,7 +430,7 @@ def reference_prob(
     num_rel = len(pools.relevant)
     if num_rel == 0:
         return Estimate(query_count_vector(query_terms), True, {})
-    df_pool = forward_sum(index, pools.relevant, lambda rows, lengths, counts: 1)
+    df_pool = dict(sorted(reference_pool_df(postings_vectors(index), pools.relevant).items()))
     in_pool = np.array(list(df_pool.values()), dtype=float)
     in_all = np.array([index.df(term) for term in df_pool], dtype=float)
     p_rel = (in_pool + in_all / num_docs) / (num_rel + 1)

@@ -19,7 +19,13 @@ from irfkit.corpus_io import (
     parse_trec_collection,
     write_qrels,
 )
-from irfkit.feedback import load_params
+from irfkit.evaluation import average_precision, cross_validate, ndcg_at_20
+from irfkit.feedback import (
+    FeedbackPools, ModelParams, estimate_distillation, estimate_prob, estimate_rm3, estimate_rocchio, load_params,
+)
+from irfkit.index import build_index
+from irfkit.ranking import query_count_vector, query_language_model
+from irfkit.session import MODEL_KINDS, BudgetConfig, run_irf
 from irfkit.krovetz import _EXCEPTIONS, stem
 
 from support import normalize_per_token, reference_parse_run
@@ -267,6 +273,37 @@ class TestCollectionArguments:
     def test_docs_that_are_not_a_collection_are_named(self, docs, shown):
         with pytest.raises(ValueError, match=f"^docs must be a collection of documents, not {shown}$"):
             list(normalize_collection(docs, frozenset()))
+
+
+ESTIMATORS = (estimate_rm3, estimate_distillation, estimate_rocchio, estimate_prob)
+INDEX = build_index([TermSequence("d1", ("apple", "pie")), TermSequence("d2", ("pie",))])
+QRELS = QrelSet()
+QRELS.set("q", "d1", 1)
+# each entry point that takes a collection of names: a call with the value
+# given, and the parameter and the names its message gives
+COLLECTION_ARGUMENTS = [
+    *((f.__name__, lambda v, f=f: f(v), "query_terms", "terms") for f in (query_language_model, query_count_vector)),
+    *((f.__name__, lambda v, f=f: f(INDEX, v, FeedbackPools(["d1"], ["d2"]), ModelParams()), "query_terms", "terms")
+      for f in ESTIMATORS),
+    *((f"run_irf[{kind}]", lambda v, kind=kind: run_irf(
+        INDEX, Topic("q", v), kind, ModelParams(), BudgetConfig(1, 1), QRELS.is_relevant
+    ), "query_terms", "terms") for kind in MODEL_KINDS),
+    ("FeedbackPools.relevant", lambda v: FeedbackPools(v), "relevant", "doc ids"),
+    ("FeedbackPools.nonrelevant", lambda v: FeedbackPools(["d1"], v), "nonrelevant", "doc ids"),
+    ("average_precision", lambda v: average_precision(v, QRELS, "q"), "run", "doc ids"),
+    ("ndcg_at_20", lambda v: ndcg_at_20(v, QRELS, "q"), "run", "doc ids"),
+    ("cross_validate", lambda v: cross_validate(lambda p: {}, v, [ModelParams()], folds=1), "query_ids", "query ids"),
+    ("build_index", lambda v: build_index([TermSequence("d1", v)]), "the terms of doc 'd1'", "terms"),
+]
+
+
+@pytest.mark.parametrize("value,shown", [("apple", "the str 'apple'"), (None, "None")], ids=["str", "None"])
+@pytest.mark.parametrize("call,name,of", [case[1:] for case in COLLECTION_ARGUMENTS],
+                         ids=[case[0] for case in COLLECTION_ARGUMENTS])
+def test_a_str_or_none_for_a_collection_of_names_is_named(call, name, of, value, shown):
+    # a str would be read as its characters: the query "apple" as the terms a, e, l, p
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a collection of {of}, not {shown}')}$"):
+        call(value)
 
 
 def test_normalize_collection_stems_each_distinct_token_once_per_call(monkeypatch, stoplist):

@@ -22,27 +22,47 @@ from irfkit.feedback import (
     estimate_rm3,
     estimate_rocchio,
     load_params,
-    mle,
     parse_param,
     write_key_values,
-    _centroid,
 )
-from irfkit.index import build_index, doc_vector, forward_sum, load_index, save_index
+from irfkit.index import build_index, by_term, doc_vector, forward_rows, load_index, save_index
 from irfkit.ranking import QueryModel, doc_weighting, query_count_vector, retrieve_dot
 from irfkit.session import BudgetConfig, make_qrels_judge, run_irf
 from irfkit.synthetic import topical_corpus
 from support import (
     bm25_weight,
+    reference_bm25_weight,
+    reference_centroid,
     reference_distill,
     reference_distillation,
+    reference_pool_counts,
+    reference_pool_df,
     reference_prob,
     reference_rm3,
     reference_rocchio,
+    reference_vector,
+    reference_weighting,
 )
 
 
 def make_index(layout):
     return build_index([TermSequence(doc_id, tuple(terms)) for doc_id, terms in layout])
+
+
+def pool_sums(index, doc_ids, weigh):
+    """``forward_rows`` by term, in sorted term order."""
+    return by_term(index, *forward_rows(index, doc_ids, weigh))
+
+
+def averaged(index, doc_ids):
+    """rm3's relevance model: the mean of the documents' MLE models."""
+    return by_term(index, *feedback._mean_rows(index, doc_ids, doc_weighting(index, "mle", ModelParams())))
+
+
+def concatenated(index, doc_ids):
+    """Distillation's non-relevant model: the documents as one, its counts over their int total."""
+    rows, counts = forward_rows(index, doc_ids, feedback._counts)
+    return by_term(index, rows, counts / int(counts.sum()))
 
 
 @pytest.fixture
@@ -199,20 +219,16 @@ class TestModelParams:
 
 class TestMLE:
     def test_single_doc_both_modes(self, ab_index):
-        for mode in ("averaged", "concatenated"):
-            assert mle(ab_index, ["D1"], mode) == pytest.approx({"a": 2 / 3, "b": 1 / 3})
+        for mle in (averaged, concatenated):
+            assert mle(ab_index, ["D1"]) == pytest.approx({"a": 2 / 3, "b": 1 / 3})
 
     def test_two_docs_averaged_vs_concatenated(self, ab_index):
-        assert mle(ab_index, ["D1", "D2"], "averaged") == pytest.approx({"a": 1 / 3, "b": 2 / 3})
-        assert mle(ab_index, ["D1", "D2"], "concatenated") == pytest.approx({"a": 0.5, "b": 0.5})
+        assert averaged(ab_index, ["D1", "D2"]) == pytest.approx({"a": 1 / 3, "b": 2 / 3})
+        assert concatenated(ab_index, ["D1", "D2"]) == pytest.approx({"a": 0.5, "b": 0.5})
 
     def test_output_sums_to_one(self, ab_index):
-        for mode in ("averaged", "concatenated"):
-            assert sum(mle(ab_index, ["D1", "D2"], mode).values()) == pytest.approx(1.0)
-
-    def test_empty_doc_set_is_an_error(self, ab_index):
-        with pytest.raises(FeedbackError):
-            mle(ab_index, [])
+        for mle in (averaged, concatenated):
+            assert sum(mle(ab_index, ["D1", "D2"]).values()) == pytest.approx(1.0)
 
 
 class TestRM3:
@@ -230,7 +246,7 @@ class TestRM3:
     def test_interp_zero_reduces_to_averaged_mle(self, ab_index):
         params = ModelParams(interp_lambda=0.0, num_expansion_terms=5)
         model, _, _ = estimate_rm3(ab_index, ["b"], FeedbackPools(["D1", "D2"]), params)
-        assert model.weights == pytest.approx(mle(ab_index, ["D1", "D2"], "averaged"))
+        assert model.weights == pytest.approx(averaged(ab_index, ["D1", "D2"]))
 
     def test_empty_pool_falls_back_to_query_model(self, ab_index):
         estimate = estimate_rm3(ab_index, ["b", "b", "a"], FeedbackPools(), ModelParams())
@@ -334,7 +350,7 @@ class TestDistillation:
         pools = FeedbackPools(["d1"])
         estimate = estimate_distillation(toy_index, toy_topic.terms, pools, ModelParams())
         # with no non-relevant pool, lambda2 takes lambda1's share of the mixture
-        counts = forward_sum(toy_index, ["d1"], lambda rows, lengths, counts: counts)
+        counts = pool_sums(toy_index, ["d1"], lambda rows, lengths, counts: counts)
         p_corpus = {t: toy_index.cf(t) / toy_index.stats.total_terms for t in counts}
         _, trace = distill_relevance_model(counts, {}, p_corpus, 0.0, 0.2 / (1.0 - 0.2))
         assert estimate.diagnostics == {
@@ -855,61 +871,8 @@ class TestRowKeyedEstimatorsMatchTheDictOnes:
         assert estimate_outcome(estimate_rocchio, *case) == (ValueError, message)
 
 
-# The pool reads as they were before ``index.forward_sum``: a dict loop over
-# each judged document's term vector, with a weighting curried by term.  The
-# reader must give the same sums, float for float and in the same term order.
-
-
-def reference_vector(terms):
-    counts = {}
-    for term in terms:
-        counts[term] = counts.get(term, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def reference_weighting(index, vectorizer, params):
-    if vectorizer == "mle":
-        return lambda term: lambda length, c: c / length
-    k1, b, avgdl, num_docs = params.k1, params.b, index.stats.avg_doc_len, index.stats.num_docs
-
-    def okapi(term):
-        idf = math.log((num_docs + 1) / index.df(term))
-        return lambda length, c: (k1 + 1.0) * c / (k1 * (1.0 - b + b * length / avgdl) + c) * idf
-
-    return okapi
-
-
-def reference_centroid(vectors, doc_ids, weighting):
-    out = {}
-    for doc_id in doc_ids:
-        length = sum(vectors[doc_id].values())
-        for term, count in vectors[doc_id].items():
-            out[term] = out.get(term, 0.0) + weighting(term)(length, count)
-    n = len(doc_ids)
-    return {t: w / n for t, w in sorted(out.items())}
-
-
-def reference_pool_counts(vectors, doc_ids):
-    counts = {}
-    for doc_id in doc_ids:
-        for term, count in vectors[doc_id].items():
-            counts[term] = counts.get(term, 0) + count
-    return counts
-
-
-def reference_pool_df(vectors, doc_ids):
-    df_pool = {}
-    for doc_id in doc_ids:
-        for term in vectors[doc_id]:
-            df_pool[term] = df_pool.get(term, 0) + 1
-    return df_pool
-
-
-def reference_bm25_weight(index, vectors, term, doc_id, params):
-    count = vectors[doc_id].get(term, 0)
-    if count == 0:
-        return 0.0
-    return reference_weighting(index, "bm25", params)(term)(sum(vectors[doc_id].values()), count)
+# The pool reads must give the sums of ``support``'s dict loops, float for
+# float and in the same term order.
 
 
 POOL_TERMS = ["a", "b", "cc", "dd", "e"]
@@ -944,26 +907,22 @@ class TestForwardReaderMatchesDictLoops:
 
         for vectorizer in ("bm25", "mle"):
             same(
-                _centroid(index, pool, doc_weighting(index, vectorizer, params)),
+                by_term(index, *feedback._mean_rows(index, pool, doc_weighting(index, vectorizer, params))),
                 reference_centroid(vectors, pool, reference_weighting(index, vectorizer, params)),
             )
         counts = dict(sorted(reference_pool_counts(vectors, pool).items()))
-        same(forward_sum(index, pool, lambda rows, lengths, counts: counts), counts, int)
+        same(pool_sums(index, pool, lambda rows, lengths, counts: counts), counts, int)
         total = sum(counts.values())
-        same(mle(index, pool, "concatenated"), {t: c / total for t, c in counts.items()})
-        same(
-            mle(index, pool, "averaged"),
-            reference_centroid(vectors, pool, reference_weighting(index, "mle", params)),
-        )
+        same(concatenated(index, pool), {t: c / total for t, c in counts.items()})  # averaged: the mle centroid
         df_pool = reference_pool_df(vectors, pool)
-        same(forward_sum(index, pool, lambda rows, lengths, counts: 1), dict(sorted(df_pool.items())), int)
+        same(pool_sums(index, pool, lambda rows, lengths, counts: 1), dict(sorted(df_pool.items())), int)
         for doc_id in vectors:
             same(doc_vector(index, doc_id), vectors[doc_id], int)
         for doc_id in vectors:
+            bm25 = pool_sums(index, [doc_id], doc_weighting(index, "bm25", params))
             for term in [*POOL_TERMS, "zz"]:
-                assert bm25_weight(index, term, doc_id, params) == reference_bm25_weight(
-                    index, vectors, term, doc_id, params
-                )
+                want = reference_bm25_weight(index, vectors, term, doc_id, params)
+                assert bm25.get(term, 0.0) == want == bm25_weight(index, term, doc_id, params)
 
     @pytest.mark.parametrize("pool", [[], ["e1"], ["e2", "e1", "e2"]], ids=["empty", "one", "repeated"])
     def test_a_pool_with_no_entries_sums_to_nothing(self, pool):
@@ -973,9 +932,9 @@ class TestForwardReaderMatchesDictLoops:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for weigh in [*weighs, lambda rows, lengths, counts: counts, lambda rows, lengths, counts: 1]:
-                assert forward_sum(index, pool, weigh) == {}
+                assert pool_sums(index, pool, weigh) == {}
             if pool:
-                assert mle(index, pool, "averaged") == mle(index, pool, "concatenated") == {}
+                assert averaged(index, pool) == concatenated(index, pool) == {}
 
 
 class TestIdfColumn:
