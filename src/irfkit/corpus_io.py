@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Collection
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -50,7 +51,7 @@ def parse_number(text: str, kind: type[int] | type[float] = int) -> int | float:
 
 
 def check_value(name: str, value: object, kind: type, error: type[ValueError] = ValueError) -> None:
-    """The rule for a parameter value of ``kind`` (bool, int or float): a bool only for a bool,
+    """The rule for a value of ``kind`` (bool, int, float or str): a bool only for a bool,
     an int for a float too, and for a float a finite value (an int too large for a float is not)."""
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
@@ -70,11 +71,17 @@ def check_count(name: str, value: object, error: type[ValueError] = ValueError, 
         raise error(f"{name} must be >= {least}, got {value}")
 
 
-def check_collection(name: str, value: object, of: str, error: type[ValueError] = ValueError) -> None:
-    """The rule for a collection of names: not a ``str``, whose characters would
-    be read as the names, and not None."""
-    if value is None or isinstance(value, str):
-        raise error(f"{name} must be a collection of {of}, not {'' if value is None else 'the str '}{value!r}")
+def check_collection(
+    name: str, value: object, of: str, error: type[ValueError] = ValueError, stream: bool = False
+) -> None:
+    """The rule for a collection of names: not a ``str`` or ``bytes``, whose
+    items would be read as the names, not None, and a ``Collection``, which an
+    iterator is not, unless it is a ``stream``, read once."""
+    if value is None or isinstance(value, (str, bytes)):
+        shown = "" if value is None else f"the {type(value).__name__} "
+        raise error(f"{name} must be a collection of {of}, not {shown}{value!r}")
+    if not (stream or isinstance(value, Collection)):
+        raise error(f"{name} must be a collection of {of}, not a {type(value).__name__}")
 
 
 _UNWRITABLE = re.compile("^\ufeff|[\ud800-\udfff]")  # read_text strips a BOM, UTF-8 has no surrogates
@@ -276,7 +283,7 @@ def normalize_collection(
     each distinct raw token once: its memo lives as long as the call and holds
     one entry per distinct token seen, so it is bounded by the collection's
     raw vocabulary, and equal terms share one string."""
-    check_collection("docs", docs, "documents")
+    check_collection("docs", docs, "documents", stream=True)
     memo = _TermMemo(stoplist, stemmer)
     for doc in docs:
         yield TermSequence(doc.doc_id, memo.terms(doc.text))

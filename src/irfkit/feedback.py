@@ -280,7 +280,11 @@ def _lm_update(
     num_expansion_terms terms (ascending postings rows and their weights),
     renormalized only if terms dropped, the kept weights added in (-weight,
     term) order, and interpolate it with the original query model by
-    interp_lambda."""
+    interp_lambda.  An empty query model would leave the interpolation only
+    1 - interp_lambda of the mass, so it is refused unless interp_lambda is 0
+    or 1."""
+    if not original.weights and 0.0 < params.interp_lambda < 1.0:
+        raise FeedbackError(f"query_terms must hold a term to interpolate with by interp_lambda={params.interp_lambda}")
     if rows.size > params.num_expansion_terms:
         kept = _top(rows, relevance, params.num_expansion_terms)
         total = ordered_sum(relevance[kept])

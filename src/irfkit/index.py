@@ -18,19 +18,21 @@ from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import contains
+from itertools import count, islice, repeat
+from operator import contains, lt
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .corpus_io import (
-    STEMMERS, TermSequence, check_collection, check_field, not_one_field, parse_number, read_text, reject_repeats,
+    STEMMERS, TermSequence, check_collection, check_field, check_value, not_one_field, parse_number, read_text,
+    reject_repeats,
 )
 from .exact import log_each
 
@@ -134,6 +136,12 @@ class CollectionIndex:
         return 0 if row is None else self.cfs.item(row)
 
     @cached_property
+    def doc_id_array(self) -> np.ndarray:
+        """``doc_ids`` as an object array, read-only, so a ranking's internal ids
+        name in one gather; built at first use."""
+        return _frozen(np.array(self.doc_ids, dtype=object))
+
+    @cached_property
     def dfs(self) -> np.ndarray:
         """The document frequency of each postings row, int64, read-only; built at first use."""
         return _frozen(np.diff(self.postings.offsets))
@@ -222,7 +230,7 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
     then counts it, each document's entries in term id order.  ``_transpose``
     sorts all entries stably by postings row, so a row holds its documents in
     document order, as when each document's entries were in first-use order."""
-    check_collection("docs", docs, "documents", IndexDataError)
+    check_collection("docs", docs, "documents", IndexDataError, stream=True)
     _check_analysis({} if analysis is None else analysis, "analysis")
     doc_ids: list[str] = []
     term_ids: defaultdict[str, int] = defaultdict()
@@ -249,7 +257,7 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
         if seq.doc_id in seen:
             raise IndexDataError(f"duplicate doc_id {seq.doc_id!r}")
         check_field(seq.doc_id, "doc_id", IndexDataError)
-        check_collection(f"the terms of doc {seq.doc_id!r}", seq.terms, "terms", IndexDataError)
+        check_collection(f"the terms of doc {seq.doc_id!r}", seq.terms, "terms", IndexDataError, stream=True)
         seen.add(seq.doc_id)
         doc_ids.append(seq.doc_id)
         block.extend(map(term_ids.__getitem__, seq.terms))
@@ -257,6 +265,10 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
         if len(block) >= _COUNT_BLOCK:
             count_block()
     count_block()
+    if not all(map(isinstance, term_ids, repeat(str))):  # sorting and the name check read str
+        term = next(term for term in term_ids if not isinstance(term, str))  # the first one used
+        doc_id = doc_ids[bisect_right(ends, term_column.index(term_ids[term])) - 1]
+        check_value(f"a term of doc {doc_id!r}", term, str, IndexDataError)
     terms = sorted(term_ids)
     row_of_id = np.empty(len(terms), dtype=np.int32)
     row_of_id[[term_ids[term] for term in terms]] = np.arange(len(terms))
@@ -330,7 +342,10 @@ def save_index(index: CollectionIndex, directory: str | Path) -> None:
 def load_index(directory: str | Path) -> CollectionIndex:
     """Read a snapshot whole or reject it: the postings checked against the doc
     and term tables, and all against the manifest.  The ``.npy`` columns are
-    read, not mapped: a later save into the directory rewrites them in place."""
+    read, not mapped: a later save into the directory rewrites them in place.
+    Each table check is one pass in C over whole columns (``map``, ``min`` and
+    ``max``, list equality), which also take a df too large for int64 and a
+    term that holds a NUL; only a check that fails looks for its first row."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -353,18 +368,16 @@ def load_index(directory: str | Path) -> CollectionIndex:
     doc_ids, lengths = _read_rows(docs_path, "doc_id<TAB>length")
     reject_repeats(docs_path, enumerate(doc_ids, 1), lambda doc_id: f"doc {doc_id!r}", IndexDataError)
     terms, dfs = _read_rows(terms_path, "term<TAB>df")
-    for lineno, (before, term) in enumerate(zip(terms, terms[1:]), 2):
-        if not before < term:
-            raise IndexDataError(
-                f"{terms_path}:{lineno}: term {term!r} does not follow {before!r}; "
-                "rows hold each term once, in sorted order"
-            )
+    if not all(map(lt, terms, islice(terms, 1, None))):
+        lineno, before, term = next(row for row in zip(count(2), terms, terms[1:]) if not row[1] < row[2])
+        raise IndexDataError(
+            f"{terms_path}:{lineno}: term {term!r} does not follow {before!r}; "
+            "rows hold each term once, in sorted order"
+        )
     num_docs = len(doc_ids)
-    for lineno, (term, df) in enumerate(zip(terms, dfs), 1):
-        if not 1 <= df <= num_docs:  # which also keeps the offsets in int64
-            raise IndexDataError(
-                f"{terms_path}:{lineno}: df {df} of term {term!r} is outside [1, {num_docs}]"
-            )
+    if dfs and not 1 <= min(dfs) <= max(dfs) <= num_docs:  # which also keeps the offsets in int64
+        lineno, term, df = next(row for row in zip(count(1), terms, dfs) if not 1 <= row[2] <= num_docs)
+        raise IndexDataError(f"{terms_path}:{lineno}: df {df} of term {term!r} is outside [1, {num_docs}]")
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(dfs, dtype=np.int64, out=offsets[1:])
     docs_npy, counts_npy = directory / "docs.npy", directory / "counts.npy"
@@ -395,11 +408,9 @@ def load_index(directory: str | Path) -> CollectionIndex:
                 f"{manifest_path}: {key} is {manifest.get(key)} but the snapshot "
                 f"holds {getattr(index.stats, key)}"
             )
-    for lineno, (length, held) in enumerate(zip(lengths, index.doc_lengths), 1):
-        if length != held:
-            raise IndexDataError(
-                f"{docs_path}:{lineno}: length is {length} but the postings hold {held} terms"
-            )
+    if lengths != index.doc_lengths:
+        lineno, length, held = next(row for row in zip(count(1), lengths, index.doc_lengths) if row[1] != row[2])
+        raise IndexDataError(f"{docs_path}:{lineno}: length is {length} but the postings hold {held} terms")
     return index
 
 

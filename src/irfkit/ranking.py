@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -99,19 +99,31 @@ def query_count_vector(query_terms: Sequence[str]) -> QueryModel:
     return QueryModel.vector(Counter(query_terms), "bm25")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoredList:
-    entries: tuple[tuple[str, float], ...]
+    """A ranking, best first: internal doc ids and their float64 scores.
+    ``doc_ids`` names the ids in one gather from ``names``, the index's
+    ``doc_id_array``, and ``entries`` pairs them with the scores as Python
+    floats, each built when read.  Two rankings are equal when their entries
+    are: the same names and scores, whatever index numbered them."""
+
+    ids: np.ndarray
+    scores: np.ndarray
+    names: np.ndarray = field(repr=False)
 
     @property
     def doc_ids(self) -> list[str]:
-        # a run keeps every page and tail: list() of a list is exact-size, a comprehension is not
-        return list([doc_id for doc_id, _ in self.entries])
+        return self.names[self.ids].tolist()
+
+    @property
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.doc_ids, self.scores.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        return self.entries == other.entries if isinstance(other, ScoredList) else NotImplemented
 
 
-def _rank(
-    index: CollectionIndex, candidates: np.ndarray, scores: np.ndarray, depth: int
-) -> tuple[tuple[str, float], ...]:
+def _rank(index: CollectionIndex, candidates: np.ndarray, scores: np.ndarray, depth: int) -> ScoredList:
     """The top ``depth`` candidates by (score desc, doc_id asc): a partition
     keeps every candidate tied at the cut, then a sort orders what it kept.
     A score that is not finite, from parameters so large that a weight
@@ -124,8 +136,7 @@ def _rank(
         kept = -scores <= cut
         candidates, scores = candidates[kept], scores[kept]
     order = np.lexsort((index.doc_id_rank[candidates], -scores))[:depth]
-    doc_ids = index.doc_ids
-    return tuple(zip([doc_ids[x] for x in candidates[order].tolist()], scores[order].tolist()))
+    return ScoredList(candidates[order], scores[order], index.doc_id_array)
 
 
 _BLOCK = 2**20  # postings entries gathered at once: a retrieval's arrays stay O(block + docs)
@@ -265,7 +276,7 @@ def _top(
     and ``bound(max_counts, min_lengths)`` gives each term's bound, the length
     term's bound and the sum of the magnitudes a score adds; else in full."""
     check_count("depth", depth)
-    check_collection("exclude", exclude, "doc ids")  # for both paths
+    check_collection("exclude", exclude, "doc ids", stream=True)  # for both paths
     excluded = np.array([index.internal_id(d) for d in exclude if index.has_doc(d)], dtype=np.intp)
     sizes = index.postings.offsets[rows + 1] - index.postings.offsets[rows]
     found = None
@@ -274,7 +285,7 @@ def _top(
     if found is None:
         candidates, partial = _accumulate(index, rows, weigh, excluded)
         found = candidates, finish(candidates, partial)
-    return ScoredList(_rank(index, *found, depth))
+    return _rank(index, *found, depth)
 
 
 def in_collection(index: CollectionIndex, weights: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:

@@ -297,13 +297,24 @@ COLLECTION_ARGUMENTS = [
 ]
 
 
-@pytest.mark.parametrize("value,shown", [("apple", "the str 'apple'"), (None, "None")], ids=["str", "None"])
+@pytest.mark.parametrize(
+    "value,shown", [("apple", "the str 'apple'"), (None, "None"), (b"apple", "the bytes b'apple'")],
+    ids=["str", "None", "bytes"],
+)
 @pytest.mark.parametrize("call,name,of", [case[1:] for case in COLLECTION_ARGUMENTS],
                          ids=[case[0] for case in COLLECTION_ARGUMENTS])
 def test_a_str_or_none_for_a_collection_of_names_is_named(call, name, of, value, shown):
     # a str would be read as its characters: the query "apple" as the terms a, e, l, p
     with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a collection of {of}, not {shown}')}$"):
         call(value)
+
+
+@pytest.mark.parametrize("call,name,of", [case[1:] for case in COLLECTION_ARGUMENTS if case[0] != "build_index"],
+                         ids=[case[0] for case in COLLECTION_ARGUMENTS if case[0] != "build_index"])
+def test_an_iterator_for_a_collection_of_names_is_named(call, name, of):
+    # read more than once, or measured: the query's length is its model's denominator
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a collection of {of}, not a list_iterator')}$"):
+        call(iter(["apple"]))
 
 
 def test_normalize_collection_stems_each_distinct_token_once_per_call(monkeypatch, stoplist):

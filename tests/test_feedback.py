@@ -504,6 +504,31 @@ class TestEstimatorsUseFullPoolsNotIncrements:
         assert model_a.weights == pytest.approx(model_b.weights)
 
 
+class TestEmptyQuery:
+    @pytest.mark.parametrize("estimate", [estimate_rm3, estimate_distillation])
+    def test_an_interpolated_model_names_the_empty_query(self, ab_index, estimate):
+        # the empty query model would leave the interpolation half the mass
+        message = "^query_terms must hold a term to interpolate with by interp_lambda=0.5$"
+        with pytest.raises(FeedbackError, match=message):
+            estimate(ab_index, [], FeedbackPools(["D1"]), ModelParams(interp_lambda=0.5))
+
+    @pytest.mark.parametrize("estimate", [estimate_rm3, estimate_distillation])
+    def test_an_interp_lambda_of_0_or_1_keeps_one_whole_model(self, ab_index, estimate):
+        expansion = estimate(ab_index, [], FeedbackPools(["D1"]), ModelParams(interp_lambda=0.0)).model
+        assert sorted(expansion.weights) == ["a", "b"]
+        assert estimate(ab_index, [], FeedbackPools(["D1"]), ModelParams(interp_lambda=1.0)).model.weights == {}
+
+    def test_rocchio_weighs_the_relevant_centroid_alone(self, ab_index):
+        params = ModelParams(num_expansion_terms=5)
+        model = estimate_rocchio(ab_index, [], FeedbackPools(["D1"]), params).model
+        assert model == reference_rocchio(ab_index, [], FeedbackPools(["D1"]), params).model
+
+    def test_prob_weighs_the_relevant_pool_alone(self, ab_index):
+        model, fell_back, _ = estimate_prob(ab_index, [], FeedbackPools(["D1"]), ModelParams())
+        assert not fell_back and model == reference_prob(ab_index, [], FeedbackPools(["D1"]), ModelParams()).model
+        assert sorted(model.weights) == ["a"]  # b is in every document
+
+
 class TestLanguageModelOutputsAreDistributions:
     def test_randomized_pools_and_params(self):
         rng = random.Random(77)

@@ -385,6 +385,16 @@ class TestUnstorableInput:
         with pytest.raises(IndexDataError, match="doc 'D2' has an empty term or one with whitespace: ''"):
             build_index([TermSequence("D1", ("ok",)), TermSequence("D2", ("ok", ""))])
 
+    @pytest.mark.parametrize("term,shown", [(1, "1"), (True, "True"), (b"ok", "b'ok'"), (("ok",), "('ok',)")])
+    def test_a_term_that_is_not_a_str_is_named_with_its_doc(self, term, shown):
+        # named by the first document that holds it
+        message = f"^a term of doc 'D2' must be str, got {re.escape(shown)}$"
+        with pytest.raises(IndexDataError, match=message):
+            build_index([TermSequence("D1", ("ok",)), TermSequence("D2", ("ok", term)), TermSequence("D3", (term,))])
+
+    def test_the_terms_of_a_doc_may_be_read_once(self):
+        assert build_index([TermSequence("D1", iter(("a", "b", "a")))]) == build_index(make_docs([("D1", "aba")]))
+
     @pytest.mark.parametrize("doc_id", ["D 1", "D\t1", "D1\n", ""])
     def test_doc_id_with_whitespace_rejected(self, doc_id):
         with pytest.raises(IndexDataError, match="whitespace"):

@@ -494,6 +494,51 @@ class TestMatchesReferenceScorer:
         assert type(bm25_weight(two_doc_index, "a", "D1", ModelParams())) is float
 
 
+class TestArrayViews:
+    """A ranking holds internal ids and float64 scores; its names and entries
+    are built when read, from the index's object array of doc ids."""
+
+    @staticmethod
+    def check_views(index, ranked):
+        names = [index.doc_ids[x] for x in ranked.ids.tolist()]  # the eager lists
+        assert ranked.doc_ids == names and all(type(name) is str for name in ranked.doc_ids)
+        assert ranked.entries == tuple(zip(names, ranked.scores.tolist()))
+        assert all(type(name) is str and type(score) is float for name, score in ranked.entries)
+
+    @given(scoring_cases(), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_scorer_views_equal_the_eager_lists(self, case, beyond):
+        index, lm, vector, exclude, params, depth = case
+        depth += beyond  # up to beyond every candidate
+        models = [QueryModel.vector(vector, weighting) for weighting in VECTORIZERS]
+        rankings = [retrieve_dot(index, model, params, exclude, depth=depth) for model in models]
+        for ranked in [retrieve_kl(index, lm, params, exclude, depth=depth), *rankings]:
+            self.check_views(index, ranked)
+            assert len(ranked.ids) <= depth and not exclude & set(ranked.doc_ids)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_at_every_depth_equals_a_sort(self, data):
+        # doc ids that sort unlike their internal order, and scores drawn from few values, so many tie
+        index = make_index([(f"d{n}", "a") for n in data.draw(st.permutations(range(12)))])
+        candidates = sorted(data.draw(st.sets(st.integers(0, 11))))
+        scores = [data.draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0])) for _ in candidates]
+        depth = data.draw(st.integers(0, len(candidates) + 2))
+        ranked = ranking._rank(index, np.array(candidates, dtype=np.intp), np.array(scores), depth)
+        expected = sorted(zip(candidates, scores), key=lambda entry: (-entry[1], index.doc_ids[entry[0]]))[:depth]
+        assert ranked.ids.tolist() == [x for x, _ in expected]
+        self.check_views(index, ranked)
+        assert ranked.entries == tuple((index.doc_ids[x], score) for x, score in expected)
+
+    def test_equal_by_names_and_scores_not_internal_ids(self):
+        one, other = make_index([("d1", "a"), ("d2", "aa")]), make_index([("d2", "aa"), ("d1", "a")])
+        model = QueryModel.vector({"a": 1.0}, "bm25")
+        ranked, reordered = retrieve_dot(one, model, ModelParams()), retrieve_dot(other, model, ModelParams())
+        assert ranked.ids.tolist() != reordered.ids.tolist()
+        assert ranked == reordered
+        assert ranked != retrieve_dot(one, model, ModelParams(k1=2.0))
+
+
 class TestBlocks:
     """The scorers gather postings in blocks of whole terms; the blocks bound
     the transient memory and change no float."""

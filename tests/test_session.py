@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+import struct
 import sys
 
 import pytest
@@ -173,8 +174,9 @@ class TestRunIrf:
         judge = make_qrels_judge(make_qrels([("q", "d01", 1), ("q", "d05", 1)]))
         run = run_irf(idx, Topic("q", ("x", "y")), "rm3", ModelParams(), BudgetConfig(1, 10, 25), judge)
         assert len(run.tail) == 15
+        # an exact-size list is its header and one pointer per item
         for ids in [run.tail, *(record.shown for record in run.records)]:
-            assert sys.getsizeof(ids) == sys.getsizeof(list(tuple(ids)))
+            assert sys.getsizeof(ids) == sys.getsizeof([]) + len(ids) * struct.calcsize("P")
 
     def test_unknown_model_rejected(self, small_setup):
         idx, topic, qrels = small_setup
