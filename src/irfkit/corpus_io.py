@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -19,6 +20,9 @@ _ASCII_BLANKS = "".join(chr(c) if chr(c).isalnum() else " " for c in range(128))
 _TAG_RE = re.compile(rb"<[^>]*>")
 _DOCNO_RE = re.compile(rb"<DOCNO>(.*?)</DOCNO>", re.DOTALL)
 _DOCHDR_RE = re.compile(rb"<DOCHDR>.*?</DOCHDR>", re.DOTALL)
+# documents normalize_collection translates at once: one translate call costs
+# about 2 µs of set-up, and the block's text stays small
+_BLOCK_DOCS = 512
 
 STEMMERS = ("krovetz", "none")
 COLLECTION_FORMATS = ("trectext", "trecweb")
@@ -72,16 +76,19 @@ def check_count(name: str, value: object, error: type[ValueError] = ValueError, 
 
 
 def check_collection(
-    name: str, value: object, of: str, error: type[ValueError] = ValueError, stream: bool = False
+    name: str, value: object, of: str, error: type[ValueError] = ValueError, stream: bool = False,
+    ordered: bool = False,
 ) -> None:
     """The rule for a collection of names: not a ``str`` or ``bytes``, whose
     items would be read as the names, not None, and a ``Collection``, which an
-    iterator is not, unless it is a ``stream``, read once."""
+    iterator is not, unless it is a ``stream``, read once; a ``Sequence``, which
+    a set is not, if it is ``ordered``."""
+    kind = "sequence" if ordered else "collection"
     if value is None or isinstance(value, (str, bytes)):
         shown = "" if value is None else f"the {type(value).__name__} "
-        raise error(f"{name} must be a collection of {of}, not {shown}{value!r}")
-    if not (stream or isinstance(value, Collection)):
-        raise error(f"{name} must be a collection of {of}, not a {type(value).__name__}")
+        raise error(f"{name} must be a {kind} of {of}, not {shown}{value!r}")
+    if not (stream or isinstance(value, Sequence if ordered else Collection)):
+        raise error(f"{name} must be a {kind} of {of}, not a {type(value).__name__}")
 
 
 _UNWRITABLE = re.compile("^\ufeff|[\ud800-\udfff]")  # read_text strips a BOM, UTF-8 has no surrogates
@@ -125,6 +132,8 @@ def _read_table(path: str | Path, width: int) -> Iterator[tuple[int, list[str]]]
 
 @dataclass(frozen=True)
 class RawDocument:
+    """A document's id and its text, with its markup blanked and its whitespace as in the file."""
+
     doc_id: str
     text: str
 
@@ -190,7 +199,8 @@ class _TermMemo(dict):
 
     A token is casefolded, stopped, stemmed and stopped again: the second
     filter keeps every emitted term out of the active stoplist (stems such as
-    use or go can land on one).
+    use or go can land on one).  Equal terms are one string, however many raw
+    tokens (dogs, Dogs, dog) give them.
     """
 
     def __init__(self, stoplist: frozenset[str], stemmer: str) -> None:
@@ -201,20 +211,24 @@ class _TermMemo(dict):
         self.stoplist = stoplist
         # looked up now, not at import, so a wrapper installed on krovetz.stem is seen
         self.stem = krovetz.stem if stemmer == "krovetz" else lambda w: w
+        self.strings: dict[str, str] = {}  # each term to its one string
 
     def __missing__(self, token: str) -> str:
         term = token.casefold()
         if term not in self.stoplist:
             term = self.stem(term)
-        self[token] = term = "" if term in self.stoplist else term
+        self[token] = term = "" if term in self.stoplist else self.strings.setdefault(term, term)
         return term
+
+    def lookup(self, tokens: Iterable[str]) -> tuple[str, ...]:
+        """The terms of ``tokens``, stopped ones left out."""
+        return tuple(filter(None, map(self.__getitem__, tokens)))
 
     def terms(self, text: str) -> tuple[str, ...]:
         """Map each token of ``text`` to its term.  A token is a maximal run of
         ``str.isalnum`` characters: ASCII text is split by one ``translate`` and
         ``split``, other text by ``_TOKEN_RE``, which finds the same runs."""
-        tokens = text.translate(_ASCII_BLANKS).split() if text.isascii() else _TOKEN_RE.findall(text)
-        return tuple(filter(None, map(self.__getitem__, tokens)))
+        return self.lookup(text.translate(_ASCII_BLANKS).split() if text.isascii() else _TOKEN_RE.findall(text))
 
 
 def normalize(text: str, stoplist: frozenset[str] = frozenset(), stemmer: str = "krovetz") -> list[str]:
@@ -222,12 +236,15 @@ def normalize(text: str, stoplist: frozenset[str] = frozenset(), stemmer: str = 
     return list(_TermMemo(stoplist, stemmer).terms(text))
 
 
-def _block_text(block: bytes, fmt: str, blank: bytes | Callable[[re.Match], bytes] = b" ") -> bytes:
-    """The block with its <DOCNO>, its trecweb <DOCHDR> and each tag replaced by ``blank``."""
-    block = _DOCNO_RE.sub(blank, block)
+def _strip_markup(text: bytes, fmt: str, blank: bytes | Callable[[re.Match], bytes] = b" ") -> bytes:
+    """``text`` with its trecweb <DOCHDR> and each tag replaced by ``blank``."""
     if fmt == "trecweb":
-        block = _DOCHDR_RE.sub(blank, block)
-    return _TAG_RE.sub(blank, block)
+        text = _DOCHDR_RE.sub(blank, text)
+    return _TAG_RE.sub(blank, text)
+
+
+def _same_width(markup: re.Match) -> bytes:
+    return b" " * len(markup[0])
 
 
 def _decode(raw: bytes, at: int, path: str | Path, part: str, ordinal: int) -> str:
@@ -242,7 +259,9 @@ def _decode(raw: bytes, at: int, path: str | Path, part: str, ordinal: int) -> s
 
 
 def parse_trec_collection(path: str | Path, fmt: str = "trectext") -> Iterator[RawDocument]:
-    """Stream RawDocuments out of a TREC text/web SGML file."""
+    """Stream RawDocuments out of a TREC text/web SGML file.  A document's text
+    is its block with each <DOCNO>, trecweb <DOCHDR> and tag replaced by a
+    blank; its whitespace is left as the file has it."""
     if fmt not in COLLECTION_FORMATS:
         raise ValueError(f"unknown collection format {fmt!r}; expected one of {COLLECTION_FORMATS}")
     data = Path(path).read_bytes()
@@ -261,18 +280,19 @@ def parse_trec_collection(path: str | Path, fmt: str = "trectext") -> Iterator[R
             raise CorpusFormatError(f"{path}: unterminated <DOC> block at byte {start}")
         ordinal += 1
         block = data[start:end]  # <DOC> included (a tag, so stripped): start + offset = file offset
-        m = _DOCNO_RE.search(block)
-        if m is None:
+        pieces = _DOCNO_RE.split(block)  # the text around each <DOCNO>, and the ids between
+        if len(pieces) == 1:
             raise CorpusFormatError(f"{path}: missing <DOCNO> in document block {ordinal} at byte {start}")
-        doc_id = _decode(m[1], start + m.start(1), path, "<DOCNO>", ordinal).strip()
+        at = start + len(pieces[0]) + len(b"<DOCNO>")
+        doc_id = _decode(pieces[1], at, path, "<DOCNO>", ordinal).strip()
         if not doc_id:
             raise CorpusFormatError(f"{path}: empty <DOCNO> in document block {ordinal} at byte {start}")
         try:
-            text = _block_text(block, fmt).decode("utf-8")
+            text = _strip_markup(b" ".join(pieces[::2]), fmt).decode("utf-8")
         except UnicodeDecodeError:  # markup blanked in place keeps each byte at its offset
-            blanked = _block_text(block, fmt, lambda tag: b" " * len(tag[0]))
+            blanked = _strip_markup(_DOCNO_RE.sub(_same_width, block), fmt, _same_width)
             text = _decode(blanked, start, path, "text", ordinal)
-        yield RawDocument(doc_id, " ".join(text.split()))
+        yield RawDocument(doc_id, text)
         pos = end + len(b"</DOC>")
 
 
@@ -282,11 +302,24 @@ def normalize_collection(
     """Each document's terms, as ``normalize`` gives them.  One call normalizes
     each distinct raw token once: its memo lives as long as the call and holds
     one entry per distinct token seen, so it is bounded by the collection's
-    raw vocabulary, and equal terms share one string."""
+    raw vocabulary, and equal terms share one string.
+
+    The documents are read ``_BLOCK_DOCS`` at a time.  A block whose text is
+    all ASCII is joined by blanks and translated by one call; translation
+    keeps every character's place, so each document's tokens are the split of
+    its slice.  Other blocks are tokenized document by document."""
     check_collection("docs", docs, "documents", stream=True)
     memo = _TermMemo(stoplist, stemmer)
-    for doc in docs:
-        yield TermSequence(doc.doc_id, memo.terms(doc.text))
+    docs = iter(docs)
+    while block := list(islice(docs, _BLOCK_DOCS)):
+        joined = " ".join(doc.text for doc in block)
+        if not joined.isascii():
+            yield from (TermSequence(doc.doc_id, memo.terms(doc.text)) for doc in block)
+            continue
+        blanked, end = joined.translate(_ASCII_BLANKS), -1
+        for doc in block:
+            start, end = end + 1, end + 1 + len(doc.text)
+            yield TermSequence(doc.doc_id, memo.lookup(blanked[start:end].split()))
 
 
 def parse_qrels(path: str | Path) -> QrelSet:

@@ -29,7 +29,7 @@ def average_precision(
     run: Sequence[str], qrels: QrelSet, query_id: str, cutoff: int = 1000
 ) -> float:
     """AP = (1/R) * sum over relevant ranks r <= cutoff of (hits(r) / r)."""
-    check_collection("run", run, "doc ids")
+    check_collection("run", run, "doc ids", ordered=True)
     check_count("cutoff", cutoff)
     grades = qrels.grades_for(query_id)
     num_relevant = qrels.num_relevant(query_id)
@@ -41,7 +41,7 @@ def average_precision(
 
 def ndcg_at_20(run: Sequence[str], qrels: QrelSet, query_id: str) -> float:
     """Linear-gain NDCG over the top 20 ranks with a log2(rank+1) discount."""
-    check_collection("run", run, "doc ids")
+    check_collection("run", run, "doc ids", ordered=True)
     grades = qrels.grades_for(query_id)
 
     def discounted(gains: Iterable[int]) -> float:
@@ -66,7 +66,7 @@ def evaluate_run(
         raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRICS)}")
     score = METRICS[metric]
     for query_id, doc_ids in run.items():
-        check_collection(f"the run of query {query_id!r}", doc_ids, "doc ids")
+        check_collection(f"the run of query {query_id!r}", doc_ids, "doc ids", ordered=True)
     per_query = {
         query_id: score(doc_ids, qrels, query_id)
         for query_id, doc_ids in sorted(run.items())

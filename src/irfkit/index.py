@@ -20,7 +20,7 @@ import json
 from array import array
 from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice, repeat
@@ -260,7 +260,12 @@ def build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> C
         check_collection(f"the terms of doc {seq.doc_id!r}", seq.terms, "terms", IndexDataError, stream=True)
         seen.add(seq.doc_id)
         doc_ids.append(seq.doc_id)
-        block.extend(map(term_ids.__getitem__, seq.terms))
+        try:
+            block.extend(map(term_ids.__getitem__, seq.terms))
+        except TypeError:  # an unhashable term, so not a str: name the doc's first term that is not
+            for term in seq.terms if isinstance(seq.terms, Collection) else ():  # a stream's is spent
+                check_value(f"a term of doc {seq.doc_id!r}", term, str, IndexDataError)
+            raise IndexDataError(f"a term of doc {seq.doc_id!r} must be str, got one that is not hashable") from None
         block_ends.append(len(block))
         if len(block) >= _COUNT_BLOCK:
             count_block()

@@ -196,9 +196,14 @@ def _one_pass(word: str) -> str:
     return word
 
 
+# _plural needs a final s, _past -ed, _gerund -ing and _ion -n: a pass leaves
+# any other word as it is
+_PASS_ENDINGS = frozenset("sdgn")
+
+
 def stem(word: str) -> str:
     """Stem one lowercase token to its fixed point; deterministic and idempotent."""
     # each changing pass shortens the word, so this terminates
-    while word not in _EXCEPTIONS and (output := _one_pass(word)) != word:
+    while word not in _EXCEPTIONS and word[-1:] in _PASS_ENDINGS and (output := _one_pass(word)) != word:
         word = output
     return _EXCEPTIONS.get(word, word)

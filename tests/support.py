@@ -9,16 +9,22 @@ import re
 from array import array
 from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from irfkit import krovetz
 from irfkit.corpus_io import (
+    COLLECTION_FORMATS,
     CorpusFormatError,
     QrelSet,
+    RawDocument,
     TermSequence,
     Topic,
+    _DOCHDR_RE,
+    _DOCNO_RE,
+    _TAG_RE,
+    _decode,
     _read_table,
     check_field,
     not_one_field,
@@ -93,6 +99,56 @@ def normalize_per_token(text: str, stoplist: frozenset[str] = frozenset(), stemm
         if token and token not in stoplist:
             out.append(token)
     return out
+
+
+def reference_stem(word: str) -> str:
+    """``krovetz.stem`` as first written: a pass on every word, whatever its last letter."""
+    while word not in krovetz._EXCEPTIONS and (output := krovetz._one_pass(word)) != word:
+        word = output
+    return krovetz._EXCEPTIONS.get(word, word)
+
+
+def reference_parse_trec_collection(path, fmt: str = "trectext") -> Iterator[RawDocument]:
+    """``parse_trec_collection`` as first written: the <DOCNO> searched for and
+    then blanked by a substitution, and each document's whitespace collapsed to
+    single blanks."""
+    if fmt not in COLLECTION_FORMATS:
+        raise ValueError(f"unknown collection format {fmt!r}; expected one of {COLLECTION_FORMATS}")
+
+    def block_text(block: bytes, blank) -> bytes:
+        block = _DOCNO_RE.sub(blank, block)
+        if fmt == "trecweb":
+            block = _DOCHDR_RE.sub(blank, block)
+        return _TAG_RE.sub(blank, block)
+
+    data = Path(path).read_bytes()
+    pos = 0
+    ordinal = 0
+    while True:
+        start = data.find(b"<DOC>", pos)
+        gap = data[pos : start if start != -1 else len(data)]
+        if gap.strip():
+            junk_at = pos + len(gap) - len(gap.lstrip())
+            raise CorpusFormatError(f"{path}: unexpected content outside <DOC> block at byte {junk_at}")
+        if start == -1:
+            return
+        end = data.find(b"</DOC>", start)
+        if end == -1:
+            raise CorpusFormatError(f"{path}: unterminated <DOC> block at byte {start}")
+        ordinal += 1
+        block = data[start:end]
+        m = _DOCNO_RE.search(block)
+        if m is None:
+            raise CorpusFormatError(f"{path}: missing <DOCNO> in document block {ordinal} at byte {start}")
+        doc_id = _decode(m[1], start + m.start(1), path, "<DOCNO>", ordinal).strip()
+        if not doc_id:
+            raise CorpusFormatError(f"{path}: empty <DOCNO> in document block {ordinal} at byte {start}")
+        try:
+            text = block_text(block, b" ").decode("utf-8")
+        except UnicodeDecodeError:
+            text = _decode(block_text(block, lambda tag: b" " * len(tag[0])), start, path, "text", ordinal)
+        yield RawDocument(doc_id, " ".join(text.split()))
+        pos = end + len(b"</DOC>")
 
 
 def reference_build_index(docs: Iterable[TermSequence], analysis: dict | None = None) -> CollectionIndex:

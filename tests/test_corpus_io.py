@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -28,7 +29,7 @@ from irfkit.ranking import query_count_vector, query_language_model
 from irfkit.session import MODEL_KINDS, BudgetConfig, run_irf
 from irfkit.krovetz import _EXCEPTIONS, stem
 
-from support import normalize_per_token, reference_parse_run
+from support import normalize_per_token, reference_parse_run, reference_parse_trec_collection, reference_stem
 
 
 def judgments(qrels):
@@ -41,7 +42,8 @@ class TestParseTrecCollection:
         path = tmp_path / "c.trectext"
         path.write_text("<DOC><DOCNO> X1 </DOCNO><TEXT>hello world</TEXT></DOC>")
         docs = list(parse_trec_collection(path))
-        assert docs == [RawDocument("X1", "hello world")]
+        # <DOC>, the <DOCNO> and each tag are a blank each; the text's whitespace is kept
+        assert docs == [RawDocument("X1", "   hello world ")]
 
     def test_empty_file_yields_empty_stream(self, tmp_path):
         path = tmp_path / "empty.trectext"
@@ -85,7 +87,7 @@ class TestParseTrecCollection:
         )
         docs = list(parse_trec_collection(path, "trecweb"))
         assert docs[0].doc_id == "W1"
-        assert docs[0].text == "alpha beta"
+        assert docs[0].text == "     alpha  beta   "
 
     def test_non_utf8_docno_names_path_block_and_byte(self, tmp_path):
         # replacing the bad bytes would merge the two ids into 'A\ufffd'
@@ -119,7 +121,8 @@ class TestParseTrecCollection:
     def test_non_utf8_bytes_in_stripped_markup_are_ignored(self, tmp_path, fmt, block):
         path = tmp_path / "c.trectext"
         path.write_bytes(b"<DOC><DOCNO>D1</DOCNO>" + block + b"</DOC>")
-        assert list(parse_trec_collection(path, fmt)) == [RawDocument("D1", "caf\u00e9")]
+        text = {"trectext": "   caf\u00e9 ", "trecweb": "   caf\u00e9"}[fmt]  # one blank per markup
+        assert list(parse_trec_collection(path, fmt)) == [RawDocument("D1", text)]
 
     @pytest.mark.parametrize(
         "text",
@@ -141,6 +144,56 @@ class TestParseTrecCollection:
         path.write_text("")
         with pytest.raises(ValueError, match="format"):
             list(parse_trec_collection(path, "warc"))
+
+
+# pieces of a document block: words, every kind of whitespace str.split takes
+# (\x1c-\x1f, \x85, \xa0, U+3000 among them), tags, lone < and >, a trecweb
+# <DOCHDR>, a second <DOCNO>, non-ASCII text and a byte that is not UTF-8
+BLOCK_PIECES = [
+    b"alpha", b"Dogs", b"running", b"x_y", b"2019", b"caf\xc3\xa9", b"\xce\xa3\xce\x8a",
+    b" ", b"  ", b"\n", b"\t", b"\r\n", b"\x0b\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f",
+    b"\xc2\x85", b"\xc2\xa0", b"\xe3\x80\x80", b"<", b">", b"<b>", b"</b>", b"<TEXT>", b"</TEXT>",
+    b"<DOCHDR>http://x HTTP/1.0</DOCHDR>", b"<DOCHDR>", b"</DOCHDR>", b"<DOCNO>D9</DOCNO>", b"\xff",
+]
+DOCNOS = [b"D1", b" D2 ", b"\nD3\n", b"", b" ", b"caf\xc3\xa9", b"\xff"]
+
+
+@st.composite
+def trec_files(draw):
+    """Blocks of pieces, most with a <DOCNO>, some without one or between junk."""
+    pieces = st.lists(st.sampled_from(BLOCK_PIECES), max_size=8).map(b"".join)
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        docno = b"<DOCNO>" + draw(st.sampled_from(DOCNOS)) + b"</DOCNO>" if draw(st.integers(0, 9)) else b""
+        gap = draw(st.sampled_from([b"\n", b"", b" \n", b"\n" * 3, b"junk"]))
+        blocks.append(b"<DOC>" + draw(pieces) + docno + draw(pieces) + b"</DOC>" + gap)
+    return b"".join(blocks)
+
+
+@settings(deadline=None)
+@given(trec_files(), st.sampled_from(corpus_io.COLLECTION_FORMATS))
+@example(b"<DOC><DOCNO> X1 </DOCNO>\n<TEXT>\nhello\x1c\xc2\xa0world\n</TEXT></DOC>\n", "trectext")
+@example(b"<DOC><DOCNO>D1</DOCNO>a <DOCNO>D9</DOCNO> b</DOC>", "trectext")  # each <DOCNO> is blanked
+def test_the_documents_or_error_of_the_collapsing_parser(tmp_path_factory, data, fmt):
+    """The parser keeps the file's whitespace: collapsed, its text is the text
+    of the parser that collapsed it, and both normalize to the same terms."""
+    path = tmp_path_factory.mktemp("trec") / "c.trec"
+    path.write_bytes(data)
+
+    def outcome(parse):
+        try:
+            return list(parse(path, fmt))
+        except CorpusFormatError as exc:
+            return str(exc)
+
+    docs, expected = outcome(parse_trec_collection), outcome(reference_parse_trec_collection)
+    if isinstance(expected, str):
+        assert docs == expected
+        return
+    assert [doc.doc_id for doc in docs] == [doc.doc_id for doc in expected]
+    assert [RawDocument(doc.doc_id, " ".join(doc.text.split())) for doc in docs] == expected
+    stoplist = corpus_io.default_stoplist()
+    assert list(normalize_collection(docs, stoplist)) == list(normalize_collection(expected, stoplist))
 
 
 class TestNormalize:
@@ -280,20 +333,23 @@ INDEX = build_index([TermSequence("d1", ("apple", "pie")), TermSequence("d2", ("
 QRELS = QrelSet()
 QRELS.set("q", "d1", 1)
 # each entry point that takes a collection of names: a call with the value
-# given, and the parameter and the names its message gives
+# given, and the parameter and what its message says it must be
 COLLECTION_ARGUMENTS = [
-    *((f.__name__, lambda v, f=f: f(v), "query_terms", "terms") for f in (query_language_model, query_count_vector)),
-    *((f.__name__, lambda v, f=f: f(INDEX, v, FeedbackPools(["d1"], ["d2"]), ModelParams()), "query_terms", "terms")
-      for f in ESTIMATORS),
+    *((f.__name__, lambda v, f=f: f(v), "query_terms", "collection of terms")
+      for f in (query_language_model, query_count_vector)),
+    *((f.__name__, lambda v, f=f: f(INDEX, v, FeedbackPools(["d1"], ["d2"]), ModelParams()), "query_terms",
+       "collection of terms") for f in ESTIMATORS),
     *((f"run_irf[{kind}]", lambda v, kind=kind: run_irf(
         INDEX, Topic("q", v), kind, ModelParams(), BudgetConfig(1, 1), QRELS.is_relevant
-    ), "query_terms", "terms") for kind in MODEL_KINDS),
-    ("FeedbackPools.relevant", lambda v: FeedbackPools(v), "relevant", "doc ids"),
-    ("FeedbackPools.nonrelevant", lambda v: FeedbackPools(["d1"], v), "nonrelevant", "doc ids"),
-    ("average_precision", lambda v: average_precision(v, QRELS, "q"), "run", "doc ids"),
-    ("ndcg_at_20", lambda v: ndcg_at_20(v, QRELS, "q"), "run", "doc ids"),
-    ("cross_validate", lambda v: cross_validate(lambda p: {}, v, [ModelParams()], folds=1), "query_ids", "query ids"),
-    ("build_index", lambda v: build_index([TermSequence("d1", v)]), "the terms of doc 'd1'", "terms"),
+    ), "query_terms", "collection of terms") for kind in MODEL_KINDS),
+    ("FeedbackPools.relevant", lambda v: FeedbackPools(v), "relevant", "collection of doc ids"),
+    ("FeedbackPools.nonrelevant", lambda v: FeedbackPools(["d1"], v), "nonrelevant", "collection of doc ids"),
+    # a run is ordered: its ranks are read by slicing
+    ("average_precision", lambda v: average_precision(v, QRELS, "q"), "run", "sequence of doc ids"),
+    ("ndcg_at_20", lambda v: ndcg_at_20(v, QRELS, "q"), "run", "sequence of doc ids"),
+    ("cross_validate", lambda v: cross_validate(lambda p: {}, v, [ModelParams()], folds=1), "query_ids",
+     "collection of query ids"),
+    ("build_index", lambda v: build_index([TermSequence("d1", v)]), "the terms of doc 'd1'", "collection of terms"),
 ]
 
 
@@ -305,7 +361,7 @@ COLLECTION_ARGUMENTS = [
                          ids=[case[0] for case in COLLECTION_ARGUMENTS])
 def test_a_str_or_none_for_a_collection_of_names_is_named(call, name, of, value, shown):
     # a str would be read as its characters: the query "apple" as the terms a, e, l, p
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a collection of {of}, not {shown}')}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a {of}, not {shown}')}$"):
         call(value)
 
 
@@ -313,8 +369,16 @@ def test_a_str_or_none_for_a_collection_of_names_is_named(call, name, of, value,
                          ids=[case[0] for case in COLLECTION_ARGUMENTS if case[0] != "build_index"])
 def test_an_iterator_for_a_collection_of_names_is_named(call, name, of):
     # read more than once, or measured: the query's length is its model's denominator
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a collection of {of}, not a list_iterator')}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a {of}, not a list_iterator')}$"):
         call(iter(["apple"]))
+
+
+@pytest.mark.parametrize("call,name,of", [case[1:] for case in COLLECTION_ARGUMENTS if case[3].startswith("sequence")],
+                         ids=[case[0] for case in COLLECTION_ARGUMENTS if case[3].startswith("sequence")])
+def test_a_set_for_a_sequence_of_names_is_named(call, name, of):
+    # it was sliced, and failed with "'set' object is not subscriptable"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be a {of}, not a set')}$"):
+        call({"d1"})
 
 
 def test_normalize_collection_stems_each_distinct_token_once_per_call(monkeypatch, stoplist):
@@ -341,6 +405,43 @@ def test_normalize_collection_stems_each_distinct_token_once_per_call(monkeypatc
     sequences = list(normalize_collection(docs, frozenset({"dogs"})))
     assert sorted(calls) == stemmed({"dogs"}) == ["and", "goes", "on", "ran", "the", "the"]
     assert sequences[1].terms == ("ran", "and", "go")
+
+
+# texts whose tokens would run together, or land in a neighbour, if a
+# document's slice of its translated block were off by one
+EDGE_TEXTS = ["The Dogs ran.", "", "a-b_c", "  x\ty\n", "running9 2019", "<>", "Goes", "-", "z"]
+BLOCK = corpus_io._BLOCK_DOCS
+
+
+def edge_docs(count: int) -> list[RawDocument]:
+    return [RawDocument(f"d{i}", f"{EDGE_TEXTS[i % len(EDGE_TEXTS)]}w{i}") for i in range(count)]
+
+
+class TestNormalizeCollectionBlocks:
+    """Documents are translated a block at a time; each gets the terms the
+    per-token loop finds in its own text."""
+
+    @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_each_document_at_block_edges(self, stoplist, count):
+        docs = edge_docs(count)
+        expected = [TermSequence(d.doc_id, tuple(normalize_per_token(d.text, stoplist))) for d in docs]
+        assert list(normalize_collection(docs, stoplist)) == expected
+
+    @pytest.mark.parametrize("at", [0, 1, BLOCK // 2, BLOCK - 1, BLOCK])
+    def test_one_non_ascii_document_in_an_ascii_block(self, stoplist, at):
+        docs = edge_docs(BLOCK + 1)
+        docs[at] = RawDocument(docs[at].doc_id, "Caf\u00e9s na\u00efve\u3000STRASSE\u00a0running")
+        expected = [TermSequence(d.doc_id, tuple(normalize_per_token(d.text, stoplist))) for d in docs]
+        assert list(normalize_collection(docs, stoplist)) == expected
+
+    @pytest.mark.parametrize("second", ["DOG dogs", "DOG caf\u00e9 dogs"], ids=["ascii", "non-ascii"])
+    def test_equal_terms_are_one_string(self, second):
+        # dogs, dog and Dogs are three raw tokens of one term
+        sequences = list(normalize_collection([RawDocument("d1", "dogs dog Dogs"), RawDocument("d2", second)],
+                                              frozenset()))
+        terms = [term for seq in sequences for term in seq.terms if term.startswith("dog")]
+        assert terms == ["dog"] * 5
+        assert all(term is terms[0] for term in terms)
 
 
 class TestKrovetzStemmer:
@@ -388,6 +489,19 @@ class TestKrovetzStemmer:
     @pytest.mark.parametrize("word", sorted(_EXCEPTIONS))
     def test_exception_targets_are_fixed_points(self, word):
         assert stem(stem(word)) == stem(word)
+
+    def test_every_short_word_and_exception_as_the_ungated_cascade(self):
+        # a pass is skipped for a word that ends in none of s, d, g, n; these
+        # letters make every rule's ending
+        words = ["".join(letters) for size in range(5) for letters in itertools.product("aedgnsiotzy", repeat=size)]
+        words += sorted(_EXCEPTIONS) + sorted(set(_EXCEPTIONS.values()))
+        assert [stem(word) for word in words] == [reference_stem(word) for word in words]
+
+    @given(st.text(alphabet=st.characters(min_codepoint=97, max_codepoint=122), max_size=24)
+           | st.text(alphabet="aedgnsiotzy", max_size=12) | st.text(max_size=12))
+    @settings(max_examples=300)
+    def test_stem_as_the_ungated_cascade(self, word):
+        assert stem(word) == reference_stem(word)
 
     @given(st.text(alphabet=st.characters(min_codepoint=97, max_codepoint=122), min_size=1, max_size=24))
     @settings(max_examples=300)

@@ -190,12 +190,12 @@ class TestEvaluateRun:
         with pytest.raises(ValueError, match="metric"):
             evaluate_run({}, QrelSet(), "err")
 
-    @pytest.mark.parametrize("ranking", ["p00001", None])
+    @pytest.mark.parametrize("ranking", ["p00001", None, {"p00001"}])
     def test_a_ranking_that_is_not_a_collection_rejected(self, ranking):
-        # the str was read as the ranking "p", "0", ..., "1" and gave AP 0.0
+        # the str was read as the ranking "p", "0", ..., "1" and gave AP 0.0; a set has no order
         qrels = make_qrels([("q00", "p00001", 1)])
-        shown = f"the str {ranking!r}" if ranking else "None"
-        message = f"the run of query 'q00' must be a collection of doc ids, not {shown}"
+        shown = {str: f"the str {ranking!r}", set: "a set"}.get(type(ranking), "None")
+        message = f"the run of query 'q00' must be a sequence of doc ids, not {shown}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             evaluate_run({"q00": ranking}, qrels, "map")
 

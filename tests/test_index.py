@@ -385,12 +385,21 @@ class TestUnstorableInput:
         with pytest.raises(IndexDataError, match="doc 'D2' has an empty term or one with whitespace: ''"):
             build_index([TermSequence("D1", ("ok",)), TermSequence("D2", ("ok", ""))])
 
-    @pytest.mark.parametrize("term,shown", [(1, "1"), (True, "True"), (b"ok", "b'ok'"), (("ok",), "('ok',)")])
+    @pytest.mark.parametrize(
+        "term,shown",
+        [(1, "1"), (True, "True"), (b"ok", "b'ok'"), (("ok",), "('ok',)"), (["a"], "['a']"), (("a", ["b"]), "('a', ['b'])")],
+    )
     def test_a_term_that_is_not_a_str_is_named_with_its_doc(self, term, shown):
-        # named by the first document that holds it
+        # named by the first document that holds it, hashable or not
         message = f"^a term of doc 'D2' must be str, got {re.escape(shown)}$"
         with pytest.raises(IndexDataError, match=message):
             build_index([TermSequence("D1", ("ok",)), TermSequence("D2", ("ok", term)), TermSequence("D3", (term,))])
+
+    def test_an_unhashable_term_of_a_stream_is_named_with_its_doc(self):
+        # the stream was read up to the term, so only the doc can be named
+        message = "^a term of doc 'D2' must be str, got one that is not hashable$"
+        with pytest.raises(IndexDataError, match=message):
+            build_index([TermSequence("D1", ("ok",)), TermSequence("D2", iter(("ok", ["a"])))])
 
     def test_the_terms_of_a_doc_may_be_read_once(self):
         assert build_index([TermSequence("D1", iter(("a", "b", "a")))]) == build_index(make_docs([("D1", "aba")]))
