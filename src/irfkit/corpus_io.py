@@ -233,6 +233,7 @@ class _TermMemo(dict):
 
 def normalize(text: str, stoplist: frozenset[str] = frozenset(), stemmer: str = "krovetz") -> list[str]:
     """Tokenize into runs of ``str.isalnum`` characters, casefold, stop, stem, stop again."""
+    check_value("text", text, str)
     return list(_TermMemo(stoplist, stemmer).terms(text))
 
 
@@ -312,7 +313,12 @@ def normalize_collection(
     memo = _TermMemo(stoplist, stemmer)
     docs = iter(docs)
     while block := list(islice(docs, _BLOCK_DOCS)):
-        joined = " ".join(doc.text for doc in block)
+        try:
+            joined = " ".join(doc.text for doc in block)
+        except TypeError:  # a text that is not a str: name the first such document
+            for doc in block:
+                check_value(f"the text of doc {doc.doc_id!r}", doc.text, str)
+            raise
         if not joined.isascii():
             yield from (TermSequence(doc.doc_id, memo.terms(doc.text)) for doc in block)
             continue

@@ -7,8 +7,10 @@ sorted term order, int64 row offsets, and int32 doc ids and counts, each row
 in ascending doc order.  ``CollectionIndex.postings`` shows them as a
 read-only mapping of (doc, count) lists.  The forward store is the same
 entries transposed, doc-major CSR columns of term rows and counts, because
-the feedback estimators need full term vectors of judged documents;
-``forward_rows`` is its one reader, and ``by_term`` names the rows it returns.
+the feedback estimators need full term vectors of judged documents, and
+the pruned pages rescore their candidates from it: ``forward_rows`` reads it
+for the estimators and ``ranking._rescore`` for the scorers, and ``by_term``
+names the rows ``forward_rows`` returns.
 A row id sorts like its term, so the estimators stay on row arrays, with the
 per-row ``dfs`` and ``cfs`` columns, until they build a query model.
 The index is immutable once built and safe to share across threads.
@@ -296,7 +298,8 @@ def forward_rows(
     term order), the sum from 0 of ``weigh(rows, lengths, counts)`` over their
     forward entries: one call on all entries, gathered in pool order, and
     ``np.add.at`` adds in that order.  The rows, and the sums as int64 for
-    integer weights, else float64.  The one reader of the forward store."""
+    integer weights, else float64.  The estimators' reader of the forward store;
+    ``ranking._rescore`` reads it for the scorers' pruned pages."""
     internal = np.array([index.internal_id(doc_id) for doc_id in doc_ids], dtype=np.int64)
     starts = index.forward_offsets[internal]
     sizes = index.forward_offsets[internal + 1] - starts

@@ -227,65 +227,53 @@ def _rescore(
     return partial
 
 
-def _pruned(
-    index: CollectionIndex, rows: np.ndarray, sizes: np.ndarray, weigh: Callable[..., np.ndarray],
-    finish: Callable[..., np.ndarray], bound: Callable[..., tuple], excluded: np.ndarray, depth: int,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The documents that can still reach the top ``depth`` and their exact
-    scores, or None where pruning does not pay or a bound is not finite.
-
-    Terms lead in decreasing bound.  The leading terms' documents outside
-    ``excluded`` are rescored exactly, and theta is the depth-th score among
-    them.  More terms lead until the bounds of the rest, plus the length
-    term's, fall strictly below theta by more than the rounding can move a
-    score; a document in none of the leading terms cannot reach theta."""
-    with np.errstate(all="ignore"):  # a bound that is not finite leaves the error to the full pass
-        bounds, prior, scale = bound(index.max_counts[rows], index.min_lengths[rows])
-    if not (math.isfinite(scale) and math.isfinite(prior)):
-        return None
-    upper = np.maximum(bounds, 0.0)  # a negative query weight adds at most 0
-    order = np.argsort(-upper, kind="stable")
-    rest = np.append(np.cumsum(upper[order][::-1])[::-1], 0.0)  # rest[i]: the bound of order[i:]
-    reach, avgdl = np.cumsum(sizes[order]), index.stats.avg_doc_len
-    lead = min(int(np.searchsorted(reach, depth + len(excluded))) + 1, len(rows))
-    # A rescored document reads about avgdl forward entries: rescoring more
-    # entries than the full pass reads postings, or every term's documents,
-    # does not pay.  _PRUNE = 0 sends every page through here, as the tests do.
-    if _PRUNE and reach[lead - 1] * avgdl > reach[-1]:
-        return None
-    candidates = _matching(index, rows[order[:lead]], excluded)
-    scores = finish(candidates, _rescore(index, candidates, rows, weigh))
-    theta = np.partition(scores, len(scores) - depth)[len(scores) - depth] if len(scores) >= depth else -math.inf
-    pad = 4 * (len(rows) + 8) * np.finfo(float).eps * (scale + abs(theta))
-    clears = rest[lead:] + prior < theta - pad
-    more = lead + int(np.argmax(clears)) if clears.any() else len(rows)
-    if more == lead:
-        return candidates, scores
-    if _PRUNE and (more == len(rows) or (reach[more - 1] - reach[lead - 1]) * avgdl > reach[-1]):
-        return None
-    new = _matching(index, rows[order[lead:more]], np.concatenate((excluded, candidates)))
-    return np.concatenate((candidates, new)), np.concatenate((scores, finish(new, _rescore(index, new, rows, weigh))))
-
-
 def _top(
     index: CollectionIndex, rows: np.ndarray, weigh: Callable[..., np.ndarray], finish: Callable[..., np.ndarray],
     bound: Callable[..., tuple], exclude: Iterable[str], depth: int,
 ) -> ScoredList:
     """The top ``depth`` documents outside ``exclude`` by finish(candidates,
-    partial) over the postings ``rows``: pruned where _PRUNE says it may pay,
-    and ``bound(max_counts, min_lengths)`` gives each term's bound, the length
-    term's bound and the sum of the magnitudes a score adds; else in full."""
+    partial) over the postings ``rows``; ``bound(max_counts, min_lengths)``
+    gives each term's bound, the length term's bound and the sum of the
+    magnitudes a score adds.
+
+    A page, where _PRUNE says pruning may pay, is pruned: terms lead in
+    decreasing bound.  Each pass rescores exactly the next leading terms'
+    documents outside ``exclude`` and the candidates so far, and theta is the
+    depth-th score among the candidates.  More terms lead until the bounds of
+    the rest, plus the length term's, fall strictly below theta by more than
+    the rounding can move a score; a document in none of the leading terms
+    cannot reach theta.  Theta only rises, so a second pass leads no more
+    terms.  A bound that is not finite sends the retrieval to the full pass,
+    and so, unless _PRUNE is 0, does every term leading or a pass that
+    rescores more forward entries, about avgdl a document, than the full pass
+    reads postings."""
     check_count("depth", depth)
     check_collection("exclude", exclude, "doc ids", stream=True)  # for both paths
     excluded = np.array([index.internal_id(d) for d in exclude if index.has_doc(d)], dtype=np.intp)
     sizes = index.postings.offsets[rows + 1] - index.postings.offsets[rows]
-    found = None
     if sizes.sum() > _PRUNE * (depth + len(excluded) + len(rows)) * index.stats.avg_doc_len:
-        found = _pruned(index, rows, sizes, weigh, finish, bound, excluded, depth)
-    if found is None:
-        candidates, partial = _accumulate(index, rows, weigh, excluded)
-        found = candidates, finish(candidates, partial)
-    return _rank(index, *found, depth)
+        with np.errstate(all="ignore"):  # a bound that is not finite leaves the error to the full pass
+            bounds, prior, scale = bound(index.max_counts[rows], index.min_lengths[rows])
+        upper = np.maximum(bounds, 0.0)  # a negative query weight adds at most 0
+        order = np.argsort(-upper, kind="stable")
+        rest = np.append(np.cumsum(upper[order][::-1])[::-1], 0.0)  # rest[i]: the bound of order[i:]
+        reach = np.append(0, np.cumsum(sizes[order]))  # reach[i]: the postings of order[:i]
+        lead, more = 0, min(int(np.searchsorted(reach, depth + len(excluded))), len(rows))
+        candidates, scores = excluded[:0], np.empty(0)
+        while math.isfinite(scale) and math.isfinite(prior) and not (
+            _PRUNE and (more == len(rows) or (reach[more] - reach[lead]) * index.stats.avg_doc_len > reach[-1])
+        ):  # _PRUNE = 0 sends every page through here, as the tests do
+            new = _matching(index, rows[order[lead:more]], np.concatenate((excluded, candidates)))
+            candidates = np.concatenate((candidates, new))
+            scores = np.concatenate((scores, finish(new, _rescore(index, new, rows, weigh))))
+            theta = np.partition(scores, -depth)[-depth] if len(scores) >= depth else -math.inf
+            pad = 4 * (len(rows) + 8) * np.finfo(float).eps * (scale + abs(theta))
+            clears = rest[more:] + prior < theta - pad
+            lead, more = more, more + int(np.argmax(clears)) if clears.any() else len(rows)
+            if more == lead:
+                return _rank(index, candidates, scores, depth)
+    candidates, partial = _accumulate(index, rows, weigh, excluded)
+    return _rank(index, candidates, finish(candidates, partial), depth)
 
 
 def in_collection(index: CollectionIndex, weights: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:

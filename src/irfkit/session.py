@@ -191,6 +191,7 @@ def interactive_judge(
 def term_snippet(index: CollectionIndex, doc_id: str, max_terms: int = 12) -> str:
     """Most frequent terms of a document, the closest thing to a preview the
     index can reconstruct."""
+    check_count("max_terms", max_terms, least=0)
     top = sorted(doc_vector(index, doc_id).items(), key=lambda kv: (-kv[1], kv[0]))[:max_terms]
     return " ".join(term for term, _ in top)
 

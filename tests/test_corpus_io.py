@@ -322,6 +322,22 @@ class TestCollectionArguments:
         with pytest.raises(ValueError, match="^stoplist must be a collection of words, not None$"):
             normalize("dog", None)
 
+    @pytest.mark.parametrize("text", [5, None, b"abc", True])
+    def test_a_text_that_is_not_a_str_is_named(self, text):
+        # 5 and None raised AttributeError on isascii, b"abc" a bare TypeError
+        with pytest.raises(ValueError, match=f"^text must be str, got {re.escape(repr(text))}$"):
+            normalize(text)
+
+    @pytest.mark.parametrize("text", [5, b"abc"])
+    @pytest.mark.parametrize("at", [0, 1, corpus_io._BLOCK_DOCS])  # the first of its block or not
+    def test_a_document_text_that_is_not_a_str_is_named(self, text, at):
+        # the block join raised TypeError: sequence item 0: expected str instance, int found
+        docs = edge_docs(corpus_io._BLOCK_DOCS + 2)
+        docs[at] = RawDocument("bad", text)
+        docs[-1] = RawDocument("later", 7)
+        with pytest.raises(ValueError, match=f"^the text of doc 'bad' must be str, got {re.escape(repr(text))}$"):
+            list(normalize_collection(docs, frozenset()))
+
     @pytest.mark.parametrize("docs,shown", [(None, "None"), ("abc", "the str 'abc'")])
     def test_docs_that_are_not_a_collection_are_named(self, docs, shown):
         with pytest.raises(ValueError, match=f"^docs must be a collection of documents, not {shown}$"):

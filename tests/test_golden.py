@@ -111,15 +111,21 @@ def test_sweep_report_bytes(workdir, model, capsys):
 
 
 def test_the_same_bytes_with_every_page_pruned(workdir, monkeypatch, capsys):
-    # _PRUNE at 0 sends every retrieval, page or tail, through the pruned path
+    # _PRUNE at 0 sends every retrieval with postings, page or tail, through the pruned loop
     monkeypatch.setattr(ranking, "_PRUNE", 0)
-    outcomes = []
-    pruned = ranking._pruned
-    monkeypatch.setattr(ranking, "_pruned", lambda *args: outcomes.append(found := pruned(*args)) or found)
+    matched, whole = [], []
+    matching, accumulate = ranking._matching, ranking._accumulate
+    monkeypatch.setattr(ranking, "_matching", lambda *args: matched.append(args[1]) or matching(*args))
+
+    def accumulated(index, rows, *rest):
+        whole.append(int((index.postings.offsets[rows + 1] - index.postings.offsets[rows]).sum()))
+        return accumulate(index, rows, *rest)
+
+    monkeypatch.setattr(ranking, "_accumulate", accumulated)
     runs = {f"{m}.{k}x{n}": run_digest(workdir, m, k, n) for m in MODELS for k, n in BUDGETS}
     assert runs == RUN_DIGESTS
     assert {m: sweep_digest(workdir, m) for m in GRIDS} == SWEEP_DIGESTS
-    assert outcomes and all(found is not None for found in outcomes)
+    assert matched and not any(whole)  # only retrievals without postings take the full pass
 
 
 def test_the_same_bytes_with_one_em_iterate_a_block(workdir, monkeypatch, capsys):

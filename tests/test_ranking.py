@@ -681,16 +681,37 @@ class TestPrunedPages:
         TestBlocks().test_memory_stays_within_a_block_and_the_documents(monkeypatch, kind)
 
     def test_sizes_decide_and_a_page_left_whole_builds_no_bounds(self, monkeypatch):
-        # 2,000 two-term documents: a depth-1 page of the term in all of them
-        # outnumbers 8 x (1 + 0 + 1) x avgdl postings, a depth-200 page does not
-        index = make_index([(f"d{i:04d}", "ab") for i in range(2000)])
-        attempts = []
-        pruned = ranking._pruned
-        monkeypatch.setattr(ranking, "_pruned", lambda *args: attempts.append(args[-1]) or pruned(*args))
-        retrieve_kl(index, QueryModel.lm({"a": 1.0}), ModelParams(), depth=200)
-        assert attempts == [] and "max_counts" not in vars(index) and "min_lengths" not in vars(index)
-        retrieve_kl(index, QueryModel.lm({"a": 1.0}), ModelParams(), depth=1)
-        assert attempts == [1] and "max_counts" in vars(index)
+        # 2,000 documents of about two terms, a in all of them and r in one: a depth-1
+        # page of a and r outnumbers 8 x (1 + 0 + 2) x avgdl postings, a depth-200 page
+        # does not.  The rare r leads, and its one document clears a's bound
+        index = make_index([(f"d{i:04d}", "ab") for i in range(1999)] + [("r1", "abr")])
+        led = []
+        matching = ranking._matching
+        monkeypatch.setattr(ranking, "_matching", lambda index, rows, drop: (
+            led.append([index.postings.terms[row] for row in rows.tolist()]) or matching(index, rows, drop)
+        ))
+        model = QueryModel.lm({"a": 0.5, "r": 0.5})
+        retrieve_kl(index, model, ModelParams(), depth=200)
+        assert led == [] and "max_counts" not in vars(index) and "min_lengths" not in vars(index)
+        assert retrieve_kl(index, model, ModelParams(), depth=1).doc_ids == ["r1"]
+        assert led == [["r"]] and "max_counts" in vars(index)
+
+    @given(scoring_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_a_retrieval_matches_at_most_twice(self, case):
+        # theta only rises as candidates are added, so a second pass leads no more terms
+        index, lm, vector, exclude, params, _ = case
+        models = [(retrieve_kl, lm), *[(retrieve_dot, QueryModel.vector(vector, kind)) for kind in VECTORIZERS]]
+        calls = []
+        matching = ranking._matching
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ranking, "_PRUNE", 0)
+            patch.setattr(ranking, "_matching", lambda *args: calls.append(args[1]) or matching(*args))
+            for depth in range(1, index.num_docs + 1):
+                for retrieve, model in models:
+                    calls.clear()
+                    retrieve(index, model, params, exclude, depth=depth)
+                    assert len(calls) <= 2
 
 
 class TestNonFiniteScoreWithEveryPagePruned(TestNonFiniteScore):

@@ -206,6 +206,17 @@ class TestInteractiveJudge:
         assert flat == [True, False]
         assert "relevant? [y/n]" in out.getvalue()
 
+    def test_the_snippet_takes_max_terms_of_the_most_frequent(self, small_setup):
+        idx, _, _ = small_setup
+        assert [term_snippet(idx, "d1", n) for n in (0, 1, 2, 3)] == ["", "x", "x y", "x y"]
+
+    @pytest.mark.parametrize("max_terms,message", [(-1, "must be >= 0, got -1"), (True, "must be int, got True")])
+    def test_max_terms_that_is_not_a_count_is_named(self, small_setup, max_terms, message):
+        # -1 returned every term but the last, True one term
+        idx, _, _ = small_setup
+        with pytest.raises(ValueError, match=f"^max_terms {message}$"):
+            term_snippet(idx, "d1", max_terms)
+
     def test_invalid_answer_reprompts(self):
         stdin = io.StringIO("maybe\ny\n")
         out = io.StringIO()
