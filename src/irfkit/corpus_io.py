@@ -311,14 +311,16 @@ def normalize_collection(
     its slice.  Other blocks are tokenized document by document."""
     check_collection("docs", docs, "documents", stream=True)
     memo = _TermMemo(stoplist, stemmer)
-    docs = iter(docs)
+    docs, first = iter(docs), 0
     while block := list(islice(docs, _BLOCK_DOCS)):
         try:
             joined = " ".join(doc.text for doc in block)
-        except TypeError:  # a text that is not a str: name the first such document
-            for doc in block:
+        except (AttributeError, TypeError):  # an item or a text of the wrong type: name the first
+            for place, doc in enumerate(block, first):
+                check_value(f"item {place} of docs", doc, RawDocument)
                 check_value(f"the text of doc {doc.doc_id!r}", doc.text, str)
             raise
+        first += len(block)
         if not joined.isascii():
             yield from (TermSequence(doc.doc_id, memo.terms(doc.text)) for doc in block)
             continue

@@ -39,7 +39,7 @@ import numpy as np
 
 from .corpus_io import check_collection, check_count, check_value, parse_number, read_text, reject_repeats
 from .exact import log_each, ordered_sum
-from .index import CollectionIndex, by_term, forward_rows
+from .index import CollectionIndex, by_term, distinct, forward_rows
 from .ranking import QueryModel, doc_weighting, in_collection, query_count_vector, query_language_model
 
 
@@ -226,12 +226,6 @@ def _at(rows: np.ndarray, held: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _union(*rows: np.ndarray) -> np.ndarray:
-    """The postings rows in any of the arrays, ascending."""
-    rows = np.sort(np.concatenate(rows))
-    return rows[rows != np.append(-1, rows[:-1])]
-
-
 def _top(rows: np.ndarray, key: np.ndarray, m: int) -> np.ndarray:
     """The places of the m largest keys, ties to the smaller row, so the
     smaller term, in that order."""
@@ -249,7 +243,7 @@ def _interpolate(
     ascending postings rows and their weights; the original's terms outside
     the collection, which the expansion never holds, come by term."""
     (o_rows, o_weights, outside), (e_rows, e_weights) = original, expansion
-    rows = _union(o_rows, e_rows)
+    rows = distinct(np.concatenate((o_rows, e_rows)))
     weights = interp_lambda * _at(rows, o_rows, o_weights) + (1.0 - interp_lambda) * _at(rows, e_rows, e_weights)
     pairs = list(by_term(index, rows, weights).items())
     if outside:
@@ -314,31 +308,10 @@ def estimate_rm3(
     return _lm_update(index, original, *_mean_rows(index, pools.relevant, doc_weighting(index, "mle", params)), params)
 
 
-class _LogLikelihoods(Sequence[float]):
-    """The trace of a distillation fit: each kept iterate's log-likelihood,
-    ``math.log`` per term and the products added in order.  An entry holds
-    its iterate's mixture until it is first read, and its value after.  The
-    mixtures are rows of the EM's blocks, so until the last entry is read the
-    trace also keeps at most ``_EM_BLOCK - 1`` rows of iterates stepped past
-    the stop."""
-
-    def __init__(self, counts: np.ndarray) -> None:
-        self._counts = counts
-        self._entries: list[np.ndarray | float] = []
-
-    def append(self, mixture: np.ndarray) -> None:
-        self._entries.append(mixture)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __getitem__(self, i: int | slice) -> float | list[float]:
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        entry = self._entries[i]
-        if isinstance(entry, np.ndarray):
-            entry = self._entries[i] = ordered_sum(self._counts * log_each(entry))
-        return entry
+def _log_likelihood(counts: np.ndarray, mixture: np.ndarray) -> float:
+    """A distillation iterate's log-likelihood: ``math.log`` per term and the
+    products added in order.  ``math.log`` raises on an entry <= 0."""
+    return ordered_sum(counts * log_each(mixture))
 
 
 _EM_BLOCK = 8  # EM iterates stepped between two reads of the stop test
@@ -347,10 +320,11 @@ _EM_BLOCK = 8  # EM iterates stepped between two reads of the stop test
 def _distill(
     counts: np.ndarray, p_nonrel: np.ndarray, p_corpus: np.ndarray,
     lambda1: float, lambda2: float, max_iters: int, tol: float,
-) -> tuple[np.ndarray, _LogLikelihoods]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """``distill_relevance_model`` on arrays: the pooled counts as float64
     and the two fixed models at the same terms; the fitted distribution at
-    those terms and the trace.
+    those terms and the mixture of each kept iterate, whose
+    ``_log_likelihood`` is its trace entry.
 
     The E and M steps run a block of up to ``_EM_BLOCK`` iterates at a time
     with numpy raising on every floating-point error, and the block's
@@ -368,7 +342,7 @@ def _distill(
         raise FeedbackError("distillation requires a non-empty relevant pool")
     rel_weight = 1.0 - lambda1 - lambda2
     fixed = lambda1 * p_nonrel + lambda2 * p_corpus
-    trace = _LogLikelihoods(counts)
+    mixtures = []  # of the iterates the stop test has read
     bound_per_unit = (counts.size + 8) * 2.0**-50
     p_rel = counts / ordered_sum(counts)
     weighted = rel_weight * p_rel
@@ -403,28 +377,28 @@ def _distill(
             except FloatingPointError:
                 raised = True
         if block:
-            mixtures = np.array([mixture for _, _, mixture in block])
+            stacked = np.array([mixture for _, _, mixture in block])
             with np.errstate(all="ignore"):  # np.log of an entry <= 0 is -inf or nan
-                weighted_logs = counts * np.log(mixtures)
+                weighted_logs = counts * np.log(stacked)
                 approxes = weighted_logs.sum(axis=1).tolist()
                 bounds = (bound_per_unit * np.abs(weighted_logs).sum(axis=1)).tolist()
-            for (p_rel, _, _), mixture, approx, bound in zip(block, mixtures, approxes, bounds):
-                trace.append(mixture)
+            for (p_rel, _, _), mixture, approx, bound in zip(block, stacked, approxes, bounds):
+                mixtures.append(mixture)
                 if not math.isfinite(bound):
-                    trace[-1]  # math.log raises on an entry <= 0, as the loop did
+                    _log_likelihood(counts, mixture)  # math.log raises on an entry <= 0, as the loop did
                 if last is not None:
                     gain = approx - last[0]
                     margin = bound + last[1] + 2.0**-50 * (abs(gain) + abs(tol))
                     if math.isfinite(margin) and abs(gain - tol) > margin:
                         converged = gain < tol
                     else:
-                        converged = trace[-1] - trace[-2] < tol
+                        converged = _log_likelihood(counts, mixture) - _log_likelihood(counts, mixtures[-2]) < tol
                     if converged:
-                        return p_rel, trace
+                        return p_rel, mixtures
                 last = approx, bound
             block.clear()
         if not raised and not (going and steps < max_iters):
-            return p_rel, trace
+            return p_rel, mixtures
 
 
 def distill_relevance_model(
@@ -435,7 +409,7 @@ def distill_relevance_model(
     lambda2: float,
     max_iters: int = 50,
     tol: float = 1e-6,
-) -> tuple[dict[str, float], Sequence[float]]:
+) -> tuple[dict[str, float], list[float]]:
     """EM fit of the relevance topic in the three-way mixture
     (1-l1-l2)*p_rel + l1*p_nonrel + l2*p_corpus against pooled term counts.
 
@@ -444,12 +418,10 @@ def distill_relevance_model(
     log-likelihood trace, which is non-decreasing up to rounding.  The fit
     (``_distill``) runs on float64 arrays with the arithmetic of a loop over
     terms: the same operation order and sums added in order.  Every float it
-    returns is the loop's, bit for bit, trace entries included: they take
-    ``math.log`` per term, because ``np.log``'s SIMD kernels round some
-    inputs differently by CPU.  The trace computes an entry when it is
-    first read, so until then it keeps the iterates' mixtures: (iterations
-    + 1) x terms floats, and at most ``_EM_BLOCK - 1`` rows more, of the
-    iterates stepped past the stop.
+    returns is the loop's, bit for bit, trace entries included: the fit
+    returns each kept iterate's mixture, and ``_log_likelihood`` takes
+    ``math.log`` of it per term, because ``np.log``'s SIMD kernels round some
+    inputs differently by CPU.
 
     The stop test reads ``np.log`` within a proven bound.  With u = 2^-53
     and n terms, let A be an iterate's log-likelihood from ``np.log``
@@ -477,11 +449,9 @@ def distill_relevance_model(
     def at_terms(model: dict[str, float]) -> np.ndarray:
         return np.array([model.get(t, 0.0) for t in terms], dtype=float)
 
-    # every count and their total are below 2^53, so float64 holds them exactly
-    p_rel, trace = _distill(
-        at_terms(pool_counts), at_terms(p_nonrel), at_terms(p_corpus), lambda1, lambda2, max_iters, tol
-    )
-    return dict(zip(terms, p_rel.tolist())), trace
+    counts = at_terms(pool_counts)  # every count and their total are below 2^53, so float64 holds them exactly
+    p_rel, mixtures = _distill(counts, at_terms(p_nonrel), at_terms(p_corpus), lambda1, lambda2, max_iters, tol)
+    return dict(zip(terms, p_rel.tolist())), [_log_likelihood(counts, mixture) for mixture in mixtures]
 
 
 def estimate_distillation(
@@ -511,13 +481,13 @@ def estimate_distillation(
         remaining = 1.0 - lambda1
         lambda1, lambda2 = 0.0, lambda2 / remaining
     p_corpus = index.cfs[rows] / index.stats.total_terms
-    relevance, trace = _distill(
-        counts.astype(float), p_nonrel, p_corpus, lambda1, lambda2, params.em_max_iters, params.em_tol
-    )
+    pooled = counts.astype(float)
+    relevance, mixtures = _distill(pooled, p_nonrel, p_corpus, lambda1, lambda2, params.em_max_iters, params.em_tol)
+    log_likelihood = _log_likelihood(pooled, mixtures[-1])
     diagnostics = {
-        "em_iterations": len(trace) - 1,
-        "log_likelihood": trace[-1],
-        "converged": len(trace) > 1 and trace[-1] - trace[-2] < params.em_tol,
+        "em_iterations": len(mixtures) - 1,
+        "log_likelihood": log_likelihood,
+        "converged": len(mixtures) > 1 and log_likelihood - _log_likelihood(pooled, mixtures[-2]) < params.em_tol,
     }
     kept = relevance > 0.0
     return _lm_update(index, original, rows[kept], relevance[kept], params)._replace(diagnostics=diagnostics)
@@ -551,7 +521,7 @@ def estimate_rocchio(
         for pool, coefficient in ((pools.relevant, params.beta), (pools.nonrelevant, sign * params.gamma))
         if pool and coefficient != 0.0
     ]
-    rows = _union(q_rows, *(c_rows for _, c_rows, _ in centroids))
+    rows = distinct(np.concatenate([q_rows, *(c_rows for _, c_rows, _ in centroids)]))
     weights, new, first = np.zeros(rows.size), np.ones(rows.size, bool), np.zeros(rows.size, bool)
     at = np.searchsorted(rows, q_rows)
     weights[at], new[at] = q_counts, False

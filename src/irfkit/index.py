@@ -306,11 +306,17 @@ def forward_rows(
     entries = np.arange(sizes.sum()) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
     rows, counts = index.forward_terms[entries], index.forward_counts[entries]
     weights = np.asarray(weigh(rows, np.repeat(index.doc_length_array[internal], sizes), counts))
-    distinct = np.sort(rows)  # rows are in term order
-    distinct = distinct[distinct != np.append(-1, distinct[:-1])]  # np.unique costs twice this
-    sums = np.zeros(distinct.size, np.result_type(weights, np.int64))  # counts sum as int64
-    np.add.at(sums, np.searchsorted(distinct, rows), weights.astype(sums.dtype))  # one dtype: its fast loop
-    return distinct, sums
+    held = distinct(rows)  # rows are in term order
+    sums = np.zeros(held.size, np.result_type(weights, np.int64))  # counts sum as int64
+    np.add.at(sums, np.searchsorted(held, rows), weights.astype(sums.dtype))  # one dtype: its fast loop
+    return held, sums
+
+
+def distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct ids (postings rows or documents, all >= 0), ascending: one sort
+    and a neighbour compare, several times faster than ``np.unique`` or ``np.union1d``."""
+    ids = np.sort(ids)
+    return ids[ids != np.append(-1, ids[:-1])]
 
 
 def by_term(index: CollectionIndex, rows: np.ndarray, values: np.ndarray) -> dict[str, Any]:

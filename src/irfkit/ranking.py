@@ -45,7 +45,7 @@ import numpy as np
 
 from .corpus_io import check_collection, check_count, check_value
 from .exact import each, log_each, ordered_sum
-from .index import CollectionIndex
+from .index import CollectionIndex, distinct
 
 if TYPE_CHECKING:  # feedback imports this module
     from .feedback import ModelParams
@@ -199,7 +199,7 @@ def _matching(index: CollectionIndex, rows: np.ndarray, drop: np.ndarray) -> np.
     for first, last in zip(cuts, cuts[1:]):
         block = [docs[s:e] for s, e in zip(starts[first:last].tolist(), ends[first:last].tolist())]
         # a row holds each document once, ascending
-        found = block[0] if len(block) == 1 and not found.size else np.union1d(found, np.concatenate(block))
+        found = block[0] if len(block) == 1 and not found.size else distinct(np.concatenate([found, *block]))
     at = np.minimum(np.searchsorted(found, drop), len(found) - 1)
     return np.delete(found, at[found[at] == drop])
 

@@ -37,13 +37,13 @@ def run_args(indexed, toy_paths, tmp_path, model="rm3", k="1", n="3", extra=()):
     ]
 
 
-def sweep_args(indexed, toy_paths, extra=()):
+def sweep_args(indexed, toy_paths, extra=(), model="rm3"):
     return [
         "sweep",
         "--index", str(indexed),
         "--topics", str(toy_paths["topics"]),
         "--qrels", str(toy_paths["qrels"]),
-        "--model", "rm3",
+        "--model", model,
         "--docs-per-iter", "1",
         "--iterations", "1",
         *extra,
@@ -478,6 +478,24 @@ class TestSweepCommand:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {grid}{message}") and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "model,axes,swept",
+        [
+            ("rocchio", "k1=1.2\nb=0.75\ngamma=0.5\nnum_expansion_terms=20\n", ("beta", ("0.5", "1.0"))),
+            ("prob", "b=0.75\ninterp_lambda=0.5\nnum_expansion_terms=20\n", ("k1", ("1.2", "2.0"))),
+        ],
+    )
+    def test_a_vector_model_sweeps_its_own_axes(self, indexed, toy_paths, tmp_path, capsys, model, axes, swept):
+        axis, values = swept
+        grid = tmp_path / "grid.txt"
+        grid.write_text(f"{axes}{axis}={','.join(values)}\n")
+        rc = cli.main(sweep_args(indexed, toy_paths, extra=("--grid", str(grid), "--folds", "1"), model=model))
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("pooled\t")
+        folds = [line.split("\t")[2].split() for line in lines[1:-1]]
+        assert folds and all(any(f"{axis}={value}" in best for value in values) for best in folds)
 
     def test_too_few_topics_for_folds_is_data_error(self, indexed, toy_paths, tmp_path, capsys):
         rc = cli.main(sweep_args(indexed, toy_paths, extra=("--folds", "5")))

@@ -338,6 +338,16 @@ class TestCollectionArguments:
         with pytest.raises(ValueError, match=f"^the text of doc 'bad' must be str, got {re.escape(repr(text))}$"):
             list(normalize_collection(docs, frozenset()))
 
+    @pytest.mark.parametrize("item", [("bad", "x"), None, TermSequence("bad", ("x",))], ids=["tuple", "None", "terms"])
+    @pytest.mark.parametrize("at", [0, 1, corpus_io._BLOCK_DOCS])  # the first of its block or not
+    def test_an_item_that_is_not_a_raw_document_is_named_by_its_place(self, item, at):
+        # each raised AttributeError: ... object has no attribute 'text'
+        docs = edge_docs(corpus_io._BLOCK_DOCS + 2)
+        docs[at] = item
+        docs[-1] = None
+        with pytest.raises(ValueError, match=f"^item {at} of docs must be RawDocument, got {re.escape(repr(item))}$"):
+            list(normalize_collection(iter(docs), frozenset()))
+
     @pytest.mark.parametrize("docs,shown", [(None, "None"), ("abc", "the str 'abc'")])
     def test_docs_that_are_not_a_collection_are_named(self, docs, shown):
         with pytest.raises(ValueError, match=f"^docs must be a collection of documents, not {shown}$"):

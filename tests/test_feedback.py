@@ -361,6 +361,26 @@ class TestDistillation:
         assert 1 < len(trace) - 1 < ModelParams().em_max_iters
         assert type(estimate.diagnostics["log_likelihood"]) is float
 
+    def test_the_diagnostics_take_two_exact_log_likelihoods_beyond_the_fit(self, toy_index, toy_topic, monkeypatch):
+        calls, in_fit = [], []
+        log_likelihood, distill = feedback._log_likelihood, feedback._distill
+
+        def counting(*args):
+            calls.append(args)
+            return log_likelihood(*args)
+
+        def fitting(*args):
+            before = len(calls)
+            fitted = distill(*args)
+            in_fit.append(len(calls) - before)
+            return fitted
+
+        monkeypatch.setattr(feedback, "_log_likelihood", counting)
+        monkeypatch.setattr(feedback, "_distill", fitting)
+        estimate = estimate_distillation(toy_index, toy_topic.terms, FeedbackPools(["d1"]), ModelParams())
+        assert estimate.diagnostics["em_iterations"] >= 2  # a whole trace would take 3 or more
+        assert len(in_fit) == 1 and len(calls) - in_fit[0] <= 2
+
     def test_diagnostics_flag_a_fit_cut_at_em_max_iters(self, toy_index, toy_topic):
         pools = FeedbackPools(["d1", "d3", "d5"], ["d2", "d4", "d6"])
         cut = estimate_distillation(toy_index, toy_topic.terms, pools, ModelParams(em_max_iters=1))
@@ -676,10 +696,11 @@ class TestArrayEMMatchesLoop:
                 run_irf(idx, topic, "distill", params, budget, make_qrels_judge(qrels))
         assert len(fits) > 40
         assert max(args[0].size for args, _ in fits) > 100
-        for (counts, p_nonrel, p_corpus, *rest), (fit, trace) in fits:
+        for (counts, p_nonrel, p_corpus, *rest), (fit, mixtures) in fits:
             terms = [f"t{i:05d}" for i in range(counts.size)]  # sorted like the rows they stand for
             by = lambda column: dict(zip(terms, column.tolist()))
             want = reference_distill({t: int(c) for t, c in by(counts).items()}, by(p_nonrel), by(p_corpus), *rest)
+            trace = [feedback._log_likelihood(counts, mixture) for mixture in mixtures]
             self.assert_same_fit((by(fit), trace), want)
 
 
@@ -715,7 +736,8 @@ class TestStopDecision:
             50,
             1e-6,
         )
-        logs = []
+        logs, in_fit = [], []
+        distill = feedback._distill
 
         class CountingMath:
             def __getattr__(self, name):
@@ -725,14 +747,19 @@ class TestStopDecision:
                 logs.append(x)
                 return math.log(x)
 
+        def counting(*args):
+            before = len(logs)
+            fitted = distill(*args)
+            in_fit.append(len(logs) - before)
+            return fitted
+
         monkeypatch.setattr(exact, "math", CountingMath())  # the one home of the math.log map
+        monkeypatch.setattr(feedback, "_distill", counting)
         fit, trace = distill_relevance_model(*case)
         assert len(trace) - 1 >= 10
         # at most one step falls within its bound, and it reads two exact values
-        assert len(logs) <= 2 * len(terms)
-        reads = len(logs)
-        trace[-1], trace[-1]
-        assert len(logs) - reads <= len(terms)  # an entry is computed once, then kept
+        assert in_fit[0] <= 2 * len(terms)
+        assert len(logs) - in_fit[0] == len(trace) * len(terms)  # the trace: one log per term and entry
         self.assert_same_fit((fit, trace), reference_distill(*case))
 
     @pytest.mark.parametrize("p_corpus_b", [-0.5, -1.0], ids=["zero", "negative"])

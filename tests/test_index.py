@@ -152,6 +152,13 @@ class TestDocVector:
             doc_vector(idx, "nope")
 
 
+@given(st.lists(st.integers(0, 2**31 - 1) | st.integers(0, 5)), st.sampled_from([np.int32, np.int64]))
+def test_distinct_is_numpys_unique(ids, dtype):
+    ids = np.array(ids, dtype)
+    got = index_module.distinct(ids)
+    assert got.dtype == dtype and got.tolist() == np.unique(ids).tolist()
+
+
 class TestSnapshot:
     def test_round_trip_small(self, tmp_path):
         idx = build_index(make_docs([("D1", "aba"), ("D2", "b")]), {"stemmer": "none", "stoplist": []})
